@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import best_by_offset
 from .periodic_fn import (
     PeriodicFunction,
     TrigPolynomial,
@@ -292,13 +291,24 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     return BoundCurve(lines)
 
 
+def _best_by_offset(vals, d_max):
+    """Largest |vals[i+d] - vals[i]| per circular offset d = 1..d_max
+    (entry 0 is 0)."""
+    n = vals.shape[0]
+    ext = np.concatenate((vals, vals[:d_max]))
+    best = np.zeros(d_max + 1)
+    for d in range(1, d_max + 1):
+        best[d] = np.max(np.abs(ext[d:d + n] - vals))
+    return best
+
+
 def _lower_table(f: PeriodicFunction, grid_size: int):
     key = int(grid_size)
     table = f._pair_cache.get(key)
     if table is None:
         x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
         vals = np.asarray(f.sample(x), dtype=np.complex128)
-        best, _ = best_by_offset(vals, grid_size // 2)
+        best = _best_by_offset(vals, grid_size // 2)
         # running max over offsets d' <= d keeps the search monotone in delta
         running = np.maximum.accumulate(best)
         table = (x, vals, running)

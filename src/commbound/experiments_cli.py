@@ -130,10 +130,24 @@ def _select_function(name):
         return builtin_triangle()
     if name == "bump":
         return builtin_bump()
-    # anything else is a path to a JSON coefficient map {"n": [re, im]}
+    # anything else is a path to a JSON coefficient map {"n": [re, im] or re}
     with open(name) as fh:
         raw = json.load(fh)
-    mapping = {int(k): complex(v[0], v[1]) for k, v in raw.items()}
+    if not isinstance(raw, dict):
+        raise ValueError("%s: coefficient file must hold a JSON object" % name)
+    mapping = {}
+    for k, v in raw.items():
+        try:
+            n = int(k)
+        except ValueError:
+            raise ValueError("%s: Fourier order %r is not an integer" % (name, k))
+        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+        if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                   for p in parts):
+            raise ValueError("%s: coefficient for order %s must be a real "
+                             "number or [re, im], got %s"
+                             % (name, k, json.dumps(v)))
+        mapping[n] = complex(parts[0], parts[1])
     return from_coefficients(mapping)
 
 

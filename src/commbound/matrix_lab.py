@@ -14,10 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import jacobi_eigh
-
 _DIM_MIN = 2
 _DIM_MAX = 64
+_SQRT2 = math.sqrt(2.0)
 
 
 class DecompositionError(RuntimeError):
@@ -68,7 +67,7 @@ class InstancePair:
         elif self.role == "positive":
             if op_norm(self.x - self.x.conj().T) > 1e-10:
                 raise ValueError("positive role check failed: not Hermitian")
-            w, _ = jacobi_eigh(np.ascontiguousarray(self.x))
+            w = np.linalg.eigvalsh(self.x)
             if w[0] < -1e-12 or w[-1] > 1.0 + 1e-12:
                 raise ValueError("positive role check failed: spectrum")
         else:
@@ -89,8 +88,8 @@ class ProbeResult:
     a: np.ndarray
 
 
-def _check_square(M):
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+def _check_square(M, stacked=False):
+    if M.ndim < 2 or (M.ndim > 2 and not stacked) or M.shape[-1] != M.shape[-2]:
         raise ValueError("square matrix required")
 
 
@@ -99,15 +98,24 @@ def _check_dim(n):
         raise ValueError("dimension must lie in [%d, %d]" % (_DIM_MIN, _DIM_MAX))
 
 
-def op_norm(M) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(M, dtype=np.complex128), 2))
+def _adjoint(M):
+    return M.conj().swapaxes(-1, -2)
+
+
+def _norms(M):
+    return np.linalg.svd(np.asarray(M, dtype=np.complex128), compute_uv=False).max(-1)
+
+
+def op_norm(M):
+    """Largest singular value; a stack (..., n, n) gives an array of them."""
+    s = _norms(M)
+    return float(s) if s.ndim == 0 else s
 
 
 def commutator(M1, M2) -> np.ndarray:
     M1 = np.asarray(M1, dtype=np.complex128)
     M2 = np.asarray(M2, dtype=np.complex128)
-    _check_square(M1)
+    _check_square(M1, stacked=True)
     if M1.shape != M2.shape:
         raise ValueError("dimension mismatch")
     return M1 @ M2 - M2 @ M1
@@ -127,7 +135,7 @@ def _as_rng(seed_or_rng):
 
 def _ginibre(rng, n):
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        / math.sqrt(2.0)
+        / _SQRT2
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -177,20 +185,29 @@ def random_positive_contraction(n: int, seed, spectrum_mode: str = "uniform") ->
     return (h + h.conj().T) / 2.0
 
 
-def _cluster_ranges(w, tol):
-    # chain clustering of sorted eigenvalues: split where the gap exceeds tol
-    ranges = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > tol:
-            ranges.append((start, k))
-            start = k
-    return ranges
+def _reassemble(q, lam):
+    # q diag(lam) q*, one per stacked matrix
+    return (q * lam[..., None, :]) @ _adjoint(q)
+
+
+def _check_residual(M, q, lam, kind):
+    worst = np.max(_norms(M - _reassemble(q, lam)))
+    if worst > 1e-9:
+        raise DecompositionError("%s diagonalization residual %.3e" % (kind, worst))
+
+
+def _per_spectrum(f, lam):
+    # f sees one spectrum at a time, exactly as in a single-matrix call, so
+    # a stacked result replays bit for bit through the unstacked one
+    rows = lam.reshape(-1, lam.shape[-1])
+    vals = [np.asarray(f(row), dtype=np.complex128) for row in rows]
+    return np.stack(vals).reshape(lam.shape)
 
 
 def unitary_calculus(f, V) -> np.ndarray:
     """f[V] for unitary V: eigendecompose, apply f to the eigenvalue
-    phases in (-pi, pi], reassemble.
+    phases in (-pi, pi], reassemble.  V may be a stack (..., n, n); every
+    check applies to each matrix.
 
     V is normal, so it is diagonalized in two Hermitian steps: the real
     part fixes the basis up to clusters (tolerance 1e-8), and within each
@@ -198,44 +215,43 @@ def unitary_calculus(f, V) -> np.ndarray:
     residual ||V - Q Lam Q*|| must stay below 1e-9.
     """
     V = np.ascontiguousarray(V, dtype=np.complex128)
-    _check_square(V)
-    n = V.shape[0]
-    if op_norm(V.conj().T @ V - np.eye(n)) > 1e-10:
+    _check_square(V, stacked=True)
+    n = V.shape[-1]
+    if np.any(_norms(_adjoint(V) @ V - np.eye(n)) > 1e-10):
         raise ValueError("unitary input required")
-    h1 = (V + V.conj().T) / 2.0
-    h2 = (V - V.conj().T) / 2.0j
-    w, q = jacobi_eigh(h1)
-    for s, e in _cluster_ranges(w, 1e-8):
-        if e - s > 1:
-            qc = q[:, s:e]
-            k = qc.conj().T @ h2 @ qc
-            _, rot = jacobi_eigh(np.ascontiguousarray((k + k.conj().T) / 2.0))
-            q[:, s:e] = qc @ rot
-    lam = np.diagonal(q.conj().T @ V @ q).copy()
-    resid = op_norm(V - (q * lam) @ q.conj().T)
-    if resid > 1e-9:
-        raise DecompositionError("unitary diagonalization residual %.3e" % resid)
+    w, q = np.linalg.eigh((V + _adjoint(V)) / 2.0)
+    ws = w.reshape(-1, n)
+    qs = q.reshape(-1, n, n)
+    h2s = ((V - _adjoint(V)) / 2.0j).reshape(-1, n, n)
+    # chain clustering of sorted eigenvalues: split where the gap exceeds 1e-8
+    for k in np.flatnonzero(np.any(np.diff(ws, axis=-1) <= 1e-8, axis=-1)):
+        cuts = np.flatnonzero(np.diff(ws[k]) > 1e-8) + 1
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, n]):
+            if e - s > 1:
+                qc = qs[k][:, s:e]
+                c = qc.conj().T @ h2s[k] @ qc
+                _, rot = np.linalg.eigh((c + c.conj().T) / 2.0)
+                qs[k][:, s:e] = qc @ rot
+    lam = np.diagonal(_adjoint(q) @ V @ q, axis1=-2, axis2=-1).copy()
+    _check_residual(V, q, lam, "unitary")
     theta = np.angle(lam)
     theta[theta == -np.pi] = np.pi
-    vals = np.asarray(f.sample(theta), dtype=np.complex128)
-    return (q * vals) @ q.conj().T
+    return _reassemble(q, _per_spectrum(f.sample, theta))
 
 
 def hermitian_calculus(f, H) -> np.ndarray:
     """f(H) for Hermitian H with spectrum in [0, 1] (checked to 1e-10);
-    eigenvalues are clipped to [0, 1] before applying the plain callable f."""
+    eigenvalues are clipped to [0, 1] before applying the plain callable f.
+    H may be a stack (..., n, n); every check applies to each matrix."""
     H = np.ascontiguousarray(H, dtype=np.complex128)
-    _check_square(H)
-    if op_norm(H - H.conj().T) > 1e-10:
+    _check_square(H, stacked=True)
+    if np.any(_norms(H - _adjoint(H)) > 1e-10):
         raise ValueError("Hermitian input required")
-    w, q = jacobi_eigh((H + H.conj().T) / 2.0)
-    if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
+    w, q = np.linalg.eigh((H + _adjoint(H)) / 2.0)
+    if np.any(w[..., 0] < -1e-10) or np.any(w[..., -1] > 1.0 + 1e-10):
         raise ValueError("spectrum outside [0, 1]")
-    resid = op_norm(H - (q * w) @ q.conj().T)
-    if resid > 1e-9:
-        raise DecompositionError("Hermitian diagonalization residual %.3e" % resid)
-    vals = np.asarray(f(np.clip(w, 0.0, 1.0)), dtype=np.complex128)
-    return (q * vals) @ q.conj().T
+    _check_residual(H, q, w, "Hermitian")
+    return _reassemble(q, _per_spectrum(f, np.clip(w, 0.0, 1.0)))
 
 
 def block_offdiag(M1, M2) -> np.ndarray:
@@ -304,12 +320,15 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
     """Random validation sweep: for each index, draw (X, A), measure
     delta = ||[X, A]|| and ||[f(X), A]||, and check the margin against the
     supplied curve.  A margin below -1e-8 raises ViolationError carrying
-    a full replay payload.
+    a full replay payload for the smallest violating index.
 
     Dimensions cycle through `dims`; for the positive role the spectrum
     mode alternates uniform/atoms when `both` is requested.  f is a
     periodic function for the unitary role and a plain callable on [0, 1]
-    for the positive role.
+    for the positive role.  Instances are drawn per index from their own
+    stream; the norms and the calculus then run once per dimension on the
+    stacked matrices, which gives the same bits as measuring each index
+    on its own.
     """
     count = int(count)
     if count < 1:
@@ -319,36 +338,40 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
         raise ValueError("dims must be nonempty")
     for d in dims:
         _check_dim(d)
-    records = []
+    pairs = []
     for i in range(count):
-        dim = dims[i % len(dims)]
+        mode = None
         if role == "positive":
             mode = spectrum_mode
             if spectrum_mode == "both":
                 mode = "uniform" if i % 2 == 0 else "atoms"
-        else:
-            mode = None
-        pair = instance_pair(role, dim, seed, i, mode)
-        delta = op_norm(commutator(pair.x, pair.a))
-        if role == "unitary":
-            fx = unitary_calculus(f, pair.x)
-        else:
-            fx = hermitian_calculus(f, pair.x)
-        measured = op_norm(commutator(fx, pair.a))
+        pairs.append(instance_pair(role, dims[i % len(dims)], seed, i, mode))
+    calculus = unitary_calculus if role == "unitary" else hermitian_calculus
+    pair_dims = np.array([p.dim for p in pairs])
+    deltas = np.empty(count)
+    measured = np.empty(count)
+    for dim in np.unique(pair_dims):
+        idx = np.flatnonzero(pair_dims == dim)
+        x = np.stack([pairs[i].x for i in idx])
+        a = np.stack([pairs[i].a for i in idx])
+        deltas[idx] = _norms(commutator(x, a))
+        measured[idx] = _norms(commutator(calculus(f, x), a))
+    records = []
+    for i, pair in enumerate(pairs):
+        delta = float(deltas[i])
+        meas = float(measured[i])
         # fp guard: delta may poke past the curve domain by rounding only
         bound = curve.evaluate(min(delta, curve.delta_max))
-        margin = bound - measured
-        record = SampleRecord(seed=seed, dim=dim, delta=delta,
-                              measured=measured, bound=bound, margin=margin)
+        margin = bound - meas
         if margin < -1e-8:
             payload = {
                 "seed": int(seed),
                 "index": i,
-                "dim": dim,
+                "dim": pair.dim,
                 "role": role,
-                "spectrum_mode": mode,
+                "spectrum_mode": pair.spectrum_mode,
                 "delta": delta,
-                "measured": measured,
+                "measured": meas,
                 "bound": bound,
                 "margin": margin,
                 "x": _matrix_entries(pair.x),
@@ -356,82 +379,74 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
             }
             raise ViolationError(
                 "bound violated at seed=%d index=%d: measured %.12e > bound %.12e"
-                % (seed, i, measured, bound), payload)
-        records.append(record)
+                % (seed, i, meas, bound), payload)
+        records.append(SampleRecord(seed=seed, dim=pair.dim, delta=delta,
+                                    measured=meas, bound=bound, margin=margin))
     return records
 
 
 def _eigh_box(H):
-    # Hermitize and clip the spectrum to [0, 1]
-    w, q = jacobi_eigh(np.ascontiguousarray((H + H.conj().T) / 2.0))
+    # Hermitize and clip each spectrum of the stack to [0, 1]
+    w, q = np.linalg.eigh((H + _adjoint(H)) / 2.0)
     return np.clip(w, 0.0, 1.0), q
 
 
 def _bind_contraction(w, q, araw, delta_target):
-    """A from raw material: rescale to a contraction, then shrink so the
-    commutator constraint against H = q diag(w) q* binds when possible."""
-    a = araw
-    nrm = op_norm(a)
-    if nrm > 1.0:
-        a = a / nrm
-    h = (q * w) @ q.conj().T
-    dc = op_norm(commutator(h, a))
-    if dc == 0.0:
-        return None
-    t = delta_target / dc
-    if t <= 1.0:
-        a = t * a
-    return a
+    """A from a stack of raw material: rescale to a contraction, then
+    shrink so the commutator constraint against H = q diag(w) q* binds
+    when possible.  Returns (A, ok); ok is False where [H, A] = 0."""
+    a = araw.copy()
+    nrm = _norms(a)
+    big = nrm > 1.0
+    a[big] = a[big] / nrm[big, None, None]
+    dc = _norms(commutator(_reassemble(q, w), a))
+    ok = dc != 0.0
+    t = delta_target / np.where(ok, dc, 1.0)
+    shrink = ok & (t <= 1.0)
+    a[shrink] = t[shrink, None, None] * a[shrink]
+    return a, ok
 
 
-def _rand_value(w, q, araw, delta_target):
-    a = _bind_contraction(w, q, araw, delta_target)
-    if a is None:
-        return 0.0
-    root = (q * np.sqrt(w)) @ q.conj().T
-    return op_norm(commutator(root, a))
-
-
-def _pair_value(w, delta_target):
+def _pair_values(w, delta_target):
     """Closed-form value of the best eigenbasis swap A = s (q_i q_j* +
-    q_j q_i*): with s binding the constraint it is
-    min(1, dt/gap) * |sqrt(w_j) - sqrt(w_i)|."""
-    n = len(w)
+    q_j q_i*) per spectrum: with s binding the constraint it is
+    min(1, dt/gap) * |sqrt(w_j) - sqrt(w_i)|.  Returns (value, i, j) for
+    the first best pair, or (0, 0, 0) where no pair has a positive value."""
     r = np.sqrt(w)
-    best = 0.0
-    bi = bj = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(w[i] - w[j])
-            num = abs(r[i] - r[j])
-            v = delta_target * num / gap if gap >= delta_target else num
-            if v > best:
-                best = v
-                bi, bj = i, j
-    return best, bi, bj
+    i, j = np.triu_indices(w.shape[-1], 1)
+    gap = np.abs(w[:, i] - w[:, j])
+    num = np.abs(r[:, i] - r[:, j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.where(gap >= delta_target, delta_target * num / gap, num)
+    k = np.argmax(v, axis=1)
+    best = v[np.arange(len(k)), k]
+    hit = best > 0.0
+    return best, np.where(hit, i[k], 0), np.where(hit, j[k], 0)
 
 
-def _probe_score(hraw, araw, delta_target):
-    """Composite objective of a raw state: the better of the feasible
-    random instance and the best swap pair for the candidate spectrum."""
+def _probe_scores(hraw, araw, delta_target):
+    """Composite objective of a stack of raw states: the better of the
+    feasible random instance and the best swap pair for the candidate
+    spectrum."""
     w, q = _eigh_box(hraw)
-    vr = _rand_value(w, q, araw, delta_target)
-    vp, _, _ = _pair_value(w, delta_target)
-    return max(vr, vp)
+    a, ok = _bind_contraction(w, q, araw, delta_target)
+    rand = np.where(ok, _norms(commutator(_reassemble(q, np.sqrt(w)), a)), 0.0)
+    return np.maximum(rand, _pair_values(w, delta_target)[0])
 
 
 def _materialize_best(hraw, araw, delta_target):
-    """Turn the winning raw state into actual matrices (H, A), picking
+    """Turn one winning raw state into actual matrices (H, A), picking
     whichever of the two candidate A's measures higher."""
-    w, q = _eigh_box(hraw)
-    h = (q * w) @ q.conj().T
+    w, q = _eigh_box(hraw[None])
+    h = _reassemble(q, w)[0]
     h = (h + h.conj().T) / 2.0
-    root = (q * np.sqrt(w)) @ q.conj().T
+    root = _reassemble(q, np.sqrt(w))[0]
     cands = []
-    a_rand = _bind_contraction(w, q, araw, delta_target)
-    if a_rand is not None:
-        cands.append(a_rand)
-    _, bi, bj = _pair_value(w, delta_target)
+    a_rand, ok = _bind_contraction(w, q, araw[None], delta_target)
+    if ok[0]:
+        cands.append(a_rand[0])
+    _, bi, bj = _pair_values(w, delta_target)
+    w, q, bi, bj = w[0], q[0], int(bi[0]), int(bj[0])
     gap = abs(w[bi] - w[bj])
     if gap > 0.0:
         s = min(1.0, delta_target / gap)
@@ -445,7 +460,7 @@ def _materialize_best(hraw, araw, delta_target):
         if v > best_v:
             best_v = v
             best = a
-    return h, best, best_v
+    return h, best
 
 
 def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
@@ -461,8 +476,13 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
     spectrum, so proposals that improve the spectral pair structure are
     accepted even before a good A is found.  Equal scores are accepted
     (plateau drift); the step size grows 1.5x on improvement up to sigma0
-    and halves after `stall_limit` rejected steps.  The best state is
-    materialized into actual matrices and re-measured before reporting.
+    and halves after `stall_limit` rejected steps.
+
+    The restarts advance in lockstep, scored as one stack, and restart r
+    draws its proposals from stream (seed, r).  The first restart with the
+    best score is materialized into actual matrices (H, A), and the
+    reported value is ||[sqrt(H), A]|| measured on them through
+    hermitian_calculus.
     """
     dt = float(delta_target)
     if not 0.0 < dt <= 1.0:
@@ -474,43 +494,52 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
     if iters < 1 or restarts < 1:
         raise ValueError("iters and restarts must be positive")
     steps_per = max(1, iters // restarts)
-    best_v = -1.0
-    best_raw = None
-    total = 0
-    for r in range(restarts):
-        rng = stream(seed, r)
-        hraw = _ginibre(rng, dim) * math.sqrt(2.0)
-        araw = _ginibre(rng, dim) / math.sqrt(dim)
-        v = _probe_score(hraw, araw, dt)
-        sigma = sigma0
-        stall = 0
-        for _ in range(steps_per):
-            total += 1
-            which = int(rng.integers(0, 3))
-            hc = hraw if which == 1 else \
-                hraw + sigma * math.sqrt(2.0) * _ginibre(rng, dim)
-            ac = araw if which == 0 else \
-                araw + sigma * math.sqrt(2.0) * _ginibre(rng, dim)
-            vc = _probe_score(hc, ac, dt)
-            if vc >= v:
-                if vc > v:
-                    stall = 0
-                    sigma = min(sigma * 1.5, sigma0)
-                v = vc
-                hraw, araw = hc, ac
-            else:
-                stall += 1
-                if stall >= stall_limit:
-                    sigma = max(sigma * 0.5, 1e-300)
-                    stall = 0
-        if v > best_v:
-            best_v = v
-            best_raw = (hraw, araw)
-    h, a, measured = _materialize_best(best_raw[0], best_raw[1], dt)
+    rngs = [stream(seed, r) for r in range(restarts)]
+    shape = (restarts, dim, dim)
+    hraw = np.empty(shape, dtype=np.complex128)
+    araw = np.empty(shape, dtype=np.complex128)
+    for r, rng in enumerate(rngs):
+        hraw[r] = _ginibre(rng, dim) * _SQRT2
+        araw[r] = _ginibre(rng, dim) / math.sqrt(dim)
+    v = _probe_scores(hraw, araw, dt)
+    sigma = np.full(restarts, float(sigma0))
+    stall = np.zeros(restarts, dtype=np.int64)
+    which = np.zeros(restarts, dtype=np.int64)
+    # real and imaginary Gaussian parts of each restart's proposal for H
+    # (k = 0, unless which is 1) and for A (k = 1, unless which is 0), drawn
+    # in the order _ginibre draws them
+    draws = np.zeros((restarts, 2, 2, dim, dim))
+    for _ in range(steps_per):
+        for r, rng in enumerate(rngs):
+            which[r] = rng.integers(0, 3)
+            for k in (0, 1):
+                if which[r] != 1 - k:
+                    rng.standard_normal(out=draws[r, k, 0])
+                    rng.standard_normal(out=draws[r, k, 1])
+        g = (draws[:, :, 0] + 1j * draws[:, :, 1]) / _SQRT2
+        step = (sigma * _SQRT2)[:, None, None]
+        hc = np.where((which != 1)[:, None, None], hraw + step * g[:, 0], hraw)
+        ac = np.where((which != 0)[:, None, None], araw + step * g[:, 1], araw)
+        vc = _probe_scores(hc, ac, dt)
+        up = vc > v
+        acc = vc >= v
+        stall[up] = 0
+        sigma[up] = np.minimum(sigma[up] * 1.5, sigma0)
+        v = np.where(acc, vc, v)
+        hraw = np.where(acc[:, None, None], hc, hraw)
+        araw = np.where(acc[:, None, None], ac, araw)
+        stall[~acc] += 1
+        slow = ~acc & (stall >= stall_limit)
+        sigma[slow] = np.maximum(sigma[slow] * 0.5, 1e-300)
+        stall[slow] = 0
+    best = int(np.argmax(v))
+    h, a = _materialize_best(hraw[best], araw[best], dt)
     delta = op_norm(commutator(h, a))
+    measured = op_norm(commutator(hermitian_calculus(np.sqrt, h), a))
     bound = math.sqrt(dt)
     record = SampleRecord(seed=int(seed), dim=dim, delta=delta,
                           measured=measured, bound=bound,
                           margin=bound - measured)
-    return ProbeResult(record=record, gap=bound - measured, iterations=total,
-                       restarts=restarts, h=h, a=a)
+    return ProbeResult(record=record, gap=bound - measured,
+                       iterations=steps_per * restarts, restarts=restarts,
+                       h=h, a=a)

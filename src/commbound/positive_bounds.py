@@ -14,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import jacobi_eigh, sqrt_series_sums
 from .circle_bounds import BoundCurve, BoundLine
 
 _SQRT_SERIES_DESC = "series for 1 - sqrt(1 - x): c1 = 1/2, c_{n+1} = c_n (2n-1)/(2n+2)"
-
-# largest table computed so far; smaller requests slice it
-_series_cache = {}
 
 
 def _frozen(a):
@@ -58,21 +54,19 @@ def sqrt_series(N: int) -> PowerSeries:
     """Series data for 1 - sqrt(1-x) through degree N (N >= 1).
 
     c_0 = 0, c_1 = 1/2, c_{n+1} = c_n (2n-1)/(2n+2); all later c_n are
-    positive and the partial sums increase toward 1.  Sums are accumulated
-    with compensated summation.
+    positive and the partial sums increase toward 1.  The sums come in
+    closed form from b_N = C(2N, N) / 4^N, a product of the ratios
+    (2n-1)/(2n): sum_{n<=N} c_n = 1 - b_N and sum_{n<=N} n c_n = N b_N.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be at least 1")
-    cached = _series_cache.get("sqrt")
-    if cached is None or cached[0] < N:
-        c, partial, weighted = sqrt_series_sums(N)
-        cached = (N, _frozen(c), _frozen(partial), _frozen(weighted))
-        _series_cache["sqrt"] = cached
-    _, c, partial, weighted = cached
-    k = N + 1
-    return PowerSeries(_frozen(c[:k]), _frozen(partial[:k]),
-                       _frozen(weighted[:k]), _SQRT_SERIES_DESC)
+    n = np.arange(1.0, N + 1.0)
+    # running products of c_{n+1} / c_n and of b_n / b_{n-1}
+    c = np.r_[0.0, np.cumprod(np.r_[0.5, (2.0 * n[:-1] - 1.0) / (2.0 * n[:-1] + 2.0)])]
+    b = np.r_[1.0, np.cumprod((2.0 * n - 1.0) / (2.0 * n))]
+    return PowerSeries(_frozen(c), _frozen(1.0 - b), _frozen(np.r_[0.0, n] * b),
+                       _SQRT_SERIES_DESC)
 
 
 def power_series_line(series: PowerSeries, N: int, h_osc: float) -> BoundLine:
@@ -211,7 +205,7 @@ def reflect_instance(H) -> np.ndarray:
         raise ValueError("square matrix required")
     if np.linalg.norm(H - H.conj().T) > 1e-10:
         raise ValueError("Hermitian matrix required")
-    w, _ = jacobi_eigh(np.ascontiguousarray(H))
+    w = np.linalg.eigvalsh(H)
     if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
         raise ValueError("spectrum outside [0, 1]")
     return np.eye(H.shape[0], dtype=np.complex128) - H

@@ -262,6 +262,17 @@ class TestEtaLower:
             assert lo <= hi + 1e-8
 
 
+class TestBestByOffset:
+    def test_best_by_offset_against_roll(self):
+        rng = cb.stream(4, 100)
+        vals = rng.standard_normal(512)
+        best = circle_bounds._best_by_offset(vals, 64)
+        assert best[0] == 0.0
+        for d in (1, 7, 64):
+            want = np.max(np.abs(np.roll(vals, -d) - vals))
+            assert best[d] == want
+
+
 class TestContinuityBound:
     def test_delegates_to_curve(self, triangle_envelope):
         for d in (0.0, 0.5, 2.0):

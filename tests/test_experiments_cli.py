@@ -144,6 +144,43 @@ class TestCurveCircle:
         for row in rows:
             assert float(row[1]) <= float(row[0]) + 1e-12
 
+    def test_bare_real_coefficients_match_pairs(self, tmp_path):
+        rows = []
+        for name, spec in (("pairs", {"1": [0.5, 0.0], "-1": [0.5, 0.0]}),
+                           ("bare", {"1": 0.5, "-1": 0.5})):
+            path = tmp_path / (name + ".json")
+            path.write_text(json.dumps(spec))
+            out = tmp_path / (name + ".csv")
+            rc = main(["curve", "circle", "--function", str(path),
+                       "--steps", "6", "--n-max", "3", "--out", str(out)])
+            assert rc == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("spec", [
+        {"1": [0.5]},
+        {"1": [0.5, 0.0, 1.0]},
+        {"1": "0.5"},
+        {"1": [0.5, "0"]},
+        {"1": True},
+        {"one": 0.5},
+        {"1.5": 0.5},
+        [0.5, 0.5],
+        "cos",
+    ], ids=["short-list", "long-list", "string", "string-part", "bool",
+            "word-key", "fraction-key", "array", "string-doc"])
+    def test_malformed_function_file_exits_two(self, spec, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        for command in (["curve", "circle"], ["lower", "circle"],
+                        ["validate", "circle"]):
+            rc = main(command + ["--function", str(path), "--out",
+                                 str(tmp_path / "out.txt")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("commbound: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.txt").exists()
+
     def test_missing_function_file_exits_two(self, capsys, tmp_path):
         rc = main([
             "curve", "circle", "--function", str(tmp_path / "absent.json"),

@@ -378,7 +378,17 @@ class TestProbe:
         assert cb.op_norm(cb.commutator(res.h, res.a)) <= 0.25 + 1e-10
         root = cb.hermitian_calculus(np.sqrt, res.h)
         measured = cb.op_norm(cb.commutator(root, res.a))
-        assert abs(measured - res.record.measured) <= 1e-12
+        assert measured == res.record.measured
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_probe_at_cli_defaults_replays(self, seed):
+        res = cb.probe_max_commutator(0.25, 2, 20000, seed=seed, restarts=64)
+        root = cb.hermitian_calculus(np.sqrt, res.h)
+        assert cb.op_norm(cb.commutator(root, res.a)) == res.record.measured
+        assert cb.op_norm(cb.commutator(res.h, res.a)) == res.record.delta
+        assert res.record.delta <= 0.25 + 1e-10
+        assert 0.5 - 1e-6 <= res.record.measured <= 0.5 + 1e-9
+        assert res.iterations == 20000 // 64 * 64
 
     def test_probe_determinism(self):
         a = cb.probe_max_commutator(0.09, 3, 500, seed=11, restarts=2)
