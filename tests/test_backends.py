@@ -1,14 +1,11 @@
-"""Backend selection and kernel agreement tests."""
+"""The package runs on numpy alone: a fresh interpreter never loads numba
+or scipy and computes the same curves as this process."""
 
 import os
 import subprocess
 import sys
 
-import numpy as np
-import pytest
-
 import commbound as cb
-from commbound import _kernels
 
 
 def run_snippet(code, **env_overrides):
@@ -23,101 +20,23 @@ def run_snippet(code, **env_overrides):
 
 
 class TestSelection:
-    def test_backend_value(self):
-        assert cb.BACKEND in ("numba", "numpy")
-        if cb.BACKEND == "numba":
-            assert cb.HAVE_NUMBA
-
     def test_forced_numpy_backend(self):
         out = run_snippet(
-            "import commbound; print(commbound.BACKEND)",
-            COMMBOUND_BACKEND="numpy",
+            "import sys, commbound\n"
+            "print(sorted(m for m in ('numba', 'scipy') if m in sys.modules))"
         )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "numpy"
-
-    def test_invalid_backend_refused(self):
-        out = run_snippet("import commbound", COMMBOUND_BACKEND="gpu")
-        assert out.returncode != 0
-        assert "COMMBOUND_BACKEND" in out.stderr
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_thread_pin_accepted(self):
         out = run_snippet(
             "import commbound as cb; print(cb.gamma0(50, 32).evaluate(0.25))",
-            COMMBOUND_BACKEND="numpy",
-            COMMBOUND_THREADS="1",
+            OMP_NUM_THREADS="1",
+            OPENBLAS_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
         )
-        assert out.returncode == 0
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0.5"
-
-
-class TestKernelAgreement:
-    """Both implementations run in-process; numba variants skip when absent."""
-
-    def hermitian(self, n, seed):
-        rng = cb.stream(seed, 999)
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return (M + M.conj().T) / 2.0
-
-    def test_jacobi_against_lapack(self):
-        for n, seed in ((2, 0), (4, 1), (8, 2), (16, 3)):
-            H = self.hermitian(n, seed)
-            w, V = _kernels.jacobi_eigh(H.copy())
-            assert np.all(np.diff(w) >= 0)
-            assert cb.op_norm(V @ np.diag(w) @ V.conj().T - H) <= 1e-12
-            assert cb.op_norm(V.conj().T @ V - np.eye(n)) <= 1e-12
-            np.testing.assert_allclose(w, np.linalg.eigvalsh(H), atol=1e-12)
-
-    def test_jacobi_variants_agree(self):
-        if not cb.HAVE_NUMBA:
-            pytest.skip("numba not available")
-        for n, seed in ((3, 5), (8, 6)):
-            H = self.hermitian(n, seed)
-            w_nb, V_nb = _kernels.jacobi_eigh_numba(H.copy())
-            w_py, V_py = _kernels.jacobi_eigh_python(H.copy())
-            # rotation schedules round differently, so eigenvalues agree to
-            # tight but not bitwise tolerance
-            np.testing.assert_allclose(w_nb, w_py, atol=1e-13)
-            R_nb = V_nb @ np.diag(w_nb) @ V_nb.conj().T
-            R_py = V_py @ np.diag(w_py) @ V_py.conj().T
-            assert cb.op_norm(R_nb - R_py) <= 1e-13
-
-    def test_sqrt_series_variants_bitwise(self):
-        if not cb.HAVE_NUMBA:
-            pytest.skip("numba not available")
-        c_nb, p_nb, w_nb = _kernels.sqrt_series_sums_numba(5000)
-        c_py, p_py, w_py = _kernels.sqrt_series_sums_python(5000)
-        np.testing.assert_array_equal(c_nb, c_py)
-        np.testing.assert_array_equal(p_nb, p_py)
-        np.testing.assert_array_equal(w_nb, w_py)
-
-    def test_best_by_offset_against_roll(self):
-        rng = cb.stream(4, 100)
-        vals = rng.standard_normal(512)
-        best, arg = _kernels.best_by_offset(vals, 64)
-        for d in (1, 7, 64):
-            want = np.max(np.abs(np.roll(vals, -d) - vals))
-            assert best[d] == want
-
-    def test_best_by_offset_variants_on_real_input(self):
-        if not cb.HAVE_NUMBA:
-            pytest.skip("numba not available")
-        rng = cb.stream(9, 100)
-        vals = rng.standard_normal(1024)
-        b_nb, a_nb = _kernels.best_by_offset_numba(vals, 128)
-        b_py, a_py = _kernels.best_by_offset_python(vals, 128)
-        np.testing.assert_array_equal(b_nb, b_py)
-        np.testing.assert_array_equal(a_nb, a_py)
-
-    def test_best_by_offset_variants_on_complex_input(self):
-        if not cb.HAVE_NUMBA:
-            pytest.skip("numba not available")
-        rng = cb.stream(10, 100)
-        vals = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-        b_nb, _ = _kernels.best_by_offset_numba(vals, 64)
-        b_py, _ = _kernels.best_by_offset_python(vals, 64)
-        # complex abs reduces through different intermediates under numba
-        np.testing.assert_allclose(b_nb, b_py, atol=5e-16)
 
 
 class TestNumpyBackendEndToEnd:
@@ -127,8 +46,8 @@ class TestNumpyBackendEndToEnd:
             "g = cb.gamma0(500, 128)\n"
             "print(repr(g.evaluate(0.1)), repr(g.evaluate(0.7)))\n"
         )
-        out = run_snippet(code, COMMBOUND_BACKEND="numpy")
-        assert out.returncode == 0
+        out = run_snippet(code)
+        assert out.returncode == 0, out.stderr
         g = cb.gamma0(500, 128)
         want = "%r %r" % (g.evaluate(0.1), g.evaluate(0.7))
         assert out.stdout.strip() == want

@@ -1,9 +1,6 @@
 """The stacked spectral path: batched calculus, sweeps and probe scores must
 give the same bits as their one-matrix counterparts."""
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -175,20 +172,3 @@ def test_weighted_sums_close_the_tail_identity():
     want = N * (1.0 - s.partial_sums)
     np.testing.assert_allclose(s.weighted_sums, want, rtol=1e-12, atol=0)
 
-
-def test_import_is_numpy_only():
-    code = (
-        "import sys\n"
-        "import commbound as cb\n"
-        "g = cb.gamma0(500, 128)\n"
-        "print(repr(g.evaluate(0.1)), repr(g.evaluate(0.7)),"
-        " repr(cb.gamma0(50, 32).evaluate(0.25)))\n"
-        "print(sorted(m for m in ('numba', 'scipy') if m in sys.modules))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
-    assert out.returncode == 0, out.stderr
-    values, loaded = out.stdout.strip().split("\n")
-    g = cb.gamma0(500, 128)
-    assert values == "%r %r 0.5" % (g.evaluate(0.1), g.evaluate(0.7))
-    assert loaded == "[]"
