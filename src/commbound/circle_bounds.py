@@ -19,12 +19,17 @@ from .periodic_fn import (
     chebyshev_radius,
     coefficient_l1,
     derivative_fourier_norm,
-    fourier_coefficient,
     fourier_coefficient_estimate,
     TWO_PI,
+    _abs_coeff_sum,
+    _golden_max,
+    _grid,
+    _radius_from_samples,
+    _reduce_angle,
 )
 
 _EVAL_CHUNK = 2 ** 24
+_LOWER_CHUNK = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -196,15 +201,6 @@ def split_line(f: PeriodicFunction, g: TrigPolynomial) -> BoundLine:
                      2.0, "split")
 
 
-def _abs_coeff_sum(f, lo, hi, tol):
-    """sum of |a_n| + |a_{-n}| for n in lo..hi, each inflated by tol."""
-    s = 0.0
-    for n in range(lo, hi + 1):
-        s += abs(fourier_coefficient(f, n, tol)) + tol
-        s += abs(fourier_coefficient(f, -n, tol)) + tol
-    return s
-
-
 def _corollary_tail(f, N, head_factor=10):
     """2 * sum_{|n|>N} |a_n|, by closed form when the function carries one,
     else by cutoff summation with a geometric remainder estimate over dyadic
@@ -265,6 +261,13 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
             coeffs[n], err = fourier_coefficient_estimate(f, n)
             step += err
         err_run.append(step)
+    # f and e^{inx}, |n| <= N_max, sampled once where every remainder's
+    # rule samples them; the rows for |n| <= N reproduce g.sample exactly
+    x = _grid(grid_size)
+    xs = _reduce_angle(x)
+    fv = np.asarray(f.sample(xs))
+    table = 1j * np.multiply.outer(np.arange(-N_max, N_max + 1), _reduce_angle(xs))
+    np.exp(table, out=table)
     lines = []
     for N in range(N_max + 1):
         g = TrigPolynomial(
@@ -272,8 +275,10 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
             name="%s truncated at N=%d" % (f.name or "f", N),
         )
         m = derivative_fourier_norm(g)
-        h = _remainder(f, g)
-        b_lemma = 2.0 * chebyshev_radius(h, grid_size)
+        gv = g.coeffs @ table[N_max - N:N_max + N + 1]
+        if g.real_valued:
+            gv = gv.real
+        b_lemma = 2.0 * _radius_from_samples(_remainder(f, g), x, fv - gv)
         b_tail = _corollary_tail(f, N)
         if b_tail is not None:
             # the tail certificate speaks about the exact truncation; shifting
@@ -316,54 +321,59 @@ def _lower_table(f: PeriodicFunction, grid_size: int):
     return table
 
 
-def eta_lower(f: PeriodicFunction, delta: float, grid_size: int = 4096) -> float:
+def _sample(f, t):
+    """f on an array of angles of any shape, through one flat call."""
+    return np.asarray(f.sample(t.ravel()), dtype=np.complex128).reshape(t.shape)
+
+
+def _eta_lower_rows(f, w, x, vals, running):
+    """eta_lower for the pair separations w = 2 arcsin(delta/2), with one
+    golden-section search per separation, all run in lockstep."""
+    G = x.size
+    h = TWO_PI / G
+    d_max = np.floor(w / h).astype(np.int64)
+    d_max[d_max * h > w] -= 1
+    best = running[np.minimum(d_max, G // 2)]   # running[0] is 0
+    # pairs at separation exactly w, one endpoint on the grid
+    diffs = np.abs(_sample(f, x + w[:, None]) - vals)
+    i0 = np.argmax(diffs, axis=1)
+    best = np.maximum(best, diffs[np.arange(w.size), i0])
+
+    def pair_gap(t):
+        return np.abs(_sample(f, t + w) - _sample(f, t))
+
+    refined = _golden_max(pair_gap, x[i0] - h, x[i0] + h)
+    return np.maximum(best, refined)
+
+
+def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
     """Constructive lower bound: the largest |f(x2) - f(x1)| over pairs
     whose circular distance is at most 2 arcsin(delta/2).
 
     Grid pairs at all admissible offsets are combined with an exact
     full-width pair scan and one golden-section refinement around the best
     full-width pair; ties go to the smaller x1.
+
+    delta may be a float (returns a float) or an array (returns an array
+    of the same shape).  The searches for all deltas of an array run in
+    lockstep; for a rule that acts elementwise each entry equals the
+    scalar call bit for bit.
     """
-    delta = float(delta)
-    if not 0.0 <= delta < 2.0:
+    scalar = np.ndim(delta) == 0
+    deltas = np.asarray(delta, dtype=float)
+    if not np.all((deltas >= 0.0) & (deltas < 2.0)):
         raise ValueError("delta must lie in [0, 2)")
-    if delta == 0.0:
-        return 0.0
-    grid_size = int(grid_size)
-    w = 2.0 * np.arcsin(0.5 * delta)
-    h = TWO_PI / grid_size
-    x, vals, running = _lower_table(f, grid_size)
-    d_max = int(np.floor(w / h))
-    if d_max * h > w:
-        d_max -= 1
-    d_max = min(d_max, grid_size // 2)
-    best = float(running[d_max]) if d_max >= 1 else 0.0
-    # pairs at separation exactly w, one endpoint on the grid
-    shifted = np.asarray(f.sample(x + w), dtype=np.complex128)
-    diffs = np.abs(shifted - vals)
-    i0 = int(np.argmax(diffs))
-    best = max(best, float(diffs[i0]))
-
-    def pair_gap(t):
-        a = f.sample(np.array([t]))[0]
-        b = f.sample(np.array([t + w]))[0]
-        return abs(complex(b) - complex(a))
-
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = x[i0] - h, x[i0] + h
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    gc, gd = pair_gap(c), pair_gap(d)
-    for _ in range(80):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - phi * (b - a)
-            gc = pair_gap(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + phi * (b - a)
-            gd = pair_gap(d)
-    return max(best, gc, gd)
+    flat = deltas.ravel()
+    out = np.zeros(flat.size)
+    pos = np.flatnonzero(flat)
+    if pos.size:
+        grid_size = int(grid_size)
+        table = _lower_table(f, grid_size)
+        w = 2.0 * np.arcsin(0.5 * flat[pos])
+        rows = max(1, _LOWER_CHUNK // grid_size)
+        for s in range(0, pos.size, rows):
+            out[pos[s:s + rows]] = _eta_lower_rows(f, w[s:s + rows], *table)
+    return float(out[0]) if scalar else out.reshape(deltas.shape)
 
 
 def continuity_bound(curve: BoundCurve, d: float) -> float:

@@ -31,6 +31,11 @@ from .periodic_fn import (
 )
 
 _SCHEMA_VERSION = 1
+_FORMATS = ("csv", "json")
+
+# largest |n| a --function coefficient file may carry; a trig polynomial of
+# degree N is stored densely over -N..N
+MAX_ORDER = 2 ** 16
 
 _DEFAULTS = {
     ("curve", "sqrt"): dict(delta_min=1e-3, delta_max=1.0, steps=500,
@@ -141,6 +146,9 @@ def _select_function(name):
             n = int(k)
         except ValueError:
             raise ValueError("%s: Fourier order %r is not an integer" % (name, k))
+        if abs(n) > MAX_ORDER:
+            raise ValueError("%s: Fourier order %d exceeds the cap |n| <= %d"
+                             % (name, n, MAX_ORDER))
         parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
                    for p in parts):
@@ -202,11 +210,11 @@ def cmd_curve_circle(cfg: RunConfig) -> int:
                                               "circle upper %s" % cfg.function))
         return 0
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
+    lowers = circle_bounds.eta_lower(f, grid)
     rows = []
-    for d in grid:
+    for d, lower in zip(grid, lowers):
         upper, prov = curve.evaluate_with_provenance(float(d))
-        lower = circle_bounds.eta_lower(f, float(d))
-        rows.append((float(d), upper, lower, prov))
+        rows.append((float(d), upper, float(lower), prov))
     _atomic_write(cfg.out, _csv_text(
         ["delta", "upper", "lower", "active_line_provenance"], rows))
     return 0
@@ -219,7 +227,8 @@ def cmd_lower_circle(cfg: RunConfig) -> int:
         raise ValueError("steps must be at least 2")
     f = _select_function(cfg.function)
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
-    rows = [(float(d), circle_bounds.eta_lower(f, float(d))) for d in grid]
+    rows = [(float(d), float(lower))
+            for d, lower in zip(grid, circle_bounds.eta_lower(f, grid))]
     if cfg.fmt == "json":
         _atomic_write(cfg.out, _json_text({
             "schema_version": _SCHEMA_VERSION,
@@ -326,7 +335,7 @@ def cmd_probe(cfg: RunConfig) -> int:
 
 def _add_output_flags(p):
     p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"],
+    p.add_argument("--format", dest="fmt", choices=_FORMATS,
                    default=None, help="output format")
     p.add_argument("--config", default=None,
                    help="JSON config file (flags override it)")
@@ -400,6 +409,30 @@ def build_parser():
     return p
 
 
+_INT_KEYS = ("steps", "n_max", "a_grid", "samples", "seed", "dim", "restarts")
+_FLOAT_KEYS = ("delta_min", "delta_max", "delta")
+
+
+def _check_config_value(name, v):
+    """Refuse a config value whose JSON type does not match its flag."""
+    if name == "pedersen_only":
+        ok, kind = isinstance(v, bool), "true or false"
+    elif name in _INT_KEYS:
+        ok, kind = isinstance(v, int) and not isinstance(v, bool), "an integer"
+    elif name in _FLOAT_KEYS:
+        # an integer too large for a float is refused, not an OverflowError
+        ok = isinstance(v, float) or (isinstance(v, int) and not isinstance(
+            v, bool) and abs(v) <= sys.float_info.max)
+        kind = "a number"
+    elif name == "fmt":
+        ok, kind = v in _FORMATS, "one of " + ", ".join(_FORMATS)
+    else:
+        ok, kind = isinstance(v, str), "a string"
+    if not ok:
+        raise ValueError("config key %s must be %s, got %s"
+                         % (name, kind, json.dumps(v)))
+
+
 def _resolve(args) -> RunConfig:
     key = (args.command, getattr(args, "target", None))
     defaults = _DEFAULTS[key]
@@ -417,6 +450,8 @@ def _resolve(args) -> RunConfig:
                 "unknown config keys for %s %s: %s"
                 % (args.command, key[1] or "", ", ".join(unknown))
             )
+        for name, v in sorted(from_file.items()):
+            _check_config_value(name, v)
 
     def get(name):
         v = getattr(args, name, None)
@@ -426,18 +461,13 @@ def _resolve(args) -> RunConfig:
             return from_file[name]
         return defaults.get(name)
 
-    coerce = {"delta_min": float, "delta_max": float, "delta": float,
-              "steps": int, "n_max": int, "a_grid": int, "samples": int,
-              "seed": int, "dim": int, "restarts": int,
-              "pedersen_only": bool}
     cfg = RunConfig(command=args.command, target=key[1])
     for name in ("function", "delta_min", "delta_max", "steps", "n_max",
                  "a_grid", "samples", "seed", "delta", "dim", "restarts",
                  "spectrum_mode", "pedersen_only", "out", "fmt"):
         v = get(name)
         if v is not None:
-            conv = coerce.get(name)
-            setattr(cfg, name, conv(v) if conv else v)
+            setattr(cfg, name, float(v) if name in _FLOAT_KEYS else v)
     dims = get("dims")
     if dims is not None:
         cfg.dims = _parse_dims(dims)

@@ -5,8 +5,12 @@ A PeriodicFunction is known through a vectorized evaluation rule on
 form for the coefficient l1 tail.  Coefficients follow the complex
 exponential convention f(x) = sum a_n e^{inx}.  Quadrature-based
 coefficients use the composite trapezoid rule on uniform samples, which
-is spectrally accurate for periodic integrands, with grid doubling until
-a Richardson comparison certifies the requested absolute error.
+is spectrally accurate for periodic integrands.  One FFT per grid level,
+from 2^14 to 2^22 points, gives the trapezoid sums of every order at
+once (Trefethen and Weideman, "The exponentially convergent trapezoidal
+rule", SIAM Review 2014); each order is still accepted at the first
+level where its own K vs 2K Richardson difference is within the
+requested absolute error.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ _QUAD_K_START = 2 ** 14
 _QUAD_K_CAP = 2 ** 22
 _QUAD_BLOCK = 2 ** 16
 _EXTENT_GRID = 2 ** 16
+_TERMS_PER_CHUNK = 2 ** 22
 
 
 class QuadratureError(RuntimeError):
@@ -47,6 +52,7 @@ class PeriodicFunction:
         self.coefficient_rule = coefficient_rule
         self.l1_tail_rule = l1_tail_rule
         self._coeff_cache = {}
+        self._ladder = None
         self._pair_cache = {}
         self._check_seam()
         if self.real_valued:
@@ -96,7 +102,12 @@ class TrigPolynomial(PeriodicFunction):
         real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))
 
         def rule(x, _ns=ns, _c=coeffs, _real=real):
-            v = _c @ np.exp(1j * np.multiply.outer(_ns, np.asarray(x, dtype=float)))
+            # at most _TERMS_PER_CHUNK terms e^{inx} in memory at once
+            x = np.asarray(x, dtype=float)
+            flat, step = x.ravel(), max(1, _TERMS_PER_CHUNK // _ns.size)
+            v = np.concatenate([
+                _c @ np.exp(1j * np.multiply.outer(_ns, flat[s:s + step]))
+                for s in range(0, max(flat.size, 1), step)]).reshape(x.shape)
             return v.real if _real else v
 
         super().__init__(
@@ -123,57 +134,90 @@ def evaluate(f: PeriodicFunction, x: float) -> complex:
     return f(x)
 
 
-def _quad_block_sum(f, n, count, start, step):
-    """sum f(x_j) e^{-i n x_j} over x_j = -pi + step*(start + j), j < count."""
-    total = 0.0 + 0.0j
-    done = 0
-    while done < count:
-        m = min(_QUAD_BLOCK, count - done)
-        x = -np.pi + step * (start + done + np.arange(m))
-        total += complex(np.sum(f.sample(x) * np.exp(-1j * n * x)))
-        done += m
-    return total
+class _TrapezoidLadder:
+    """Trapezoid sums of f(x) e^{-inx} for every order |n| <= M at once.
+
+    Level l is the K-point rule, K = 2^14 * 2^l, on x_j = -pi + 2pi j/K.
+    Level 0 is one FFT of its samples; level l adds one FFT of the
+    midpoints of level l-1, so each level costs one new set of samples.
+    Bin n mod K carries order n, which aliases exactly as a direct sum
+    over the grid does.  A real f uses rfft and orders n >= 0 only, and
+    a_{-n} is conj(a_n) exactly.  M grows to the next power of two when a
+    larger order is asked for, and the levels are then rebuilt on demand.
+    """
+
+    def __init__(self, real):
+        self.real, self.M, self.est, self.total = real, 64, [], None
+
+    def _add_level(self, f):
+        L = len(self.est)
+        K = _QUAD_K_START << max(L - 1, 0)
+        start = 0.5 if L else 0.0   # the K midpoints double the K-point rule
+        step = TWO_PI / K
+        buf = np.empty(K, dtype=float if self.real else np.complex128)
+        m = min(K, _QUAD_BLOCK)
+        for s in range(0, K, m):
+            v = f.sample(-np.pi + step * (start + s + np.arange(m)))
+            buf[s:s + m] = np.real(v) if self.real else v
+        ns = np.arange(0 if self.real else -self.M, self.M + 1)
+        r = ns % K
+        if self.real:
+            bins = np.fft.rfft(buf)[np.minimum(r, K - r)]
+            bins = np.where(r > K // 2, np.conj(bins), bins)
+        else:
+            bins = np.fft.fft(buf)[r]
+        # e^{-inx_j} = (-1)^n e^{-in step start} e^{-2pi i n j/K}
+        sums = np.where(ns % 2, -1.0, 1.0) * np.exp(-1j * (step * start) * ns) * bins
+        self.total = self.total + sums if L else sums
+        self.est.append(self.total / (_QUAD_K_START << L))
+
+    def estimate(self, f, n, tol):
+        """(estimate, error, at_cap, K): the first level K whose difference
+        from the previous level is within tol, else the cap level."""
+        if abs(n) > self.M:
+            self.M, self.est = 1 << (abs(n) - 1).bit_length(), []
+        i = abs(n) if self.real else n + self.M
+        level = 0
+        while True:
+            level += 1
+            while len(self.est) <= level:
+                self._add_level(f)
+            new = complex(self.est[level][i])
+            diff = abs(new - complex(self.est[level - 1][i]))
+            if diff <= tol or (_QUAD_K_START << level) >= _QUAD_K_CAP:
+                break
+        if self.real and n < 0:
+            new = new.conjugate()
+        return new, diff, diff > tol, _QUAD_K_START << level
 
 
-def _coefficient_quadrature(f: PeriodicFunction, n: int, tol: float) -> tuple:
-    """Refine the trapezoid sum by grid doubling; (estimate, error, at_cap)."""
-    K = _QUAD_K_START
-    total = _quad_block_sum(f, n, K, 0.0, TWO_PI / K)
-    est = total / K
-    while True:
-        # the K midpoints turn the K-point rule into the 2K-point rule
-        total = total + _quad_block_sum(f, n, K, 0.5, TWO_PI / K)
-        K *= 2
-        new = total / K
-        diff = abs(new - est)
-        est = new
-        if diff <= tol:
-            return complex(est), diff, False
-        if K >= _QUAD_K_CAP:
-            return complex(est), diff, True
+def _quadrature(f: PeriodicFunction, n: int, tol: float) -> tuple:
+    """(estimate, error, at_cap) for a_n from the trapezoid ladder.
+
+    Memoized per order: an entry is reused when its error meets tol or it
+    came from the cap grid, so a looser request keeps the finer value.
+    """
+    cached = f._coeff_cache.get(n)
+    if cached is not None and (cached[1] <= tol or cached[2]):
+        return cached
+    if f._ladder is None:
+        f._ladder = _TrapezoidLadder(f.real_valued)
+    cached = f._ladder.estimate(f, n, tol)[:3]
+    f._coeff_cache[n] = cached
+    return cached
 
 
 def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> complex:
     """Fourier coefficient a_n = (1/2pi) integral f(x) e^{-inx} dx.
 
     Uses the exact rule when the function carries one.  Otherwise the
-    trapezoid sum is refined by grid doubling until the K vs 2K Richardson
-    difference is within tol; QuadratureError if the cap grid cannot
-    certify it.
+    trapezoid ladder is walked until the K vs 2K Richardson difference is
+    within tol; QuadratureError if the cap grid cannot certify it.
     """
     n = int(n)
     if f.coefficient_rule is not None:
         return complex(f.coefficient_rule(n))
-    cached = f._coeff_cache.get(n)
-    if cached is not None and (cached[1] <= tol or cached[2]):
-        if cached[1] <= tol:
-            return cached[0]
-        raise QuadratureError(
-            "coefficient a_%d: error estimate %.3e exceeds target %.3e at K=%d"
-            % (n, cached[1], tol, _QUAD_K_CAP)
-        )
-    est, diff, at_cap = _coefficient_quadrature(f, n, tol)
-    f._coeff_cache[n] = (est, diff, at_cap)
+    est, diff, _ = _quadrature(f, n, tol)
     if diff <= tol:
         return est
     raise QuadratureError(
@@ -195,11 +239,7 @@ def fourier_coefficient_estimate(
     n = int(n)
     if f.coefficient_rule is not None:
         return complex(f.coefficient_rule(n)), 0.0
-    cached = f._coeff_cache.get(n)
-    if cached is not None and (cached[1] <= tol or cached[2]):
-        return cached[0], cached[1]
-    est, diff, at_cap = _coefficient_quadrature(f, n, tol)
-    f._coeff_cache[n] = (est, diff, at_cap)
+    est, diff, _ = _quadrature(f, n, tol)
     return est, diff
 
 
@@ -217,25 +257,47 @@ def derivative_fourier_norm(p: TrigPolynomial) -> float:
     return float(np.sum(np.abs(p.ns * p.coeffs)))
 
 
-def _golden_extremum(g, lo, hi, sign, iters=80):
-    """Golden-section search for max (sign=+1) or min (sign=-1) of g."""
+def _golden_max(g, a, b, iters=80):
+    """Golden-section search for the maximum of g on each bracket [a, b]
+    of the arrays a, b, all advanced in lockstep; g maps an array of
+    points to their values.  Returns the larger final probe value."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    gc = sign * g(c)
-    gd = sign * g(d)
+    gc, gd = g(c), g(d)
     for _ in range(iters):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - phi * (b - a)
-            gc = sign * g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + phi * (b - a)
-            gd = sign * g(d)
-    xm = 0.5 * (a + b)
-    return xm, sign * max(gc, gd)
+        left = gc >= gd
+        # left: the bracket shrinks to [a, d] and c is replaced;
+        # otherwise it shrinks to [c, b] and d is replaced
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        p = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        gp = g(p)
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        gc, gd = np.where(left, gp, gd), np.where(left, gc, gp)
+    return np.maximum(gc, gd)
+
+
+def _grid(grid_size):
+    """The uniform grid -pi + 2pi j/grid_size, j < grid_size."""
+    if grid_size < 1024:
+        raise ValueError("grid_size must be at least 1024")
+    return -np.pi + TWO_PI * np.arange(grid_size) / grid_size
+
+
+def _refined_extent(f, x, v):
+    """(min, max) of real f from its samples v on the grid x, with one
+    golden-section pass inside the best cell on either side."""
+    h = TWO_PI / x.size
+
+    def values(t):
+        return np.real(f.sample(t))
+
+    imax, imin = int(np.argmax(v)), int(np.argmin(v))
+    refined_max = _golden_max(values, x[imax:imax + 1] - h, x[imax:imax + 1] + h)
+    refined_min = -_golden_max(lambda t: -values(t), x[imin:imin + 1] - h,
+                               x[imin:imin + 1] + h)
+    return (min(float(v[imin]), float(refined_min[0])),
+            max(float(v[imax]), float(refined_max[0])))
 
 
 def range_extent(f: PeriodicFunction, grid_size: int = _EXTENT_GRID):
@@ -246,20 +308,8 @@ def range_extent(f: PeriodicFunction, grid_size: int = _EXTENT_GRID):
     """
     if not f.real_valued:
         raise ValueError("range_extent requires a real-valued function")
-    if grid_size < 1024:
-        raise ValueError("grid_size must be at least 1024")
-    x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
-    v = np.real(f.sample(x))
-    h = TWO_PI / grid_size
-
-    def scalar(t):
-        return float(np.real(f.sample(np.array([t]))[0]))
-
-    imax = int(np.argmax(v))
-    _, refined_max = _golden_extremum(scalar, x[imax] - h, x[imax] + h, +1.0)
-    imin = int(np.argmin(v))
-    _, refined_min = _golden_extremum(scalar, x[imin] - h, x[imin] + h, -1.0)
-    return (min(float(v[imin]), refined_min), max(float(v[imax]), refined_max))
+    x = _grid(grid_size)
+    return _refined_extent(f, x, np.real(f.sample(x)))
 
 
 def _disk_two(a, b):
@@ -330,21 +380,32 @@ def _smallest_disk(pts):
         i += 1
 
 
+def _radius_from_samples(f, x, v):
+    """Chebyshev radius of f from its samples v on the grid x."""
+    if f.real_valued:
+        lo, hi = _refined_extent(f, x, np.real(v))
+        return 0.5 * (hi - lo)
+    _, radius = _smallest_disk(np.asarray(v, dtype=np.complex128))
+    return radius
+
+
 def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> float:
     """min over constants of sup |f - c|, to grid tolerance.
 
     Real case: half the oscillation (max - min)/2.  Complex case: radius of
     the smallest disk enclosing the sampled range.
     """
-    if f.real_valued:
-        lo, hi = range_extent(f, grid_size)
-        return 0.5 * (hi - lo)
-    if grid_size < 1024:
-        raise ValueError("grid_size must be at least 1024")
-    x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
-    v = np.asarray(f.sample(x), dtype=np.complex128)
-    _, radius = _smallest_disk(v)
-    return radius
+    x = _grid(grid_size)
+    return _radius_from_samples(f, x, f.sample(x))
+
+
+def _abs_coeff_sum(f, lo, hi, tol, s=0.0):
+    """s plus |a_n| + |a_{-n}| for n in lo..hi, each inflated by tol;
+    QuadratureError when an order misses tol."""
+    for n in range(lo, hi + 1):
+        s += abs(fourier_coefficient(f, n, tol)) + tol
+        s += abs(fourier_coefficient(f, -n, tol)) + tol
+    return s
 
 
 def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
@@ -361,32 +422,20 @@ def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
             total += abs(fourier_coefficient(f, n)) + abs(fourier_coefficient(f, -n))
         return float(total + f.l1_tail_rule(head))
     try:
-        total = abs(fourier_coefficient(f, 0, tol)) + tol
-        for n in range(1, head + 1):
-            total += abs(fourier_coefficient(f, n, tol)) + tol
-            total += abs(fourier_coefficient(f, -n, tol)) + tol
+        total = _abs_coeff_sum(f, 1, head, tol,
+                               abs(fourier_coefficient(f, 0, tol)) + tol)
+        b0 = _abs_coeff_sum(f, head + 1, 2 * head + 1, tol)
+        b1 = _abs_coeff_sum(f, 2 * head + 2, 4 * head + 3, tol)
     except QuadratureError:
         return None
-    blocks = []
-    lo = head + 1
-    for _ in range(2):
-        hi = 2 * lo - 1
-        s = 0.0
-        for n in range(lo, hi + 1):
-            try:
-                s += abs(fourier_coefficient(f, n, tol)) + tol
-                s += abs(fourier_coefficient(f, -n, tol)) + tol
-            except QuadratureError:
-                return None
-        blocks.append(s)
-        total += s
-        lo = hi + 1
-    if blocks[0] <= 0.0:
+    total += b0
+    total += b1
+    if b0 <= 0.0:
         return float(total)
-    ratio = blocks[1] / blocks[0]
+    ratio = b1 / b0
     if ratio >= 0.75:
         return None
-    return float(total + blocks[1] * ratio / (1.0 - ratio))
+    return float(total + b1 * ratio / (1.0 - ratio))
 
 
 def builtin_triangle() -> PeriodicFunction:

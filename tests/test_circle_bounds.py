@@ -212,7 +212,74 @@ class TestTruncationEnvelope:
         assert got >= true_tail
 
 
+def per_degree_lines(f, N_max, grid_size=2 ** 16):
+    """The envelope's truncation lines with every remainder sampled through
+    its own PeriodicFunction by chebyshev_radius, one degree at a time."""
+    coeffs, err_run = {}, [0.0]
+    for k in range(N_max + 1):
+        step = err_run[-1]
+        for n in ((0,) if k == 0 else (k, -k)):
+            coeffs[n], err = cb.fourier_coefficient_estimate(f, n)
+            step += err
+        err_run.append(step)
+    lines = []
+    for N in range(N_max + 1):
+        g = cb.TrigPolynomial({n: coeffs[n] for n in range(-N, N + 1)})
+        b_lemma = 2.0 * cb.chebyshev_radius(circle_bounds._remainder(f, g),
+                                            grid_size)
+        b_tail = circle_bounds._corollary_tail(f, N) + 2.0 * err_run[N + 1]
+        if b_tail < b_lemma:
+            b, prov = b_tail, "truncation N=%d (tail) [oscillation b=%.6g]" % (
+                N, b_lemma)
+        else:
+            b, prov = b_lemma, "truncation N=%d (oscillation) [tail b=%.6g]" % (
+                N, b_tail)
+        lines.append((cb.derivative_fourier_norm(g), b, prov))
+    return lines
+
+
+class TestSharedRemainderTable:
+    @pytest.mark.parametrize("name", ["triangle", "bump"])
+    def test_lines_equal_per_degree_remainders(self, name, request):
+        f = request.getfixturevalue(name)
+        env = (request.getfixturevalue("triangle_envelope") if name == "triangle"
+               else cb.truncation_envelope(f, 16))
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        assert got == per_degree_lines(f, 16)
+
+    def test_complex_polynomial_lines_equal_per_degree_remainders(self):
+        p = cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
+        env = cb.truncation_envelope(p, 4, grid_size=4096)
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        assert got == per_degree_lines(p, 4, grid_size=4096)
+
+
 class TestEtaLower:
+    CLI_GRID = np.linspace(0.0, 1.99, 500)
+
+    @pytest.mark.parametrize("name", ["triangle", "bump"])
+    def test_array_call_equals_scalar_calls(self, name, request):
+        f = request.getfixturevalue(name)
+        got = cb.eta_lower(f, self.CLI_GRID)
+        want = np.array([cb.eta_lower(f, float(d)) for d in self.CLI_GRID])
+        assert got.shape == (500,) and got.dtype == float
+        np.testing.assert_array_equal(got, want)
+
+    def test_array_shape_zero_and_domain(self, triangle):
+        deltas = np.array([[0.0, 0.5], [1.0, 0.0]])
+        got = cb.eta_lower(triangle, deltas)
+        assert got.shape == (2, 2)
+        assert got[0, 0] == 0.0 and got[1, 1] == 0.0
+        assert got[0, 1] == cb.eta_lower(triangle, 0.5)
+        np.testing.assert_array_equal(cb.eta_lower(triangle, np.zeros(3)), 0.0)
+        for bad in ([0.5, -0.1], [0.5, 2.0], [np.nan]):
+            with pytest.raises(ValueError):
+                cb.eta_lower(triangle, np.array(bad))
+
+    def test_scalar_call_returns_float(self, bump):
+        for d in (0.0, 0.7, np.float64(0.7), np.array(0.7)):
+            assert type(cb.eta_lower(bump, d)) is float
+
     def test_triangle_matches_closed_form(self, triangle):
         for d in (0.05, 0.3, 0.7, 1.0, 1.5, 1.95):
             got = cb.eta_lower(triangle, d)

@@ -181,6 +181,19 @@ class TestCurveCircle:
             assert err.startswith("commbound: ") and err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
 
+    def test_order_above_cap_exits_two(self, tmp_path, capsys):
+        cap = experiments_cli.MAX_ORDER
+        for order in (cap + 1, -(cap + 1)):
+            path = tmp_path / "high.json"
+            path.write_text(json.dumps({str(order): 1.0}))
+            rc = main(["curve", "circle", "--function", str(path), "--steps",
+                       "3", "--out", str(tmp_path / "out.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("commbound: ") and err.count("\n") == 1
+            assert str(cap) in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_function_file_exits_two(self, capsys, tmp_path):
         rc = main([
             "curve", "circle", "--function", str(tmp_path / "absent.json"),
@@ -213,6 +226,18 @@ class TestLowerCircle:
         for row in rows:
             want = cb.eta_lower(triangle, float(row[0]))
             assert abs(float(row[1]) - want) <= 1e-12
+
+
+    def test_bump_lower_equals_curve_lower_column(self, tmp_path):
+        curve, lower = tmp_path / "curve.csv", tmp_path / "lower.csv"
+        assert main(["curve", "circle", "--function", "bump",
+                     "--out", str(curve)]) == 0
+        assert main(["lower", "circle", "--function", "bump",
+                     "--out", str(lower)]) == 0
+        _, curve_rows = read_rows(curve)
+        _, lower_rows = read_rows(lower)
+        assert len(curve_rows) == 500
+        assert [(r[0], r[2]) for r in curve_rows] == [tuple(r) for r in lower_rows]
 
 
 class TestValidate:
@@ -328,6 +353,49 @@ class TestConfigPrecedence:
         assert rc == 0
         _, rows = read_rows(out)
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("command, config", [
+        (["curve", "sqrt"], {"steps": [1]}),
+        (["curve", "sqrt"], {"steps": 2.9}),
+        (["curve", "sqrt"], {"steps": True}),
+        (["curve", "sqrt"], {"n_max": "100"}),
+        (["curve", "sqrt"], {"pedersen_only": "false"}),
+        (["curve", "sqrt"], {"pedersen_only": 0}),
+        (["curve", "sqrt"], {"delta_min": "0.1"}),
+        (["curve", "sqrt"], {"delta_max": False}),
+        (["curve", "sqrt"], {"delta_max": 10 ** 400}),
+        (["curve", "sqrt"], {"steps": None}),
+        (["curve", "sqrt"], {"fmt": "xml"}),
+        (["curve", "sqrt"], {"out": 3}),
+        (["curve", "circle"], {"function": ["bump"]}),
+        (["validate", "sqrt"], {"dims": [2, 3]}),
+        (["validate", "sqrt"], {"spectrum_mode": "gaussian"}),
+        (["probe"], {"delta": [0.25]}),
+    ], ids=["int-list", "int-fraction", "int-bool", "int-string",
+            "bool-string", "bool-int", "float-string", "float-bool",
+            "float-overflow", "int-null", "fmt-choice", "out-int",
+            "function-list", "dims-list", "mode-choice", "probe-delta-list"])
+    def test_config_value_of_wrong_type_exits_two(self, command, config,
+                                                  tmp_path, capsys):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps(config))
+        rc = main(command + ["--config", str(cfgf),
+                             "--out", str(tmp_path / "out.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commbound: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_config_types_accepted(self, tmp_path):
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"steps": 4, "n_max": 100, "a_grid": 32,
+                                    "delta_min": 1, "delta_max": 1.0,
+                                    "pedersen_only": True, "fmt": "csv"}))
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "sqrt", "--config", str(cfgf), "--delta-min",
+                     "0.25", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 4
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfgf = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import commbound as cb
+from commbound import periodic_fn
 from commbound.periodic_fn import QuadratureError
 
 
@@ -134,6 +135,99 @@ class TestBumpCoefficients:
         assert abs(a - np.conj(b)) <= 1e-12
 
 
+def doubling_reference(f, n, tol):
+    """Per-order grid doubling with direct trapezoid sums, the algorithm the
+    FFT ladder replaced; returns (estimate, error, at_cap, K)."""
+    step_block = 2 ** 16
+
+    def block_sum(count, start, step):
+        total = 0.0 + 0.0j
+        for done in range(0, count, step_block):
+            m = min(step_block, count - done)
+            x = -np.pi + step * (start + done + np.arange(m))
+            total += complex(np.sum(f.sample(x) * np.exp(-1j * n * x)))
+        return total
+
+    K = 2 ** 14
+    total = block_sum(K, 0.0, 2.0 * np.pi / K)
+    est = total / K
+    while True:
+        total = total + block_sum(K, 0.5, 2.0 * np.pi / K)
+        K *= 2
+        new = total / K
+        diff = abs(new - est)
+        est = new
+        if diff <= tol:
+            return complex(est), diff, False, K
+        if K >= 2 ** 22:
+            return complex(est), diff, True, K
+
+
+def assert_ladder_matches_reference(f, orders, tol, atol=1e-14):
+    ladder = periodic_fn._TrapezoidLadder(f.real_valued)
+    for n in orders:
+        got, err, at_cap, K = ladder.estimate(f, n, tol)
+        want, want_err, want_cap, want_K = doubling_reference(f, n, tol)
+        assert (at_cap, K) == (want_cap, want_K), n
+        assert abs(got - want) <= atol, n
+        assert abs(err - want_err) <= atol, n
+
+
+class TestFFTLadder:
+    """The one-FFT-per-level ladder against per-order doubling."""
+
+    # the envelope's orders (negative ones are exact conjugates, tested
+    # below), both sides of the level changes at 1e-10 (25/27, 147/149)
+    # and orders reaching the 2^22 cap (0 and the even ones)
+    DEEP_ORDERS = list(range(17)) + [-1, -2, 25, 27, -147, 149, -639, 640]
+
+    def test_bump_matches_doubling_at_tight_target(self):
+        assert_ladder_matches_reference(cb.builtin_bump(), self.DEEP_ORDERS, 1e-10)
+
+    def test_bump_matches_doubling_at_loose_target(self):
+        # the largest order first, so the ladder is built once
+        orders = sorted(range(-640, 641), key=lambda n: -abs(n))
+        assert_ladder_matches_reference(cb.builtin_bump(), orders, 1e-6)
+
+    def test_real_function_coefficients_are_exact_conjugates(self):
+        f = cb.builtin_bump()
+        for n in [9000, 640, 100] + list(range(16, 0, -1)):
+            a, err = cb.fourier_coefficient_estimate(f, n)
+            b, err_b = cb.fourier_coefficient_estimate(f, -n)
+            assert b == a.conjugate() and err_b == err
+        # exact symmetry keeps a truncation of a real function real
+        p = cb.truncate(cb.PeriodicFunction(raw_triangle_rule, real_valued=True), 5)
+        assert p.real_valued
+
+    def test_complex_rule_uses_full_fft(self):
+        bump = cb.builtin_bump()
+        f = cb.PeriodicFunction(
+            lambda x: bump.rule(x) * np.exp(1j * np.sin(x)), name="complex bump")
+        assert not f.real_valued
+        assert_ladder_matches_reference(f, [0, 1, -2, 40], 1e-8)
+        a = cb.fourier_coefficient_estimate(f, 3, 1e-8)[0]
+        b = cb.fourier_coefficient_estimate(f, -3, 1e-8)[0]
+        assert abs(b - a.conjugate()) > 1e-3
+
+    def test_orders_past_half_the_first_grid_alias_as_direct_sums(self):
+        # 9000 and 2^14 + 5 sit past K/2 = 2^13 on the first level, where
+        # the bin n mod K and the conjugate half of the rfft are used; the
+        # direct sums round their phases n*x of size ~5e4 to about 1e-11
+        assert_ladder_matches_reference(
+            cb.builtin_bump(), [9000, -9000, 2 ** 14 + 5], np.inf, atol=1e-12)
+        f = cb.PeriodicFunction(lambda x: np.cos(3 * np.asarray(x)) + 0j,
+                                name="cos 3x")
+        assert_ladder_matches_reference(f, [3, 3 - 2 ** 14, 9000], np.inf,
+                                        atol=1e-12)
+
+    def test_looser_request_keeps_the_finer_value(self):
+        f = cb.builtin_bump()
+        fine = cb.fourier_coefficient_estimate(f, 5, 1e-10)
+        assert cb.fourier_coefficient_estimate(f, 5, 1e-6) == fine
+        fresh = cb.fourier_coefficient_estimate(cb.builtin_bump(), 5, 1e-6)
+        assert fresh[1] > 1e-10 and fresh != fine
+
+
 class TestTruncate:
     def test_triangle_coefficients_transfer(self, triangle):
         p = cb.truncate(triangle, 5)
@@ -208,6 +302,20 @@ class TestFromCoefficients:
         for x in (0.0, 0.7, -2.4):
             want = sum(a * np.exp(1j * n * x) for n, a in coeffs.items())
             assert abs(cb.evaluate(p, x) - want) <= 1e-14
+
+    def test_high_degree_evaluates_in_bounded_chunks(self):
+        # 601 orders x 2^14 angles exceeds one chunk of 2^22 terms
+        rng = np.random.default_rng(3)
+        coeffs = {n: complex(*rng.standard_normal(2)) / (1 + n * n)
+                  for n in range(-300, 301)}
+        p = cb.from_coefficients(coeffs)
+        assert p.ns.size * 2 ** 14 > periodic_fn._TERMS_PER_CHUNK
+        xs = np.linspace(-math.pi, math.pi, 2 ** 14).reshape(2, -1)
+        got = p.sample(xs)
+        assert got.shape == xs.shape
+        for i, j in ((0, 0), (0, 5000), (1, 77), (1, 2 ** 13 - 1)):
+            want = p.coeffs @ np.exp(1j * p.ns * xs[i, j])
+            assert abs(got[i, j] - want) <= 1e-12
 
     def test_nonsymmetric_coefficients_give_complex_function(self):
         p = cb.from_coefficients({1: 1.0})
