@@ -28,7 +28,6 @@ from .periodic_fn import (
     _reduce_angle,
 )
 
-_EVAL_CHUNK = 2 ** 24
 _LOWER_CHUNK = 2 ** 19
 
 
@@ -56,9 +55,9 @@ class BoundLine:
 class BoundCurve:
     """Pointwise minimum of a family of bound lines.
 
-    Evaluation is an exact brute-force minimum over the stored lines
-    (chunked for large families); breakpoint segmentation is derived
-    separately for export and must reproduce the same values.
+    Evaluation is an exact brute-force minimum over the stored lines;
+    breakpoint segmentation is derived separately for export and must
+    reproduce the same values.
     """
 
     def __init__(self, lines=None, arrays=None, clamp_above=False):
@@ -93,20 +92,18 @@ class BoundCurve:
     def lines(self):
         return [self.line(i) for i in range(self.size)]
 
+    def _candidates(self, d):
+        """Values and indices, in index order along the last axis, of the
+        lines to compare at deltas d of shape (..., 1): here all lines."""
+        table = self._m * d + self._b
+        table[self._dmax < d] = np.inf
+        return table, np.broadcast_to(np.arange(self.size), table.shape)
+
     def _min_over_lines(self, deltas):
-        deltas = np.asarray(deltas, dtype=float)
-        flat = deltas.ravel()
-        vals = np.empty(flat.size)
-        idxs = np.empty(flat.size, dtype=np.int64)
-        chunk = max(1, _EVAL_CHUNK // max(1, self._m.size))
-        for s in range(0, flat.size, chunk):
-            d = flat[s:s + chunk]
-            table = self._m[:, None] * d[None, :] + self._b[:, None]
-            table[self._dmax[:, None] < d[None, :]] = np.inf
-            k = np.argmin(table, axis=0)
-            vals[s:s + chunk] = table[k, np.arange(d.size)]
-            idxs[s:s + chunk] = k
-        return vals.reshape(deltas.shape), idxs.reshape(deltas.shape)
+        table, idx = self._candidates(np.asarray(deltas, dtype=float)[..., None])
+        k = np.argmin(table, axis=-1)[..., None]  # ties go to the first line
+        return (np.take_along_axis(table, k, -1)[..., 0],
+                np.take_along_axis(idx, k, -1)[..., 0])
 
     def _check_domain(self, deltas):
         deltas = np.asarray(deltas, dtype=float)
@@ -133,6 +130,10 @@ class BoundCurve:
             prov += " (clamped at delta=%g)" % self.delta_max
         return float(vals), prov
 
+    def _sweep_lines(self, lo):
+        """Indices of the lines that may be active on [lo, ...]: all here."""
+        return np.arange(self.size)
+
     def segments(self, lo=0.0, hi=None):
         """Breakpoint segmentation [(start, end, BoundLine), ...] on [lo, hi].
 
@@ -145,7 +146,8 @@ class BoundCurve:
         hi = dom if hi is None else min(float(hi), dom)
         if not lo < hi:
             raise ValueError("empty segmentation interval")
-        order = np.lexsort((self._b, -self._m))
+        idx = self._sweep_lines(lo)
+        order = idx[np.lexsort((self._b[idx], -self._m[idx]))]
         kept = []          # active line indices, slopes decreasing
         starts = []        # delta where kept[i] becomes active
 

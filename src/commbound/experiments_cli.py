@@ -36,6 +36,10 @@ _FORMATS = ("csv", "json")
 # largest |n| a --function coefficient file may carry; a trig polynomial of
 # degree N is stored densely over -N..N
 MAX_ORDER = 2 ** 16
+# largest --n-max and --a-grid: the circle envelope holds a
+# (2 n_max + 1) x 2^16 complex table, the sqrt side n_max + a_grid lines
+MAX_CIRCLE_N = 128
+MAX_SQRT_LINES = 10 ** 6
 
 _DEFAULTS = {
     ("curve", "sqrt"): dict(delta_min=1e-3, delta_max=1.0, steps=500,
@@ -188,10 +192,9 @@ def cmd_curve_sqrt(cfg: RunConfig) -> int:
         return 0
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
     rows = []
-    for d in grid:
-        g = curve.evaluate(float(d))
+    for d, g in zip(grid, curve.evaluate(grid)):
         s = math.sqrt(d)
-        rows.append((float(d), g, s, g / s))
+        rows.append((float(d), float(g), s, float(g) / s))
     _atomic_write(cfg.out, _csv_text(["delta", "gamma0", "sqrt_delta", "ratio"],
                                      rows))
     return 0
@@ -311,9 +314,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_probe(cfg: RunConfig) -> int:
     if not 0.0 < cfg.delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
+    curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
     result = matrix_lab.probe_max_commutator(cfg.delta, cfg.dim, cfg.steps,
                                              cfg.seed, restarts=cfg.restarts)
-    curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
     g0 = curve.evaluate(cfg.delta)
     best = result.record.measured
     sq = math.sqrt(cfg.delta)
@@ -471,6 +474,12 @@ def _resolve(args) -> RunConfig:
     dims = get("dims")
     if dims is not None:
         cfg.dims = _parse_dims(dims)
+    caps = {"n_max": MAX_CIRCLE_N if key[1] == "circle" else MAX_SQRT_LINES,
+            "a_grid": MAX_SQRT_LINES}
+    for name, cap in caps.items():
+        if name in defaults and getattr(cfg, name) > cap:
+            raise ValueError("--%s %d exceeds the cap %d" % (
+                name.replace("_", "-"), getattr(cfg, name), cap))
     return cfg
 
 

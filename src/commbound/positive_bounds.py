@@ -114,88 +114,96 @@ def tangent_line(a) -> BoundLine:
     return BoundLine(0.5 / r, 0.5 * r, 1.0, "tangent a=%.12g" % a.a)
 
 
-class SqrtEnvelope(BoundCurve):
-    """Envelope for f(x) = sqrt(x) on delta in (0, 1].
-
-    Evaluation takes the minimum of the stored lines and, for delta in
-    [1/4, 1], the tangent line at the exact minimizer a = delta, whose
-    value there is sqrt(delta).  Queries beyond delta = 1 clamp to the
-    value at 1.  Breakpoint segmentation reflects the stored lines only.
+class _PedersenEnvelope(BoundCurve):
+    """The pedersen lines N = 1..N_max (index N - 1), then any lines stored
+    after them, with the pedersen minimum in closed form: line N has slope
+    N b_N and intercept b_N, so lines N and N + 1 cross exactly at
+    delta = 1/(N+1).  Only lines N - 1, N, N + 1 for N = floor(1/delta) are
+    compared (the neighbours absorb rounding), in index order with each
+    line's own arithmetic, so value and provenance equal the brute-force
+    minimum, ties included.
     """
 
-    def __init__(self, arrays):
-        super().__init__(arrays=arrays, clamp_above=True)
+    def __init__(self, N_max, m=(), b=(), clamp_above=False):
+        N_max = int(N_max)
+        if N_max < 1:
+            raise ValueError("N_max must be at least 1")
+        s = sqrt_series(N_max)
+        ms, bs = s.weighted_sums[1:], np.maximum(1.0 - s.partial_sums[1:], 0.0)
+        del s  # holding the series while the line arrays are built raises peak RSS
+        m, b = np.r_[ms, m], np.r_[bs, b]
+        self._n_max = N_max
+        super().__init__(arrays=(m, b, np.ones(m.size), self._provenance),
+                         clamp_above=clamp_above)
 
-    def _refine(self, deltas, vals):
-        deltas = np.asarray(deltas, dtype=float)
-        exact = np.sqrt(np.maximum(deltas, 0.25))
-        return np.where(deltas >= 0.25, np.minimum(vals, exact), vals)
+    def _provenance(self, i):
+        return "pedersen N=%d" % (i + 1)
 
-    def evaluate(self, deltas):
-        scalar = np.isscalar(deltas) or np.asarray(deltas).ndim == 0
-        clamped = self._check_domain(deltas)
-        vals, _ = self._min_over_lines(clamped)
-        vals = self._refine(clamped, vals)
-        return float(vals) if scalar else vals
+    def _candidates(self, d):
+        # abs: 1/-0.0 would select line 1 instead of N_max
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            n = np.clip(np.floor(1.0 / np.abs(d)), 1, self._n_max).astype(np.int64)
+        idx = np.clip(n + [-2, -1, 0], 0, self._n_max - 1)
+        return self._m[idx] * d + self._b[idx], idx
 
-    def evaluate_with_provenance(self, delta):
-        clamped = self._check_domain(float(delta))
-        vals, idxs = self._min_over_lines(clamped)
-        refined = self._refine(clamped, vals)
-        if float(refined) < float(vals):
-            prov = "tangent a=delta (exact minimizer)"
-        else:
-            prov = self._prov_fn(int(idxs))
-        if float(clamped) != float(delta):
-            prov += " (clamped at delta=1)"
-        return float(refined), prov
+    def _sweep_lines(self, lo):
+        # pedersen lines past floor(1/lo) are active only left of lo; two
+        # more absorb rounding
+        k = self._n_max if lo <= 0.0 else int(min(self._n_max, 1.0 / lo + 2))
+        return np.r_[0:k, self._n_max:self.size]
 
 
-def _pedersen_arrays(N_max):
-    s = sqrt_series(N_max)
-    m = s.weighted_sums[1:N_max + 1]
-    b = np.maximum(1.0 - s.partial_sums[1:N_max + 1], 0.0)
-    return m, b
+class SqrtEnvelope(_PedersenEnvelope):
+    """The sqrt envelope gamma0 on delta in [0, 1]: pedersen lines
+    N = 1..N_max, tangents on a uniform a-grid over [1/4, 1] (endpoints
+    included), the cap 1 (the range extent of sqrt on [0, 1]) and on
+    [1/4, 1] the tangent at the exact minimizer a = delta, sqrt(delta).
+
+    Below 1/4 only the grid tangent at a = 1/4 can undercut the pedersen
+    lines, so evaluation adds that tangent, the cap and sqrt(delta) to the
+    pedersen candidates.  The value equals the minimum over all lines bit
+    for bit below 1/4; on [1/4, 1] it is never below it and at most 1 ulp
+    above, where a grid tangent rounds below sqrt(delta).  The other grid
+    tangents only shape `segments()`.  Queries beyond delta = 1 clamp.
+    """
+
+    def __init__(self, N_max=10 ** 5, a_grid=1024):
+        if int(a_grid) < 2:
+            raise ValueError("a_grid must be at least 2")
+        self._a = np.linspace(0.25, 1.0, int(a_grid))
+        r = np.sqrt(self._a)
+        super().__init__(N_max, np.r_[0.5 / r, 0.0], np.r_[0.5 * r, 1.0],
+                         clamp_above=True)
+
+    def _provenance(self, i):
+        j = i - self._n_max
+        if j < 0:
+            return super()._provenance(i)
+        if j < self._a.size:
+            return "tangent a=%.12g" % self._a[j]
+        return "constant cap" if j == self._a.size else \
+            "tangent a=delta (exact minimizer)"
+
+    def _candidates(self, d):
+        table, idx = super()._candidates(d)
+        # then the tangent at a = 1/4, the cap and, under the index past the
+        # stored lines, the tangent at a = delta
+        ends = [self._n_max, self.size - 1]
+        exact = np.where(d >= 0.25, np.sqrt(np.maximum(d, 0.25)), np.inf)
+        more = np.broadcast_to(ends + [self.size], d.shape[:-1] + (3,))
+        return (np.concatenate([table, self._m[ends] * d + self._b[ends],
+                                exact], axis=-1),
+                np.concatenate([idx, more], axis=-1))
 
 
 def pedersen_envelope(N_max: int = 10 ** 5) -> BoundCurve:
     """Envelope of the pedersen lines alone, N = 1..N_max, on [0, 1]."""
-    N_max = int(N_max)
-    if N_max < 1:
-        raise ValueError("N_max must be at least 1")
-    m, b = _pedersen_arrays(N_max)
-
-    def prov(i):
-        return "pedersen N=%d" % (i + 1)
-
-    return BoundCurve(arrays=(m, b, np.ones(m.size), prov))
+    return _PedersenEnvelope(N_max)
 
 
 def gamma0(N_max: int = 10 ** 5, a_grid: int = 1024) -> SqrtEnvelope:
-    """The combined sqrt envelope: pedersen lines N = 1..N_max, tangent
-    lines on a uniform a-grid over [1/4, 1] (endpoints included), and the
-    constant cap 1 (the range extent of sqrt on [0, 1])."""
-    N_max = int(N_max)
-    a_grid = int(a_grid)
-    if N_max < 1:
-        raise ValueError("N_max must be at least 1")
-    if a_grid < 2:
-        raise ValueError("a_grid must be at least 2")
-    m_ped, b_ped = _pedersen_arrays(N_max)
-    a = np.linspace(0.25, 1.0, a_grid)
-    ra = np.sqrt(a)
-    m = np.concatenate([m_ped, 0.5 / ra, [0.0]])
-    b = np.concatenate([b_ped, 0.5 * ra, [1.0]])
-
-    def prov(i):
-        if i < N_max:
-            return "pedersen N=%d" % (i + 1)
-        j = i - N_max
-        if j < a_grid:
-            return "tangent a=%.12g" % a[j]
-        return "constant cap"
-
-    return SqrtEnvelope((m, b, np.ones(m.size), prov))
+    """The combined sqrt envelope gamma0 (see SqrtEnvelope)."""
+    return SqrtEnvelope(N_max, a_grid)
 
 
 def reflect_instance(H) -> np.ndarray:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,59 @@ class TestProbeCommand:
         assert abs(float(row[3]) - (0.5 - best)) <= 1e-12
         assert float(row[5]) >= -1e-9
         assert row[6] == "300" and row[7] == "2"
+
+
+class TestSizeCaps:
+    SQRT = experiments_cli.MAX_SQRT_LINES
+    CIRCLE = experiments_cli.MAX_CIRCLE_N
+
+    @pytest.mark.parametrize("argv, cap", [
+        (["curve", "sqrt", "--n-max"], SQRT),
+        (["curve", "sqrt", "--a-grid"], SQRT),
+        (["validate", "sqrt", "--n-max"], SQRT),
+        (["validate", "sqrt", "--a-grid"], SQRT),
+        (["probe", "--n-max"], SQRT),
+        (["probe", "--a-grid"], SQRT),
+        (["curve", "circle", "--n-max"], CIRCLE),
+        (["validate", "circle", "--n-max"], CIRCLE),
+    ])
+    def test_cap_plus_one_exits_two_before_any_work(self, argv, cap, tmp_path,
+                                                    capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        for module, name in ((cb.positive_bounds, "gamma0"),
+                             (cb.positive_bounds, "pedersen_envelope"),
+                             (cb.circle_bounds, "truncation_envelope"),
+                             (cb.matrix_lab, "probe_max_commutator"),
+                             (cb.matrix_lab, "sample_sweep")):
+            monkeypatch.setattr(module, name, refuse)
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            rc = main(argv + [str(cap + 1), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commbound: ") and err.count("\n") == 1
+        assert "%s %d exceeds the cap %d" % (argv[-1], cap + 1, cap) in err
+        assert peak < 2 ** 20
+        assert not out.exists()
+
+    def test_cap_applies_to_config_values(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_max": self.CIRCLE + 1}))
+        assert main(["validate", "circle", "--config", str(cfg)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_values_at_the_caps_are_accepted(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["curve", "sqrt", "--n-max", str(self.SQRT), "--a-grid",
+                     str(self.SQRT), "--steps", "3", "--out", str(out)]) == 0
+        rows = read_rows(out)[1]
+        assert float(rows[-1][1]) == 1.0
 
 
 class TestConfigPrecedence:

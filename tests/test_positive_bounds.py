@@ -1,5 +1,6 @@
 """Tests for the square-root series, Pedersen lines, and the gamma envelope."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -205,6 +206,142 @@ class TestGammaEnvelope:
         assert all(x > y for x, y in zip(slopes, slopes[1:]))
 
 
+class BruteEnvelope:
+    """Reference for gamma0 and pedersen_envelope: the brute-force minimum
+    over every line, as a BoundCurve, and for gamma0 sqrt(delta) on [1/4, 1]
+    where it is strictly lower (the tangent at the exact minimizer)."""
+
+    def __init__(self, N_max, a_grid=None):
+        s = cb.sqrt_series(N_max)
+        m = [s.weighted_sums[1:]]
+        b = [np.maximum(1.0 - s.partial_sums[1:], 0.0)]
+        provs = ["pedersen N=%d" % N for N in range(1, N_max + 1)]
+        self.sqrt = a_grid is not None
+        if self.sqrt:
+            a = np.linspace(0.25, 1.0, a_grid)
+            m += [0.5 / np.sqrt(a), [0.0]]
+            b += [0.5 * np.sqrt(a), [1.0]]
+            provs += ["tangent a=%.12g" % x for x in a] + ["constant cap"]
+        m, b = np.concatenate(m), np.concatenate(b)
+        self.curve = cb.BoundCurve(arrays=(m, b, np.ones(m.size),
+                                           provs.__getitem__),
+                                   clamp_above=self.sqrt)
+
+    def __call__(self, delta):
+        """(value, provenance) at one delta in [0, 1]."""
+        val, prov = self.curve.evaluate_with_provenance(delta)
+        if self.sqrt and delta >= 0.25 and math.sqrt(delta) < val:
+            return math.sqrt(delta), "tangent a=delta (exact minimizer)"
+        return val, prov
+
+
+def breakpoint_deltas(N_max, count=None):
+    """Every 1/N for N <= N_max + 3 (or `count` of them, spread
+    geometrically) with both neighbours, plus a uniform grid of [0, 1]."""
+    N = np.arange(1, N_max + 4) if count is None else np.unique(
+        np.geomspace(1, N_max + 3, count).astype(int))
+    inv = 1.0 / N
+    d = np.r_[inv, np.nextafter(inv, 0.0), np.nextafter(inv, 2.0),
+              np.linspace(0.0, 1.0, 401), 1e-300, 5e-324]
+    return np.unique(d[d <= 1.0])
+
+
+@functools.lru_cache(maxsize=None)
+def envelopes(N_max, a_grid):
+    """(closed form, brute-force reference) for gamma0 and the pedersen
+    envelope; the curves are read-only, so one pair serves every test."""
+    return [(cb.gamma0(N_max, a_grid), BruteEnvelope(N_max, a_grid)),
+            (cb.pedersen_envelope(N_max), BruteEnvelope(N_max))]
+
+
+SIZES = [(1, 2), (2, 2), (3, 5), (64, 16), (2000, 256)]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("N_max, a_grid", SIZES + [(100000, 1024)])
+    def test_equals_brute_force(self, N_max, a_grid):
+        # bitwise below 1/4; on [1/4, 1] never below and at most 1 ulp above
+        count = 300 if N_max > 2000 else None
+        deltas = breakpoint_deltas(N_max, count)
+        for env, ref in envelopes(N_max, a_grid):
+            vals = env.evaluate(deltas)
+            for d, v in zip(deltas, vals):
+                want, prov = ref(float(d))
+                got = env.evaluate_with_provenance(float(d))
+                if d < 0.25 or not ref.sqrt:
+                    assert got == (want, prov), d
+                    assert v == want, d
+                else:
+                    assert want <= v <= np.nextafter(want, 2.0), d
+                    assert got[0] == v
+
+    def test_lines_are_the_brute_force_lines(self):
+        for env, ref in envelopes(64, 16):
+            assert [(l.slope, l.intercept, l.delta_max, l.provenance)
+                    for l in env.lines()] == [
+                (l.slope, l.intercept, l.delta_max, l.provenance)
+                for l in ref.curve.lines()]
+        assert cb.gamma0(64, 16).size == 64 + 16 + 1
+
+    @pytest.mark.parametrize("N_max, a_grid", SIZES)
+    def test_zero_and_negative_zero(self, N_max, a_grid):
+        for env, ref in envelopes(N_max, a_grid):
+            want = ref(0.0)
+            if not ref.sqrt:
+                assert want[1] == "pedersen N=%d" % N_max
+            assert env.evaluate_with_provenance(0.0) == want
+            assert env.evaluate_with_provenance(-0.0) == want
+            assert env.evaluate(np.array([0.0, -0.0]))[1] == want[0]
+
+    @pytest.mark.parametrize("N_max, a_grid", SIZES)
+    def test_clamps_above_one(self, N_max, a_grid):
+        env = cb.gamma0(N_max, a_grid)
+        at_one = env.evaluate(1.0)
+        assert env.evaluate(1.7) == at_one
+        assert np.array_equal(env.evaluate(np.array([1.0, 1.5, 1e300])),
+                              [at_one] * 3)
+        val, prov = env.evaluate_with_provenance(1.7)
+        assert val == at_one
+        assert prov == env.evaluate_with_provenance(1.0)[1] + \
+            " (clamped at delta=1)"
+        with pytest.raises(ValueError):
+            cb.pedersen_envelope(N_max).evaluate(1.5)
+
+    @pytest.mark.parametrize("N_max, a_grid", SIZES + [(100000, 1024)])
+    def test_vector_equals_scalar(self, N_max, a_grid):
+        deltas = breakpoint_deltas(min(N_max, 500))
+        for env, _ in envelopes(N_max, a_grid):
+            vals = env.evaluate(deltas)
+            assert np.array_equal(vals, [env.evaluate(float(d)) for d in deltas])
+            grid = deltas[:400].reshape(20, 20)
+            assert np.array_equal(env.evaluate(grid), vals[:400].reshape(20, 20))
+
+
+def segment_tuples(segs):
+    return [(a, b, l.slope, l.intercept, l.provenance) for a, b, l in segs]
+
+
+class TestPrunedSegments:
+    WINDOWS = [(1e-3, 1.0), (0.3, 0.9), (1e-5, 0.5), (0.0, 1.0)]
+
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    def test_default_envelope_equals_full_sweep(self, lo, hi):
+        env, ref = envelopes(100000, 1024)[0]
+        assert segment_tuples(env.segments(lo, hi)) == \
+            segment_tuples(ref.curve.segments(lo, hi))
+
+    @pytest.mark.parametrize("N_max, a_grid", SIZES)
+    def test_small_n_max_equals_full_sweep(self, N_max, a_grid):
+        # includes windows where floor(1/lo) + 2 exceeds N_max
+        windows = self.WINDOWS + [(0.5 / N_max, 1.0), (0.9 / N_max, 1.0),
+                                  (2.0 / N_max, 1.0), (5e-324, 1.0)]
+        for env, ref in envelopes(N_max, a_grid):
+            for lo, hi in windows:
+                if lo < hi:
+                    assert segment_tuples(env.segments(lo, hi)) == \
+                        segment_tuples(ref.curve.segments(lo, hi)), (lo, hi)
+
+
 class TestReflection:
     def test_reflect_instance_is_complement(self):
         H = cb.random_positive_contraction(5, seed=3)
@@ -264,3 +401,15 @@ def test_property_tangent_line_dominates_sqrt(a, delta):
 def test_property_tail_decreases(N):
     s = cb.sqrt_series(N + 1)
     assert 1.0 - s.partial(N + 1) <= 1.0 - s.partial(N) + 1e-16
+
+
+@given(st.sampled_from(SIZES), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+def test_property_closed_form_against_brute_force(size, delta):
+    for env, ref in envelopes(*size):
+        want, prov = ref(delta)
+        val, got = env.evaluate_with_provenance(delta)
+        if delta < 0.25 or not ref.sqrt:
+            assert (val, got) == (want, prov)
+        else:
+            assert want <= val <= np.nextafter(want, 2.0)

@@ -80,6 +80,57 @@ class TestSweepReplay:
         assert payload["measured"] == probe[first].measured
 
 
+class CountingCurve:
+    """A curve that records every evaluate call it receives."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.delta_max = curve.delta_max
+        self.calls = []
+
+    def evaluate(self, deltas):
+        self.calls.append(np.array(deltas))
+        return self.curve.evaluate(deltas)
+
+
+class TestOneCurveEvaluation:
+    def sweep_bounds_match_scalar_calls(self, f, role, curve, count, seed):
+        counting = CountingCurve(curve)
+        records = cb.sample_sweep(f, role, count, DIMS, seed=seed,
+                                  curve=counting)
+        assert len(counting.calls) == 1
+        assert counting.calls[0].shape == (count,)
+        for rec in records:
+            want = curve.evaluate(min(rec.delta, curve.delta_max))
+            assert type(rec.bound) is float and rec.bound == want
+
+    def test_positive_role(self):
+        self.sweep_bounds_match_scalar_calls(np.sqrt, "positive", cb.gamma0(),
+                                             140, 3)
+
+    def test_unitary_role(self, triangle, triangle_envelope):
+        self.sweep_bounds_match_scalar_calls(triangle, "unitary",
+                                             triangle_envelope, 70, 5)
+
+    def test_violation_payload_replays(self):
+        probe = cb.sample_sweep(np.sqrt, "positive", 40, DIMS, seed=2,
+                                curve=cap_curve())
+        cap = sorted(r.measured for r in probe)[20]
+        first = min(i for i, r in enumerate(probe) if cap - r.measured < -1e-8)
+        with pytest.raises(cb.ViolationError) as info:
+            cb.sample_sweep(np.sqrt, "positive", 40, DIMS, seed=2,
+                            curve=cap_curve(cap))
+        pair = cb.instance_pair("positive", probe[first].dim, 2, first,
+                                "uniform" if first % 2 == 0 else "atoms")
+        measured = probe[first].measured
+        assert info.value.payload == {
+            "seed": 2, "index": first, "dim": pair.dim, "role": "positive",
+            "spectrum_mode": pair.spectrum_mode, "delta": probe[first].delta,
+            "measured": measured, "bound": cap, "margin": cap - measured,
+            "x": matrix_lab._matrix_entries(pair.x),
+            "a": matrix_lab._matrix_entries(pair.a)}
+
+
 class TestStackedCalculus:
     def test_hermitian_stack_matches_single(self):
         H = np.stack([cb.random_positive_contraction(5, seed=s) for s in range(6)])
