@@ -24,8 +24,10 @@ from .periodic_fn import (
     _abs_coeff_sum,
     _golden_max,
     _grid,
-    _radius_from_samples,
     _reduce_angle,
+    _refined_extent,
+    _sample_points,
+    _smallest_disk,
 )
 
 _LOWER_CHUNK = 2 ** 19
@@ -236,6 +238,43 @@ def constant_cap(f: PeriodicFunction) -> BoundLine:
     return BoundLine(0.0, osc, 2.0, "constant cap (oscillation)")
 
 
+def _exp_table(N_max, xr):
+    """Rows e^{inx}, n = -N_max..N_max, on the points xr.  Row -n is filled
+    as the conjugate of row n (cos is even and sin odd); 0 - im keeps the
+    +0 imaginary part that e^{-in0} has."""
+    table = np.empty((2 * N_max + 1, xr.size), dtype=np.complex128)
+    for n in range(N_max + 1):
+        row = table[N_max + n]
+        np.exp(1j * (n * xr), out=row)
+        if n:
+            table[N_max - n].real = row.real
+            np.subtract(0.0, row.imag, out=table[N_max - n].imag)
+    return table
+
+
+def _remainder_values(f, polys, degrees, N_max):
+    """The values function of _refined_extent for the real remainders
+    f - polys[N], N in degrees: row r is degree degrees[r].  Each value is
+    the one a lone search of that remainder would compute: g_N from its own
+    one-column product, and f from one call on all points, or one call per
+    point when f is a trig polynomial, whose rule does not act elementwise."""
+    degrees = np.asarray(degrees)
+    ns = np.arange(-N_max, N_max + 1)
+    per_point = isinstance(f, TrigPolynomial)
+
+    def values(r, t):
+        y = _reduce_angle(t)
+        e = np.exp(1j * np.multiply.outer(ns, _reduce_angle(y)))
+        gv = np.empty(t.size)
+        for j, N in enumerate(degrees[r]):
+            col = np.ascontiguousarray(e[N_max - N:N_max + N + 1, j:j + 1])
+            gv[j] = (polys[N].coeffs @ col)[0].real
+        fy = _sample_points(f, y) if per_point else np.asarray(f.sample(y))
+        return np.real(fy - gv)
+
+    return values
+
+
 def truncation_envelope(f: PeriodicFunction, N_max: int,
                         grid_size: int = 2 ** 16) -> BoundCurve:
     """Envelope of the truncation bounds for N = 0..N_max plus the cap.
@@ -268,19 +307,27 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     x = _grid(grid_size)
     xs = _reduce_angle(x)
     fv = np.asarray(f.sample(xs))
-    table = 1j * np.multiply.outer(np.arange(-N_max, N_max + 1), _reduce_angle(xs))
-    np.exp(table, out=table)
+    table = _exp_table(N_max, _reduce_angle(xs))
+    polys = [TrigPolynomial({n: coeffs[n] for n in range(-N, N + 1)},
+                            name="%s truncated at N=%d" % (f.name or "f", N))
+             for N in range(N_max + 1)]
+
+    def remainder(N):
+        gv = polys[N].coeffs @ table[N_max - N:N_max + N + 1]
+        return fv - (gv.real if polys[N].real_valued else gv)
+
+    real = [N for N, g in enumerate(polys) if f.real_valued and g.real_valued]
+    radii = {N: _smallest_disk(remainder(N))[1]
+             for N in range(N_max + 1) if N not in real}
+    if real:
+        lo, hi = _refined_extent(x, (np.real(remainder(N)) for N in real),
+                                 _remainder_values(f, polys, real, N_max))
+        for N, a, b in zip(real, lo, hi):
+            radii[N] = 0.5 * (float(b) - float(a))
     lines = []
-    for N in range(N_max + 1):
-        g = TrigPolynomial(
-            {n: coeffs[n] for n in range(-N, N + 1)},
-            name="%s truncated at N=%d" % (f.name or "f", N),
-        )
+    for N, g in enumerate(polys):
         m = derivative_fourier_norm(g)
-        gv = g.coeffs @ table[N_max - N:N_max + N + 1]
-        if g.real_valued:
-            gv = gv.real
-        b_lemma = 2.0 * _radius_from_samples(_remainder(f, g), x, fv - gv)
+        b_lemma = 2.0 * radii[N]
         b_tail = _corollary_tail(f, N)
         if b_tail is not None:
             # the tail certificate speaks about the exact truncation; shifting
@@ -300,12 +347,15 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
 
 def _best_by_offset(vals, d_max):
     """Largest |vals[i+d] - vals[i]| per circular offset d = 1..d_max
-    (entry 0 is 0)."""
+    (entry 0 is 0), scanned in blocks of offsets."""
     n = vals.shape[0]
-    ext = np.concatenate((vals, vals[:d_max]))
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((vals, vals[:d_max])), n)   # row d is vals rolled by d
     best = np.zeros(d_max + 1)
-    for d in range(1, d_max + 1):
-        best[d] = np.max(np.abs(ext[d:d + n] - vals))
+    step = max(1, _LOWER_CHUNK // n)
+    for s in range(1, d_max + 1, step):
+        block = shifted[s:s + step]
+        best[s:s + block.shape[0]] = np.max(np.abs(block - vals), axis=1)
     return best
 
 
@@ -314,7 +364,7 @@ def _lower_table(f: PeriodicFunction, grid_size: int):
     table = f._pair_cache.get(key)
     if table is None:
         x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
-        vals = np.asarray(f.sample(x), dtype=np.complex128)
+        vals = _sample(f, x)
         best = _best_by_offset(vals, grid_size // 2)
         # running max over offsets d' <= d keeps the search monotone in delta
         running = np.maximum.accumulate(best)
@@ -324,8 +374,11 @@ def _lower_table(f: PeriodicFunction, grid_size: int):
 
 
 def _sample(f, t):
-    """f on an array of angles of any shape, through one flat call."""
-    return np.asarray(f.sample(t.ravel()), dtype=np.complex128).reshape(t.shape)
+    """f on an array of angles of any shape, through one flat call.  Real
+    values stay real: |a - b| on a + 0j is |a - b| on reals."""
+    v = np.asarray(f.sample(t.ravel()))
+    return v.astype(np.complex128 if np.iscomplexobj(v) else float,
+                    copy=False).reshape(t.shape)
 
 
 def _eta_lower_rows(f, w, x, vals, running):

@@ -40,6 +40,13 @@ MAX_ORDER = 2 ** 16
 # (2 n_max + 1) x 2^16 complex table, the sqrt side n_max + a_grid lines
 MAX_CIRCLE_N = 128
 MAX_SQRT_LINES = 10 ** 6
+# largest --steps of curve and lower (delta grid points), --samples,
+# --restarts and probe --steps; the probe keeps about 0.8 MB per restart
+# at dim 64
+MAX_GRID_STEPS = 10 ** 6
+MAX_SAMPLES = 10 ** 5
+MAX_RESTARTS = 1024
+MAX_PROBE_STEPS = 10 ** 8
 
 _DEFAULTS = {
     ("curve", "sqrt"): dict(delta_min=1e-3, delta_max=1.0, steps=500,
@@ -475,7 +482,9 @@ def _resolve(args) -> RunConfig:
     if dims is not None:
         cfg.dims = _parse_dims(dims)
     caps = {"n_max": MAX_CIRCLE_N if key[1] == "circle" else MAX_SQRT_LINES,
-            "a_grid": MAX_SQRT_LINES}
+            "a_grid": MAX_SQRT_LINES, "samples": MAX_SAMPLES,
+            "restarts": MAX_RESTARTS,
+            "steps": MAX_PROBE_STEPS if key[0] == "probe" else MAX_GRID_STEPS}
     for name, cap in caps.items():
         if name in defaults and getattr(cfg, name) > cap:
             raise ValueError("--%s %d exceeds the cap %d" % (

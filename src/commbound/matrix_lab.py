@@ -17,6 +17,10 @@ import numpy as np
 _DIM_MIN = 2
 _DIM_MAX = 64
 _SQRT2 = math.sqrt(2.0)
+# a sweep assembles each dimension's instances in stacks of at most this
+# many matrix entries (4 MB of complex128): 4,096 matrices at dim 8, 64 at
+# dim 64
+_SWEEP_ENTRIES = 2 ** 18
 
 
 class DecompositionError(RuntimeError):
@@ -133,9 +137,46 @@ def _as_rng(seed_or_rng):
     return stream(int(seed_or_rng), 0)
 
 
+def _complex(re, im, scale):
+    return (re + 1j * im) / scale
+
+
 def _ginibre(rng, n):
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        / _SQRT2
+    return _complex(rng.standard_normal((n, n)), rng.standard_normal((n, n)),
+                    _SQRT2)
+
+
+def _spectrum(rng, n, spectrum_mode):
+    if spectrum_mode == "uniform":
+        return rng.uniform(0.0, 1.0, n)
+    if spectrum_mode == "atoms":
+        kind = rng.integers(0, 3, n)
+        unif = rng.uniform(0.0, 1.0, n)
+        return np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, unif))
+    raise ValueError("spectrum_mode must be 'uniform' or 'atoms'")
+
+
+def _haar(re, im):
+    # QR of a stack of Gaussian matrices, the diagonal phases of R folded
+    # into Q
+    q, r = np.linalg.qr(_complex(re, im, _SQRT2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    ph = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    return q * ph[..., None, :]
+
+
+def _positive(u, lam):
+    h = _reassemble(u, lam)
+    return (h + _adjoint(h)) / 2.0
+
+
+def _contraction(re, im):
+    a = _complex(re, im, math.sqrt(8.0 * re.shape[-1]))
+    nrm = _norms(a)
+    big = nrm > 1.0
+    a[big] = a[big] / nrm[big, None, None]
+    return a
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -143,12 +184,8 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     triangular factor's diagonal phases folded into Q."""
     n = int(n)
     _check_dim(n)
-    rng = _as_rng(seed)
-    q, r = np.linalg.qr(_ginibre(rng, n))
-    d = np.diagonal(r)
-    mag = np.abs(d)
-    ph = np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
-    return q * ph
+    # the real, then the imaginary Gaussian part, as one stack each
+    return _haar(*_as_rng(seed).standard_normal((2, 1, n, n)))[0]
 
 
 def random_contraction(n: int, seed) -> np.ndarray:
@@ -156,13 +193,7 @@ def random_contraction(n: int, seed) -> np.ndarray:
     to a contraction only when the norm exceeds 1."""
     n = int(n)
     _check_dim(n)
-    rng = _as_rng(seed)
-    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        / math.sqrt(8.0 * n)
-    nrm = op_norm(a)
-    if nrm > 1.0:
-        a = a / nrm
-    return a
+    return _contraction(*_as_rng(seed).standard_normal((2, 1, n, n)))[0]
 
 
 def random_positive_contraction(n: int, seed, spectrum_mode: str = "uniform") -> np.ndarray:
@@ -172,17 +203,8 @@ def random_positive_contraction(n: int, seed, spectrum_mode: str = "uniform") ->
     n = int(n)
     _check_dim(n)
     rng = _as_rng(seed)
-    u = haar_unitary(n, rng)
-    if spectrum_mode == "uniform":
-        lam = rng.uniform(0.0, 1.0, n)
-    elif spectrum_mode == "atoms":
-        kind = rng.integers(0, 3, n)
-        unif = rng.uniform(0.0, 1.0, n)
-        lam = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, unif))
-    else:
-        raise ValueError("spectrum_mode must be 'uniform' or 'atoms'")
-    h = (u * lam) @ u.conj().T
-    return (h + h.conj().T) / 2.0
+    u = _haar(*rng.standard_normal((2, 1, n, n)))
+    return _positive(u, _spectrum(rng, n, spectrum_mode)[None])[0]
 
 
 def _reassemble(q, lam):
@@ -296,19 +318,34 @@ def lower_bound_instance(f, x1: float, x2: float) -> SampleRecord:
     return SampleRecord(seed=0, dim=2, delta=delta, measured=measured)
 
 
+def _instances(role, dim, seed, indices, modes):
+    """Stacks (X, A) for the given indices of one dimension.  Each index's
+    raw material (real, then imaginary Gaussian parts of X's matrix, the
+    spectrum, the parts of A's) is drawn from its own stream, then every
+    matrix is assembled at once."""
+    if role not in ("unitary", "positive"):
+        raise ValueError("role must be 'unitary' or 'positive'")
+    _check_dim(dim)
+    raw = np.empty((4, len(indices), dim, dim))
+    lam = np.empty((len(indices), dim))
+    for j, (i, mode) in enumerate(zip(indices, modes)):
+        rng = stream(seed, i)
+        raw[:2, j] = rng.standard_normal((2, dim, dim))
+        if role == "positive":
+            lam[j] = _spectrum(rng, dim, mode)
+        raw[2:, j] = rng.standard_normal((2, dim, dim))
+    x = _haar(raw[0], raw[1])
+    if role == "positive":
+        x = _positive(x, lam)
+    return x, _contraction(raw[2], raw[3])
+
+
 def instance_pair(role: str, dim: int, seed: int, index: int,
                   spectrum_mode: Optional[str] = None) -> InstancePair:
     """Deterministically regenerate the instance at (seed, index)."""
-    rng = stream(seed, index)
-    if role == "unitary":
-        x = haar_unitary(dim, rng)
-    elif role == "positive":
-        x = random_positive_contraction(dim, rng, spectrum_mode or "uniform")
-    else:
-        raise ValueError("role must be 'unitary' or 'positive'")
-    a = random_contraction(dim, rng)
-    return InstancePair(x=x, a=a, role=role, seed=seed, index=index, dim=dim,
-                        spectrum_mode=spectrum_mode)
+    x, a = _instances(role, dim, seed, [index], [spectrum_mode or "uniform"])
+    return InstancePair(x=x[0], a=a[0], role=role, seed=seed, index=index,
+                        dim=dim, spectrum_mode=spectrum_mode)
 
 
 def _matrix_entries(M):
@@ -338,39 +375,42 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
         raise ValueError("dims must be nonempty")
     for d in dims:
         _check_dim(d)
-    pairs = []
-    for i in range(count):
-        mode = None
-        if role == "positive":
-            mode = spectrum_mode
-            if spectrum_mode == "both":
-                mode = "uniform" if i % 2 == 0 else "atoms"
-        pairs.append(instance_pair(role, dims[i % len(dims)], seed, i, mode))
+    modes = [None] * count
+    if role == "positive":
+        modes = [spectrum_mode if spectrum_mode != "both"
+                 else ("uniform" if i % 2 == 0 else "atoms")
+                 for i in range(count)]
     calculus = unitary_calculus if role == "unitary" else hermitian_calculus
-    pair_dims = np.array([p.dim for p in pairs])
+    index_dims = np.array(dims)[np.arange(count) % len(dims)]
     deltas = np.empty(count)
     measured = np.empty(count)
-    for dim in np.unique(pair_dims):
-        idx = np.flatnonzero(pair_dims == dim)
-        x = np.stack([pairs[i].x for i in idx])
-        a = np.stack([pairs[i].a for i in idx])
-        deltas[idx] = _norms(commutator(x, a))
-        measured[idx] = _norms(commutator(calculus(f, x), a))
+    for dim in np.unique(index_dims):
+        idx = np.flatnonzero(index_dims == dim)
+        # at most _SWEEP_ENTRIES matrix entries per stack
+        step = max(1, _SWEEP_ENTRIES // (dim * dim))
+        for s in range(0, idx.size, step):
+            block = idx[s:s + step]
+            x, a = _instances(role, int(dim), seed, block,
+                              [modes[i] for i in block])
+            deltas[block] = _norms(commutator(x, a))
+            measured[block] = _norms(commutator(calculus(f, x), a))
     # fp guard: delta may poke past the curve domain by rounding only
     bounds = curve.evaluate(np.minimum(deltas, curve.delta_max))
     records = []
-    for i, pair in enumerate(pairs):
+    for i in range(count):
         delta = float(deltas[i])
         meas = float(measured[i])
         bound = float(bounds[i])
         margin = bound - meas
+        dim = int(index_dims[i])
         if margin < -1e-8:
+            pair = instance_pair(role, dim, seed, i, modes[i])
             payload = {
                 "seed": int(seed),
                 "index": i,
-                "dim": pair.dim,
+                "dim": dim,
                 "role": role,
-                "spectrum_mode": pair.spectrum_mode,
+                "spectrum_mode": modes[i],
                 "delta": delta,
                 "measured": meas,
                 "bound": bound,
@@ -381,7 +421,7 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
             raise ViolationError(
                 "bound violated at seed=%d index=%d: measured %.12e > bound %.12e"
                 % (seed, i, meas, bound), payload)
-        records.append(SampleRecord(seed=seed, dim=pair.dim, delta=delta,
+        records.append(SampleRecord(seed=seed, dim=dim, delta=delta,
                                     measured=meas, bound=bound, margin=margin))
     return records
 
@@ -517,7 +557,7 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
                 if which[r] != 1 - k:
                     rng.standard_normal(out=draws[r, k, 0])
                     rng.standard_normal(out=draws[r, k, 1])
-        g = (draws[:, :, 0] + 1j * draws[:, :, 1]) / _SQRT2
+        g = _complex(draws[:, :, 0], draws[:, :, 1], _SQRT2)
         step = (sigma * _SQRT2)[:, None, None]
         hc = np.where((which != 1)[:, None, None], hraw + step * g[:, 0], hraw)
         ac = np.where((which != 0)[:, None, None], araw + step * g[:, 1], araw)

@@ -31,8 +31,19 @@ class QuadratureError(RuntimeError):
 
 
 def _reduce_angle(x):
-    """Map angles into [-pi, pi); the seam invariant makes the endpoints agree."""
-    return np.mod(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi
+    """Map angles into [-pi, pi); the seam invariant makes the endpoints agree.
+
+    When every y = x + pi lies in [0, 4pi) the fmod is skipped: there
+    np.mod(y, 2pi) is y itself or y - 2pi, and that subtraction is exact
+    (Sterbenz), so the result is bitwise the np.mod one.
+    """
+    y = np.array(x, dtype=float)
+    np.add(y, np.pi, out=y)
+    if not (y.size and 0.0 <= y.min() and y.max() < 2.0 * TWO_PI):
+        y = np.mod(y, TWO_PI)
+    elif y.max() >= TWO_PI:
+        np.subtract(y, TWO_PI, out=y, where=y >= TWO_PI)
+    return y - np.pi
 
 
 class PeriodicFunction:
@@ -284,20 +295,44 @@ def _grid(grid_size):
     return -np.pi + TWO_PI * np.arange(grid_size) / grid_size
 
 
-def _refined_extent(f, x, v):
-    """(min, max) of real f from its samples v on the grid x, with one
-    golden-section pass inside the best cell on either side."""
+def _refined_extent(x, rows, values):
+    """(lo, hi): arrays of the min and max of k real functions from their
+    sample rows on the grid x, each refined by one golden-section pass
+    inside its best cell.
+
+    rows yields the k rows one at a time.  values(r, t) maps arrays of row
+    indices and points to the values of function r[j] at t[j].  All 2k
+    searches run in lockstep, the min searches on the negated values.
+    """
     h = TWO_PI / x.size
+    peaks = []
+    for v in rows:
+        imax, imin = int(np.argmax(v)), int(np.argmin(v))
+        peaks.append((imax, imin, v[imax], v[imin]))
+    imax, imin, vmax, vmin = (np.array(c) for c in zip(*peaks))
+    k = imax.size
+    r = np.tile(np.arange(k), 2)
+    sign = np.repeat([1.0, -1.0], k)
+    mid = x[np.concatenate((imax, imin))]
+    refined = sign * _golden_max(lambda t: sign * values(r, t),
+                                 mid - h, mid + h)
+    # min(v, refined) and max(v, refined), ties to the grid value
+    return (np.where(refined[k:] < vmin, refined[k:], vmin),
+            np.where(refined[:k] > vmax, refined[:k], vmax))
 
-    def values(t):
-        return np.real(f.sample(t))
 
-    imax, imin = int(np.argmax(v)), int(np.argmin(v))
-    refined_max = _golden_max(values, x[imax:imax + 1] - h, x[imax:imax + 1] + h)
-    refined_min = -_golden_max(lambda t: -values(t), x[imin:imin + 1] - h,
-                               x[imin:imin + 1] + h)
-    return (min(float(v[imin]), float(refined_min[0])),
-            max(float(v[imax]), float(refined_max[0])))
+def _sample_points(f, t):
+    """f on the points t, one point per call as a lone search samples it: a
+    rule need not act elementwise (a trig polynomial's sums over all its
+    points are one BLAS product)."""
+    return np.concatenate([f.sample(p) for p in t[:, None]])
+
+
+def _extent(f, x, v):
+    """(min, max) of the real f from its real samples v on the grid x."""
+    lo, hi = _refined_extent(x, [v],
+                             lambda r, t: np.real(_sample_points(f, t)))
+    return float(lo[0]), float(hi[0])
 
 
 def range_extent(f: PeriodicFunction, grid_size: int = _EXTENT_GRID):
@@ -309,7 +344,7 @@ def range_extent(f: PeriodicFunction, grid_size: int = _EXTENT_GRID):
     if not f.real_valued:
         raise ValueError("range_extent requires a real-valued function")
     x = _grid(grid_size)
-    return _refined_extent(f, x, np.real(f.sample(x)))
+    return _extent(f, x, np.real(f.sample(x)))
 
 
 def _disk_two(a, b):
@@ -373,20 +408,16 @@ def _smallest_disk(pts):
             j += k2
             q2 = p[j]
             center, radius = _disk_two(q1, q2)
-            for t in range(j):
-                if abs(p[t] - center) > radius * (1.0 + 1e-13) + 1e-15:
-                    center, radius = _circumdisk(q1, q2, p[t])
+            t = 0
+            while True:
+                k3 = _first_outside(p[t:j], center, radius)
+                if k3 < 0:
+                    break
+                t += k3
+                center, radius = _circumdisk(q1, q2, p[t])
+                t += 1
             j += 1
         i += 1
-
-
-def _radius_from_samples(f, x, v):
-    """Chebyshev radius of f from its samples v on the grid x."""
-    if f.real_valued:
-        lo, hi = _refined_extent(f, x, np.real(v))
-        return 0.5 * (hi - lo)
-    _, radius = _smallest_disk(np.asarray(v, dtype=np.complex128))
-    return radius
 
 
 def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> float:
@@ -396,7 +427,11 @@ def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> floa
     the smallest disk enclosing the sampled range.
     """
     x = _grid(grid_size)
-    return _radius_from_samples(f, x, f.sample(x))
+    v = f.sample(x)
+    if f.real_valued:
+        lo, hi = _extent(f, x, np.real(v))
+        return 0.5 * (hi - lo)
+    return _smallest_disk(v)[1]
 
 
 def _abs_coeff_sum(f, lo, hi, tol, s=0.0):

@@ -1,12 +1,13 @@
 """Tests for unitary-commutator bound lines, envelopes, and the lower bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import commbound as cb
-from commbound import circle_bounds
+from commbound import circle_bounds, periodic_fn
 
 
 def closed_triangle_lower(delta):
@@ -254,8 +255,52 @@ class TestSharedRemainderTable:
         assert got == per_degree_lines(p, 4, grid_size=4096)
 
 
+    def test_real_polynomial_lines_equal_per_degree_remainders(self):
+        # a trig polynomial's rule is one BLAS product over all its points,
+        # so the lockstep searches sample it one point at a time; at N >= 3
+        # the remainder is exactly zero
+        p = cb.from_coefficients({1: 0.5, -1: 0.5, 3: 0.2 + 0.1j, -3: 0.2 - 0.1j})
+        env = cb.truncation_envelope(p, 5, grid_size=4096)
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        assert got == per_degree_lines(p, 5, grid_size=4096)
+        assert [l.intercept for l in env.lines()[3:-1]] == [0.0, 0.0, 0.0]
+
+
+class TestExpTable:
+    @pytest.mark.parametrize("N_max", [0, 1, 16])
+    def test_symmetric_fill_equals_direct_exp_bit_for_bit(self, N_max):
+        x = periodic_fn._grid(2 ** 12)
+        xr = periodic_fn._reduce_angle(periodic_fn._reduce_angle(x))
+        assert np.any(xr == 0.0)
+        want = np.exp(1j * np.multiply.outer(np.arange(-N_max, N_max + 1), xr))
+        got = circle_bounds._exp_table(N_max, xr)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_envelope_memory(self):
+        # the (33, 2^16) complex table is 34.6 MB; built from one full-size
+        # temporary it peaked at 53.6 MB
+        f = cb.builtin_triangle()
+        tracemalloc.start()
+        try:
+            cb.truncation_envelope(f, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 42 * 10 ** 6
+
+
 class TestEtaLower:
     CLI_GRID = np.linspace(0.0, 1.99, 500)
+
+    @pytest.mark.parametrize("name", ["triangle", "bump"])
+    def test_real_samples_equal_complex_samples(self, name, request):
+        # |a - b| on a + 0j equals |a - b| on the reals, bit for bit
+        f = request.getfixturevalue(name)
+        g = cb.PeriodicFunction(lambda x: f.rule(x) + 0j, real_valued=True)
+        assert np.iscomplexobj(g.sample(np.zeros(1)))
+        assert circle_bounds._lower_table(g, 4096)[1].dtype == np.complex128
+        got = cb.eta_lower(f, self.CLI_GRID)
+        assert np.array_equal(got, cb.eta_lower(g, self.CLI_GRID))
 
     @pytest.mark.parametrize("name", ["triangle", "bump"])
     def test_array_call_equals_scalar_calls(self, name, request):
@@ -330,6 +375,20 @@ class TestEtaLower:
 
 
 class TestBestByOffset:
+    @pytest.mark.parametrize("complex_vals", [False, True])
+    def test_blocks_equal_one_offset_at_a_time(self, complex_vals, monkeypatch):
+        rng = cb.stream(5, 7)
+        vals = rng.standard_normal(1024)
+        if complex_vals:
+            vals = vals + 1j * rng.standard_normal(1024)
+        want = np.zeros(513)
+        for d in range(1, 513):
+            want[d] = np.max(np.abs(np.roll(vals, -d) - vals))
+        # 2^19 // 1024 = 512 offsets per block, then 3 per block
+        assert np.array_equal(circle_bounds._best_by_offset(vals, 512), want)
+        monkeypatch.setattr(circle_bounds, "_LOWER_CHUNK", 3 * 1024)
+        assert np.array_equal(circle_bounds._best_by_offset(vals, 512), want)
+
     def test_best_by_offset_against_roll(self):
         rng = cb.stream(4, 100)
         vals = rng.standard_normal(512)

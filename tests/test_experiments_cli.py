@@ -338,8 +338,11 @@ class TestProbeCommand:
 class TestSizeCaps:
     SQRT = experiments_cli.MAX_SQRT_LINES
     CIRCLE = experiments_cli.MAX_CIRCLE_N
-
-    @pytest.mark.parametrize("argv, cap", [
+    GRID = experiments_cli.MAX_GRID_STEPS
+    SAMPLES = experiments_cli.MAX_SAMPLES
+    RESTARTS = experiments_cli.MAX_RESTARTS
+    PROBE_STEPS = experiments_cli.MAX_PROBE_STEPS
+    CAPPED = [
         (["curve", "sqrt", "--n-max"], SQRT),
         (["curve", "sqrt", "--a-grid"], SQRT),
         (["validate", "sqrt", "--n-max"], SQRT),
@@ -348,7 +351,16 @@ class TestSizeCaps:
         (["probe", "--a-grid"], SQRT),
         (["curve", "circle", "--n-max"], CIRCLE),
         (["validate", "circle", "--n-max"], CIRCLE),
-    ])
+        (["curve", "sqrt", "--steps"], GRID),
+        (["curve", "circle", "--steps"], GRID),
+        (["lower", "circle", "--steps"], GRID),
+        (["validate", "sqrt", "--samples"], SAMPLES),
+        (["validate", "circle", "--samples"], SAMPLES),
+        (["probe", "--restarts"], RESTARTS),
+        (["probe", "--steps"], PROBE_STEPS),
+    ]
+
+    @pytest.mark.parametrize("argv, cap", CAPPED)
     def test_cap_plus_one_exits_two_before_any_work(self, argv, cap, tmp_path,
                                                     capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -357,6 +369,7 @@ class TestSizeCaps:
         for module, name in ((cb.positive_bounds, "gamma0"),
                              (cb.positive_bounds, "pedersen_envelope"),
                              (cb.circle_bounds, "truncation_envelope"),
+                             (cb.circle_bounds, "eta_lower"),
                              (cb.matrix_lab, "probe_max_commutator"),
                              (cb.matrix_lab, "sample_sweep")):
             monkeypatch.setattr(module, name, refuse)
@@ -379,6 +392,27 @@ class TestSizeCaps:
         cfg.write_text(json.dumps({"n_max": self.CIRCLE + 1}))
         assert main(["validate", "circle", "--config", str(cfg)]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, cap", [
+        (["validate", "sqrt"], "samples", SAMPLES),
+        (["lower", "circle"], "steps", GRID),
+        (["probe"], "restarts", RESTARTS),
+        (["probe"], "steps", PROBE_STEPS),
+    ])
+    def test_size_caps_apply_to_config_values(self, command, key, cap,
+                                              tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: cap + 1}))
+        assert main(command + ["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "exceeds the cap %d" % cap in err
+
+    @pytest.mark.parametrize("argv, cap", CAPPED)
+    def test_values_at_the_caps_resolve(self, argv, cap):
+        args = experiments_cli.build_parser().parse_args(argv + [str(cap)])
+        cfg = experiments_cli._resolve(args)
+        assert getattr(cfg, argv[-1][2:].replace("-", "_")) == cap
 
     def test_values_at_the_caps_are_accepted(self, tmp_path):
         out = tmp_path / "c.csv"

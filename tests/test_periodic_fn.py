@@ -285,6 +285,130 @@ class TestRangeAndRadius:
         assert abs(cb.chebyshev_radius(p) - 1.0) <= 1e-9
 
 
+def reduce_by_mod(x):
+    """The np.mod form of periodic_fn._reduce_angle."""
+    return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
+class TestReduceAngle:
+    def boundary_points(self):
+        pts = [np.pi, -np.pi, 3 * np.pi, -3 * np.pi, 0.0, -0.0, 2 * np.pi,
+               -2 * np.pi, 4 * np.pi, 1e-300, -1e-300, 5e-324]
+        pts += [np.nextafter(p, s) for p in list(pts) for s in (np.inf, -np.inf)]
+        # y = x + pi within three ulps of the 0, 2pi and 4pi boundaries
+        for y in (0.0, 2 * np.pi, 4 * np.pi):
+            up = down = y
+            pts.append(y - np.pi)
+            for _ in range(3):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                pts += [up - np.pi, down - np.pi]
+        return np.array(pts)
+
+    def fast_path_points(self):
+        x = self.boundary_points()
+        y = x + np.pi
+        return x[(y >= 0.0) & (y < 4 * np.pi)]
+
+    def fast_path_and_top_points(self):
+        # one point with x + pi == 4pi, which np.mod maps to 0
+        return np.append(self.fast_path_points(), 4 * np.pi - np.pi)
+
+    @pytest.mark.parametrize("x", [
+        "boundary_points", "fast_path_points", "fast_path_and_top_points",
+        np.array([np.nan]), np.array([1.0, np.nan, -2.0]),
+        np.array([np.inf, -np.inf]), np.array([0.5, np.inf]), np.array([]),
+        np.array([0.0, np.pi]), np.array(0.5), np.array(-0.0),
+        np.array(np.nan), -np.pi, 7.5,
+        np.linspace(-np.pi, 3 * np.pi, 4097)[:-1],
+        np.random.default_rng(3).uniform(-40.0, 40.0, (8, 16))],
+        ids=["boundaries", "fast-path-boundaries", "fast-path-and-top", "nan",
+             "nan-inside", "infs", "inf-inside", "empty", "top-at-2pi", "0-d",
+             "0-d-negzero", "0-d-nan", "scalar-minus-pi", "scalar-outside",
+             "fast-path-range", "wide-2-d"])
+    def test_equals_mod_form_bit_for_bit(self, x):
+        if isinstance(x, str):
+            x = getattr(self, x)()
+        with np.errstate(invalid="ignore"):
+            want = reduce_by_mod(x)
+            got = periodic_fn._reduce_angle(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.uint64),
+                              np.asarray(want).view(np.uint64))
+
+    def test_input_is_not_modified(self):
+        x = np.array([0.5, 3.5, 7.0])
+        periodic_fn._reduce_angle(x)
+        assert x.tolist() == [0.5, 3.5, 7.0]
+
+
+def old_smallest_disk(pts):
+    """periodic_fn._smallest_disk with its innermost pass as the Python loop
+    it replaced."""
+    pts = np.asarray(pts, dtype=np.complex128)
+    p = pts[np.random.default_rng(0).permutation(pts.size)]
+    center, radius = periodic_fn._disk_two(p[0], p[1])
+    i = 2
+    while True:
+        k = periodic_fn._first_outside(p[i:], center, radius)
+        if k < 0:
+            return center, float(radius)
+        i += k
+        q1 = p[i]
+        center, radius = periodic_fn._disk_two(p[0], q1)
+        j = 1
+        while True:
+            k2 = periodic_fn._first_outside(p[j:i], center, radius)
+            if k2 < 0:
+                break
+            j += k2
+            q2 = p[j]
+            center, radius = periodic_fn._disk_two(q1, q2)
+            for t in range(j):
+                if abs(p[t] - center) > radius * (1.0 + 1e-13) + 1e-15:
+                    center, radius = periodic_fn._circumdisk(q1, q2, p[t])
+            j += 1
+        i += 1
+
+
+class TestSmallestDisk:
+    @pytest.mark.parametrize("N", [0, 1, 2])
+    def test_polynomial_remainders_match_the_loop(self, N):
+        # Welzl (1991); the remainders f - g_N of a complex polynomial
+        f = cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
+        g = cb.truncate(f, N)
+        vals = f.sample(periodic_fn._grid(2 ** 16)) - g.sample(
+            periodic_fn._grid(2 ** 16))
+        got = periodic_fn._smallest_disk(vals)
+        assert got == old_smallest_disk(vals)
+        assert got[1] > 0.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_clouds_match_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 3000))
+        pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if seed % 2:
+            pts = np.exp(1j * rng.uniform(-np.pi, np.pi, n)) * 2.0 + (0.3 - 0.1j)
+        assert periodic_fn._smallest_disk(pts) == old_smallest_disk(pts)
+
+
+class TestLockstepExtent:
+    def test_rows_in_lockstep_equal_rows_alone(self):
+        fs = [cb.builtin_triangle(), cb.builtin_bump(),
+              cb.from_coefficients({1: 0.5, -1: 0.5, 3: 0.25, -3: 0.25})]
+        x = periodic_fn._grid(4096)
+        rows = [np.real(f.sample(x)) for f in fs]
+
+        def values(r, t):
+            return np.array([np.real(fs[k].sample(t[j:j + 1]))[0]
+                             for j, k in enumerate(r)])
+
+        lo, hi = periodic_fn._refined_extent(x, iter(rows), values)
+        for k, f in enumerate(fs):
+            assert (float(lo[k]), float(hi[k])) == cb.range_extent(f, 4096)
+
+
 class TestCoefficientL1:
     def test_triangle_total_is_one(self, triangle):
         assert cb.coefficient_l1(triangle) == 1.0

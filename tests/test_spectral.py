@@ -171,6 +171,73 @@ class TestStackedCalculus:
             assert norms[k] == cb.op_norm(M[k]) == np.linalg.norm(M[k], 2)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def one_matrix_instance(role, dim, seed, index, mode):
+    """(X, A) at (seed, index) built one matrix at a time, as the generators
+    were written before they drew into stacks."""
+    rng = cb.stream(seed, index)
+    g = (rng.standard_normal((dim, dim))
+         + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    mag = np.abs(d)
+    x = q * np.where(mag > 0, d / np.where(mag > 0, mag, 1.0), 1.0)
+    if role == "positive":
+        if mode == "uniform":
+            lam = rng.uniform(0.0, 1.0, dim)
+        else:
+            kind = rng.integers(0, 3, dim)
+            unif = rng.uniform(0.0, 1.0, dim)
+            lam = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, unif))
+        h = (x * lam) @ x.conj().T
+        x = (h + h.conj().T) / 2.0
+    a = (rng.standard_normal((dim, dim))
+         + 1j * rng.standard_normal((dim, dim))) / np.sqrt(8.0 * dim)
+    nrm = float(np.linalg.svd(a, compute_uv=False).max())
+    if nrm > 1.0:
+        a = a / nrm
+    return x, a
+
+
+class TestStackedGenerators:
+    CASES = [("unitary", None), ("positive", "uniform"), ("positive", "atoms")]
+
+    @pytest.mark.parametrize("role, mode", CASES)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_stacks_equal_one_matrix_calls(self, role, mode, dim):
+        indices = list(range(3, 40, 3))
+        x, a = matrix_lab._instances(role, dim, 11, indices,
+                                     [mode] * len(indices))
+        assert x.shape == a.shape == (len(indices), dim, dim)
+        for j, i in enumerate(indices):
+            want_x, want_a = one_matrix_instance(role, dim, 11, i, mode)
+            pair = cb.instance_pair(role, dim, 11, i, mode)
+            for got in (x[j], pair.x):
+                assert same_bits(got, want_x)
+            for got in (a[j], pair.a):
+                assert same_bits(got, want_a)
+
+    @pytest.mark.parametrize("mode", ["uniform", "atoms"])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_public_generators_equal_one_matrix_calls(self, mode, dim):
+        x, a = one_matrix_instance("positive", dim, 4, 9, mode)
+        u, _ = one_matrix_instance("unitary", dim, 4, 9, None)
+        assert same_bits(cb.haar_unitary(dim, cb.stream(4, 9)), u)
+        rng = cb.stream(4, 9)
+        assert same_bits(cb.random_positive_contraction(dim, rng, mode), x)
+        assert same_bits(cb.random_contraction(dim, rng), a)
+
+    def test_sweep_blocks_equal_one_stack(self, monkeypatch):
+        # dims 2 and 5 in stacks of 3 and 1 matrices, against one stack each
+        want = cb.sample_sweep(np.sqrt, "positive", 13, [2, 5], 6, cap_curve())
+        monkeypatch.setattr(matrix_lab, "_SWEEP_ENTRIES", 12)
+        assert cb.sample_sweep(np.sqrt, "positive", 13, [2, 5], 6,
+                               cap_curve()) == want
+
+
 class TestProbeScores:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_scores_do_not_depend_on_the_batch(self, dim):
