@@ -15,18 +15,18 @@ import numpy as np
 from .periodic_fn import (
     PeriodicFunction,
     TrigPolynomial,
-    QuadratureError,
     chebyshev_radius,
     coefficient_l1,
     derivative_fourier_norm,
     fourier_coefficient_estimate,
     TWO_PI,
-    _abs_coeff_sum,
+    _dyadic_l1,
     _golden_max,
     _grid,
+    _pair_term,
+    _partial_sums,
     _reduce_angle,
     _refined_extent,
-    _sample_points,
     _smallest_disk,
 )
 
@@ -212,20 +212,8 @@ def _corollary_tail(f, N, head_factor=10):
     if f.l1_tail_rule is not None:
         return 2.0 * float(f.l1_tail_rule(N))
     cutoff = max(head_factor * max(N, 1), N + 8)
-    tol = 1e-6
-    try:
-        head = _abs_coeff_sum(f, N + 1, cutoff, tol)
-        b0 = _abs_coeff_sum(f, cutoff + 1, 2 * cutoff, tol)
-        b1 = _abs_coeff_sum(f, 2 * cutoff + 1, 4 * cutoff, tol)
-    except QuadratureError:
-        return None
-    if b0 <= 0.0:
-        return None if b1 > 0.0 else 2.0 * float(head)
-    ratio = b1 / b0
-    if ratio >= 0.75:
-        return None
-    remainder = b1 * ratio / (1.0 - ratio)
-    return 2.0 * float(head + b0 + b1 + remainder)
+    tail = _dyadic_l1(f, N + 1, cutoff, 2 * cutoff, 4 * cutoff, 1e-6)
+    return None if tail is None else 2.0 * tail
 
 
 def constant_cap(f: PeriodicFunction) -> BoundLine:
@@ -236,43 +224,6 @@ def constant_cap(f: PeriodicFunction) -> BoundLine:
     if l1 is not None and 2.0 * l1 < osc - 1e-12:
         return BoundLine(0.0, 2.0 * l1, 2.0, "constant cap (l1)")
     return BoundLine(0.0, osc, 2.0, "constant cap (oscillation)")
-
-
-def _exp_table(N_max, xr):
-    """Rows e^{inx}, n = -N_max..N_max, on the points xr.  Row -n is filled
-    as the conjugate of row n (cos is even and sin odd); 0 - im keeps the
-    +0 imaginary part that e^{-in0} has."""
-    table = np.empty((2 * N_max + 1, xr.size), dtype=np.complex128)
-    for n in range(N_max + 1):
-        row = table[N_max + n]
-        np.exp(1j * (n * xr), out=row)
-        if n:
-            table[N_max - n].real = row.real
-            np.subtract(0.0, row.imag, out=table[N_max - n].imag)
-    return table
-
-
-def _remainder_values(f, polys, degrees, N_max):
-    """The values function of _refined_extent for the real remainders
-    f - polys[N], N in degrees: row r is degree degrees[r].  Each value is
-    the one a lone search of that remainder would compute: g_N from its own
-    one-column product, and f from one call on all points, or one call per
-    point when f is a trig polynomial, whose rule does not act elementwise."""
-    degrees = np.asarray(degrees)
-    ns = np.arange(-N_max, N_max + 1)
-    per_point = isinstance(f, TrigPolynomial)
-
-    def values(r, t):
-        y = _reduce_angle(t)
-        e = np.exp(1j * np.multiply.outer(ns, _reduce_angle(y)))
-        gv = np.empty(t.size)
-        for j, N in enumerate(degrees[r]):
-            col = np.ascontiguousarray(e[N_max - N:N_max + N + 1, j:j + 1])
-            gv[j] = (polys[N].coeffs @ col)[0].real
-        fy = _sample_points(f, y) if per_point else np.asarray(f.sample(y))
-        return np.real(fy - gv)
-
-    return values
 
 
 def truncation_envelope(f: PeriodicFunction, N_max: int,
@@ -293,37 +244,52 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     N_max = int(N_max)
     if N_max < 0:
         raise ValueError("N_max must be nonnegative")
-    coeffs = {}
+    c = np.zeros(2 * N_max + 1, dtype=np.complex128)   # a_n at n + N_max
     err_run = [0.0]
     for k in range(N_max + 1):
         orders = (0,) if k == 0 else (k, -k)
         step = err_run[-1]
         for n in orders:
-            coeffs[n], err = fourier_coefficient_estimate(f, n)
+            c[N_max + n], err = fourier_coefficient_estimate(f, n)
             step += err
         err_run.append(step)
-    # f and e^{inx}, |n| <= N_max, sampled once where every remainder's
-    # rule samples them; the rows for |n| <= N reproduce g.sample exactly
+    # f sampled once where every remainder's rule samples it; g_N at the
+    # points where g_N.sample evaluates, as a running sum over orders
     x = _grid(grid_size)
     xs = _reduce_angle(x)
     fv = np.asarray(f.sample(xs))
-    table = _exp_table(N_max, _reduce_angle(xs))
-    polys = [TrigPolynomial({n: coeffs[n] for n in range(-N, N + 1)},
+    y = _reduce_angle(xs)
+    polys = [TrigPolynomial(zip(range(-N, N + 1), c[N_max - N:N_max + N + 1]),
                             name="%s truncated at N=%d" % (f.name or "f", N))
              for N in range(N_max + 1)]
-
-    def remainder(N):
-        gv = polys[N].coeffs @ table[N_max - N:N_max + N + 1]
-        return fv - (gv.real if polys[N].real_valued else gv)
-
     real = [N for N, g in enumerate(polys) if f.real_valued and g.real_valued]
-    radii = {N: _smallest_disk(remainder(N))[1]
-             for N in range(N_max + 1) if N not in real}
-    if real:
-        lo, hi = _refined_extent(x, (np.real(remainder(N)) for N in real),
-                                 _remainder_values(f, polys, real, N_max))
-        for N, a, b in zip(real, lo, hi):
-            radii[N] = 0.5 * (float(b) - float(a))
+    radii = {}
+
+    def real_remainders():
+        # f - g_N with g_N = g_{N-1} + pair term N, each used as it is made:
+        # a real one by the lockstep extent, a complex one by its disk
+        g = np.full(x.size, c[N_max])
+        for N in range(N_max + 1):
+            if N:
+                g += _pair_term(c[N_max + N], c[N_max - N], N, y)
+            r = fv - (g.real if polys[N].real_valued else g)
+            if N in real:
+                yield np.real(r)
+            else:
+                radii[N] = _smallest_disk(r)[1]
+
+    def values(r, t):
+        # a bracket's value is the one a lone search of its remainder
+        # computes: all partial sums at once, indexed by degree
+        t = _reduce_angle(t)
+        top = real[-1]
+        gv = _partial_sums(c[N_max - top:N_max + top + 1], _reduce_angle(t))
+        return np.real(np.asarray(f.sample(t))
+                       - gv[np.asarray(real)[r], np.arange(t.size)].real)
+
+    lo, hi = _refined_extent(x, real_remainders(), values)
+    for N, a, b in zip(real, lo, hi):
+        radii[N] = 0.5 * (float(b) - float(a))
     lines = []
     for N, g in enumerate(polys):
         m = derivative_fourier_norm(g)
@@ -411,8 +377,7 @@ def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
 
     delta may be a float (returns a float) or an array (returns an array
     of the same shape).  The searches for all deltas of an array run in
-    lockstep; for a rule that acts elementwise each entry equals the
-    scalar call bit for bit.
+    lockstep, and each entry equals the scalar call bit for bit.
     """
     scalar = np.ndim(delta) == 0
     deltas = np.asarray(delta, dtype=float)

@@ -36,8 +36,9 @@ _FORMATS = ("csv", "json")
 # largest |n| a --function coefficient file may carry; a trig polynomial of
 # degree N is stored densely over -N..N
 MAX_ORDER = 2 ** 16
-# largest --n-max and --a-grid: the circle envelope holds a
-# (2 n_max + 1) x 2^16 complex table, the sqrt side n_max + a_grid lines
+# largest --n-max and --a-grid: the circle envelope's time grows as n_max^2
+# (every search step sums all degrees at 2 n_max points), the sqrt side
+# keeps n_max + a_grid lines
 MAX_CIRCLE_N = 128
 MAX_SQRT_LINES = 10 ** 6
 # largest --steps of curve and lower (delta grid points), --samples,
@@ -166,6 +167,10 @@ def _select_function(name):
             raise ValueError("%s: coefficient for order %s must be a real "
                              "number or [re, im], got %s"
                              % (name, k, json.dumps(v)))
+        # json reads NaN and +-Infinity; a huge integer would overflow float
+        if not all(abs(p) <= sys.float_info.max for p in parts):
+            raise ValueError("%s: coefficient for order %s must be finite, "
+                             "got %s" % (name, k, json.dumps(v)))
         mapping[n] = complex(parts[0], parts[1])
     return from_coefficients(mapping)
 
@@ -175,8 +180,10 @@ def _parse_dims(text):
     for part in str(text).split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            dims.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(p) for p in part.split("-", 1))
+            for end in (lo, hi):  # checked before a huge range is built
+                matrix_lab._check_dim(end)
+            dims.extend(range(lo, hi + 1))
         elif part:
             dims.append(int(part))
     return tuple(dims)

@@ -219,11 +219,9 @@ def _check_residual(M, q, lam, kind):
 
 
 def _per_spectrum(f, lam):
-    # f sees one spectrum at a time, exactly as in a single-matrix call, so
-    # a stacked result replays bit for bit through the unstacked one
-    rows = lam.reshape(-1, lam.shape[-1])
-    vals = [np.asarray(f(row), dtype=np.complex128) for row in rows]
-    return np.stack(vals).reshape(lam.shape)
+    # one flat call on every eigenvalue of the stack: f acts elementwise,
+    # so a stacked result replays bit for bit through the unstacked one
+    return np.asarray(f(lam.ravel()), dtype=np.complex128).reshape(lam.shape)
 
 
 def unitary_calculus(f, V) -> np.ndarray:
@@ -263,8 +261,9 @@ def unitary_calculus(f, V) -> np.ndarray:
 
 def hermitian_calculus(f, H) -> np.ndarray:
     """f(H) for Hermitian H with spectrum in [0, 1] (checked to 1e-10);
-    eigenvalues are clipped to [0, 1] before applying the plain callable f.
-    H may be a stack (..., n, n); every check applies to each matrix."""
+    eigenvalues are clipped to [0, 1] before applying the plain callable f,
+    which must act elementwise.  H may be a stack (..., n, n); every check
+    applies to each matrix."""
     H = np.ascontiguousarray(H, dtype=np.complex128)
     _check_square(H, stacked=True)
     if np.any(_norms(H - _adjoint(H)) > 1e-10):

@@ -23,7 +23,7 @@ _QUAD_K_START = 2 ** 14
 _QUAD_K_CAP = 2 ** 22
 _QUAD_BLOCK = 2 ** 16
 _EXTENT_GRID = 2 ** 16
-_TERMS_PER_CHUNK = 2 ** 22
+_TERMS_PER_CHUNK = 2 ** 20
 
 
 class QuadratureError(RuntimeError):
@@ -50,7 +50,10 @@ class PeriodicFunction:
     """A 2pi-periodic function with optional exact coefficient data.
 
     rule: callable taking an ndarray of angles in [-pi, pi] and returning
-    values (real or complex).  real_valued promises |Im f| < 1e-12.
+    values (real or complex) of the same shape.  It must act elementwise:
+    a value depends on its own angle only, never on the other angles of
+    the call, because searches, sweeps and the spectral calculus batch
+    any points into one call.  real_valued promises |Im f| < 1e-12.
     coefficient_rule, if given, returns the exact Fourier coefficient a_n.
     l1_tail_rule, if given, returns sum_{|n| > N} |a_n| exactly.
     """
@@ -94,8 +97,33 @@ class PeriodicFunction:
         return "PeriodicFunction(name=%r, real_valued=%r)" % (self.name, self.real_valued)
 
 
+def _pair_term(a_pos, a_neg, k, x):
+    """a_k e^{ikx} + a_{-k} e^{-ikx} for the order k, an int or an array
+    that broadcasts against the angles x.  e^{-ikx} is filled from
+    e^{ikx}: cos is even and sin odd, and 0 - im keeps the +0 imaginary
+    part that exp gives at x = 0."""
+    e = np.exp(1j * (k * x))
+    c = np.empty_like(e)
+    c.real = e.real
+    np.subtract(0.0, e.imag, out=c.imag)
+    return a_pos * e + a_neg * c
+
+
+def _partial_sums(coeffs, x):
+    """Rows N = 0..d of the partial sums of coeffs (orders -d..d) at the
+    1-D angles x: row N is a_0 plus the pair terms of orders 1..N, added
+    in ascending order, so each point's value depends on that point only."""
+    d = coeffs.size // 2
+    k = np.arange(1, d + 1)[:, None]
+    terms = np.empty((d + 1, x.size), dtype=np.complex128)
+    terms[0] = coeffs[d]
+    terms[1:] = _pair_term(coeffs[d + 1:, None], coeffs[:d][::-1, None], k, x)
+    return np.cumsum(terms, axis=0, out=terms)
+
+
 class TrigPolynomial(PeriodicFunction):
-    """Finite Fourier sum of degree N, evaluated by direct summation."""
+    """Finite Fourier sum of degree N: at each point a_0 plus the pair
+    terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed in that order."""
 
     def __init__(self, coefficients, name=""):
         if isinstance(coefficients, dict):
@@ -112,14 +140,15 @@ class TrigPolynomial(PeriodicFunction):
         self.coeffs = coeffs
         real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))
 
-        def rule(x, _ns=ns, _c=coeffs, _real=real):
-            # at most _TERMS_PER_CHUNK terms e^{inx} in memory at once
+        def rule(x, _c=coeffs, _real=real):
+            # each point's value is its own running sum, so chunks of at
+            # most _TERMS_PER_CHUNK terms give the bits of one call
             x = np.asarray(x, dtype=float)
-            flat, step = x.ravel(), max(1, _TERMS_PER_CHUNK // _ns.size)
-            v = np.concatenate([
-                _c @ np.exp(1j * np.multiply.outer(_ns, flat[s:s + step]))
-                for s in range(0, max(flat.size, 1), step)]).reshape(x.shape)
-            return v.real if _real else v
+            flat, out = x.ravel(), np.empty(x.size, dtype=np.complex128)
+            step = max(1, _TERMS_PER_CHUNK // (degree + 1))
+            for s in range(0, x.size, step):
+                out[s:s + step] = _partial_sums(_c, flat[s:s + step])[-1]
+            return (out.real if _real else out).reshape(x.shape)
 
         super().__init__(
             rule,
@@ -300,8 +329,8 @@ def _refined_extent(x, rows, values):
     sample rows on the grid x, each refined by one golden-section pass
     inside its best cell.
 
-    rows yields the k rows one at a time.  values(r, t) maps arrays of row
-    indices and points to the values of function r[j] at t[j].  All 2k
+    rows yields the k >= 0 rows one at a time.  values(r, t) maps arrays of
+    row indices and points to the values of function r[j] at t[j].  All 2k
     searches run in lockstep, the min searches on the negated values.
     """
     h = TWO_PI / x.size
@@ -309,6 +338,8 @@ def _refined_extent(x, rows, values):
     for v in rows:
         imax, imin = int(np.argmax(v)), int(np.argmin(v))
         peaks.append((imax, imin, v[imax], v[imin]))
+    if not peaks:
+        return np.empty(0), np.empty(0)
     imax, imin, vmax, vmin = (np.array(c) for c in zip(*peaks))
     k = imax.size
     r = np.tile(np.arange(k), 2)
@@ -321,17 +352,9 @@ def _refined_extent(x, rows, values):
             np.where(refined[:k] > vmax, refined[:k], vmax))
 
 
-def _sample_points(f, t):
-    """f on the points t, one point per call as a lone search samples it: a
-    rule need not act elementwise (a trig polynomial's sums over all its
-    points are one BLAS product)."""
-    return np.concatenate([f.sample(p) for p in t[:, None]])
-
-
 def _extent(f, x, v):
     """(min, max) of the real f from its real samples v on the grid x."""
-    lo, hi = _refined_extent(x, [v],
-                             lambda r, t: np.real(_sample_points(f, t)))
+    lo, hi = _refined_extent(x, [v], lambda r, t: np.real(f.sample(t)))
     return float(lo[0]), float(hi[0])
 
 
@@ -434,13 +457,28 @@ def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> floa
     return _smallest_disk(v)[1]
 
 
-def _abs_coeff_sum(f, lo, hi, tol, s=0.0):
-    """s plus |a_n| + |a_{-n}| for n in lo..hi, each inflated by tol;
-    QuadratureError when an order misses tol."""
-    for n in range(lo, hi + 1):
-        s += abs(fourier_coefficient(f, n, tol)) + tol
-        s += abs(fourier_coefficient(f, -n, tol)) + tol
-    return s
+def _dyadic_l1(f, lo, hi, end0, end1, tol):
+    """Estimate of sum_{|n| >= lo} |a_n| (each term inflated by tol): the
+    orders up to hi summed, then the blocks hi < |n| <= end0 and
+    end0 < |n| <= end1, then the geometric remainder b1 r / (1 - r) with
+    r = b1 / b0 the block ratio.  None when the blocks do not decay
+    (r >= 0.75, or b0 = 0 < b1) or an order misses tol."""
+    sums = []
+    try:
+        for a, b in ((lo, hi), (hi + 1, end0), (end0 + 1, end1)):
+            sums.append(0.0)
+            for n in range(a, b + 1):
+                for m in ((n, -n) if n else (0,)):
+                    sums[-1] += abs(fourier_coefficient(f, m, tol)) + tol
+    except QuadratureError:
+        return None
+    s, b0, b1 = sums
+    if b0 <= 0.0:
+        return None if b1 > 0.0 else s
+    ratio = b1 / b0
+    if ratio >= 0.75:
+        return None
+    return s + b0 + b1 + b1 * ratio / (1.0 - ratio)
 
 
 def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
@@ -456,21 +494,7 @@ def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
         for n in range(1, head + 1):
             total += abs(fourier_coefficient(f, n)) + abs(fourier_coefficient(f, -n))
         return float(total + f.l1_tail_rule(head))
-    try:
-        total = _abs_coeff_sum(f, 1, head, tol,
-                               abs(fourier_coefficient(f, 0, tol)) + tol)
-        b0 = _abs_coeff_sum(f, head + 1, 2 * head + 1, tol)
-        b1 = _abs_coeff_sum(f, 2 * head + 2, 4 * head + 3, tol)
-    except QuadratureError:
-        return None
-    total += b0
-    total += b1
-    if b0 <= 0.0:
-        return float(total)
-    ratio = b1 / b0
-    if ratio >= 0.75:
-        return None
-    return float(total + b1 * ratio / (1.0 - ratio))
+    return _dyadic_l1(f, 0, head, 2 * head + 1, 4 * head + 3, tol)
 
 
 def builtin_triangle() -> PeriodicFunction:

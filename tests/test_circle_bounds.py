@@ -10,6 +10,11 @@ import commbound as cb
 from commbound import circle_bounds, periodic_fn
 
 
+@pytest.fixture(scope="module")
+def complex_poly():
+    return cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
+
+
 def closed_triangle_lower(delta):
     return (4.0 / math.pi) * math.asin(delta / 2.0)
 
@@ -254,11 +259,27 @@ class TestSharedRemainderTable:
         got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
         assert got == per_degree_lines(p, 4, grid_size=4096)
 
+    def test_all_complex_remainders_equal_per_degree_remainders(self):
+        # exp(e^{ix}) has a_n = 1/n! for n >= 0 only: no truncation is real,
+        # so every remainder takes the smallest-disk branch
+        def coefficient(n):
+            return 1.0 / math.factorial(n) if n >= 0 else 0.0
+
+        def l1_tail(N):
+            return sum(coefficient(n) for n in range(N + 1, 30))
+
+        f = cb.PeriodicFunction(lambda x: np.exp(np.exp(1j * x)),
+                                coefficient_rule=coefficient,
+                                l1_tail_rule=l1_tail)
+        env = cb.truncation_envelope(f, 4, grid_size=4096)
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        assert got == per_degree_lines(f, 4, grid_size=4096)
+        for N, (_, b, _) in enumerate(got):
+            assert 0.0 < b <= 2.0 * l1_tail(N)
 
     def test_real_polynomial_lines_equal_per_degree_remainders(self):
-        # a trig polynomial's rule is one BLAS product over all its points,
-        # so the lockstep searches sample it one point at a time; at N >= 3
-        # the remainder is exactly zero
+        # at N >= 3 the truncation sums the polynomial's own terms in its
+        # own order, so the remainder is exactly zero
         p = cb.from_coefficients({1: 0.5, -1: 0.5, 3: 0.2 + 0.1j, -3: 0.2 - 0.1j})
         env = cb.truncation_envelope(p, 5, grid_size=4096)
         got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
@@ -269,16 +290,25 @@ class TestSharedRemainderTable:
 class TestExpTable:
     @pytest.mark.parametrize("N_max", [0, 1, 16])
     def test_symmetric_fill_equals_direct_exp_bit_for_bit(self, N_max):
+        # the pair term fills e^{-ikx} as the conjugate of e^{ikx}; with +0
+        # kept at x = 0 it matches exp of the negated angle bit for bit
         x = periodic_fn._grid(2 ** 12)
         xr = periodic_fn._reduce_angle(periodic_fn._reduce_angle(x))
         assert np.any(xr == 0.0)
-        want = np.exp(1j * np.multiply.outer(np.arange(-N_max, N_max + 1), xr))
-        got = circle_bounds._exp_table(N_max, xr)
+        k = np.arange(N_max + 1)[:, None]
+        rng = np.random.default_rng(N_max)
+        a, b = rng.standard_normal((2, N_max + 1, 2)) @ np.array([1.0, 1j])
+        want = (a[:, None] * np.exp(1j * np.multiply.outer(k[:, 0], xr))
+                + b[:, None] * np.exp(1j * np.multiply.outer(-k[:, 0], xr)))
+        got = periodic_fn._pair_term(a[:, None], b[:, None], k, xr)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for n in range(N_max + 1):
+            row = periodic_fn._pair_term(a[n], b[n], n, xr)
+            assert np.array_equal(row.view(np.uint64), want[n].view(np.uint64))
 
     def test_envelope_memory(self):
-        # the (33, 2^16) complex table is 34.6 MB; built from one full-size
-        # temporary it peaked at 53.6 MB
+        # remainders are built one degree at a time on the 2^16 grid (1 MB
+        # per complex row); a (33, 2^16) table of e^{inx} would be 34.6 MB
         f = cb.builtin_triangle()
         tracemalloc.start()
         try:
@@ -286,7 +316,7 @@ class TestExpTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 42 * 10 ** 6
+        assert peak < 12 * 10 ** 6
 
 
 class TestEtaLower:
@@ -302,7 +332,7 @@ class TestEtaLower:
         got = cb.eta_lower(f, self.CLI_GRID)
         assert np.array_equal(got, cb.eta_lower(g, self.CLI_GRID))
 
-    @pytest.mark.parametrize("name", ["triangle", "bump"])
+    @pytest.mark.parametrize("name", ["triangle", "bump", "complex_poly"])
     def test_array_call_equals_scalar_calls(self, name, request):
         f = request.getfixturevalue(name)
         got = cb.eta_lower(f, self.CLI_GRID)

@@ -182,6 +182,26 @@ class TestCurveCircle:
             assert err.startswith("commbound: ") and err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"1": NaN, "-1": 0.5}', '{"1": Infinity}', '{"-1": 0.5, "1": -Infinity}',
+        '{"1": [0.5, NaN]}', '{"1": 1%s}' % ("0" * 400),
+    ], ids=["nan", "inf", "minus-inf", "nan-part", "huge-int"])
+    def test_nonfinite_coefficient_exits_two(self, text, tmp_path, capsys):
+        # json reads NaN and the infinities as floats; lower circle printed
+        # nan bounds, and the other commands blamed the intercept
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for command in (["curve", "circle", "--steps", "3"],
+                        ["lower", "circle", "--steps", "3"],
+                        ["validate", "circle", "--samples", "2"]):
+            rc = main(command + ["--function", str(path), "--out",
+                                 str(tmp_path / "out.txt")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("commbound: ") and err.count("\n") == 1
+            assert "coefficient for order 1 must be finite" in err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_order_above_cap_exits_two(self, tmp_path, capsys):
         cap = experiments_cli.MAX_ORDER
         for order in (cap + 1, -(cap + 1)):
@@ -306,6 +326,37 @@ class TestValidate:
         doc = json.loads(out.read_text())
         assert doc["dims"] == [2, 5]
         assert sorted({r["dim"] for r in doc["records"]}) == [2, 5]
+
+    @pytest.mark.parametrize("dims", ["2-3000000", "2-1000000000",
+                                      "1000000000-2000000000", "1-4",
+                                      "2,3-100"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_dims_range_checked_before_expansion(self, dims, via, tmp_path,
+                                                 capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the dims check")
+
+        monkeypatch.setattr(cb.positive_bounds, "gamma0", refuse)
+        monkeypatch.setattr(cb.matrix_lab, "sample_sweep", refuse)
+        argv = ["validate", "sqrt", "--samples", "2"]
+        if via == "flag":
+            argv += ["--dims", dims]
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"dims": dims}))
+            argv += ["--config", str(cfg)]
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--out", str(tmp_path / "out.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commbound: ") and err.count("\n") == 1
+        assert "dimension must lie in [2, 64]" in err
+        assert peak < 2 ** 20
+        assert not (tmp_path / "out.json").exists()
 
     def test_bad_dims_exit_two(self, capsys):
         rc = main(["validate", "sqrt", "--samples", "4", "--dims", "8-2"])

@@ -408,6 +408,14 @@ class TestLockstepExtent:
         for k, f in enumerate(fs):
             assert (float(lo[k]), float(hi[k])) == cb.range_extent(f, 4096)
 
+    def test_no_rows_give_empty_extents(self):
+        def values(r, t):
+            raise AssertionError("no bracket to refine")
+
+        lo, hi = periodic_fn._refined_extent(periodic_fn._grid(4096), iter(()),
+                                             values)
+        assert lo.shape == hi.shape == (0,)
+
 
 class TestCoefficientL1:
     def test_triangle_total_is_one(self, triangle):
@@ -416,6 +424,55 @@ class TestCoefficientL1:
     def test_polynomial_total(self):
         p = cb.from_coefficients({0: 0.25, 1: -0.5, -1: -0.5, 4: 0.125j, -4: -0.125j})
         assert abs(cb.coefficient_l1(p) - 1.5) <= 1e-15
+
+
+def old_coefficient_l1(f, head=64, tol=1e-6):
+    """coefficient_l1 before the shared dyadic-tail helper, for functions
+    without a closed tail."""
+    def block(lo, hi, s=0.0):
+        for n in range(lo, hi + 1):
+            s += abs(cb.fourier_coefficient(f, n, tol)) + tol
+            s += abs(cb.fourier_coefficient(f, -n, tol)) + tol
+        return s
+    try:
+        total = block(1, head, abs(cb.fourier_coefficient(f, 0, tol)) + tol)
+        b0 = block(head + 1, 2 * head + 1)
+        b1 = block(2 * head + 2, 4 * head + 3)
+    except QuadratureError:
+        return None
+    total += b0
+    total += b1
+    if b0 <= 0.0:
+        return float(total)
+    ratio = b1 / b0
+    if ratio >= 0.75:
+        return None
+    return float(total + b1 * ratio / (1.0 - ratio))
+
+
+class TestDyadicTail:
+    @pytest.fixture(scope="class")
+    def quadrature_only(self):
+        tri = cb.builtin_triangle()
+        poly = cb.from_coefficients({0: 0.25, 1: -0.5, -1: -0.5, 4: 0.125j,
+                                     -4: -0.125j})
+        return [cb.builtin_bump(),
+                cb.PeriodicFunction(tri.rule, real_valued=True),
+                cb.PeriodicFunction(poly.rule, real_valued=True)]
+
+    @pytest.mark.parametrize("head", [4, 64])
+    def test_coefficient_l1_equals_the_old_code(self, quadrature_only, head):
+        for f in quadrature_only:
+            assert cb.coefficient_l1(f, head) == old_coefficient_l1(f, head)
+
+    def test_empty_first_block_with_a_later_one_is_not_extrapolated(self):
+        # blocks 3..5 and 6..11 past head 2: only order 6 is nonzero, and
+        # with tol = 0 the first block sums to exactly 0
+        f = cb.PeriodicFunction(lambda x: np.cos(6.0 * x), real_valued=True,
+                                coefficient_rule=lambda n: 0.5 * (abs(n) == 6))
+        assert old_coefficient_l1(f, head=2, tol=0.0) == 1.0
+        assert cb.coefficient_l1(f, head=2, tol=0.0) is None
+        assert cb.coefficient_l1(f, head=8, tol=0.0) == 1.0
 
 
 class TestFromCoefficients:
@@ -440,6 +497,43 @@ class TestFromCoefficients:
         for i, j in ((0, 0), (0, 5000), (1, 77), (1, 2 ** 13 - 1)):
             want = p.coeffs @ np.exp(1j * p.ns * xs[i, j])
             assert abs(got[i, j] - want) <= 1e-12
+
+    @pytest.mark.parametrize("degree", [0, 3, 16, 300])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_one_call_equals_one_point_per_call(self, degree, real):
+        # each point's value is its own running sum over orders, so a call
+        # on many points, split into chunks, gives the bits of lone points
+        rng = np.random.default_rng(degree)
+        n = np.arange(1, degree + 1)
+        pos, neg = rng.standard_normal((2, degree, 2)) @ np.array([1.0, 1j])
+        a0 = 0.5 if real else 0.5 + 0.25j
+        coeffs = {0: a0, **dict(zip(n, pos / n ** 2)),
+                  **dict(zip(-n, (np.conj(pos) if real else neg) / n ** 2))}
+        p = cb.from_coefficients(coeffs)
+        assert p.real_valued == real
+        # at degree 300 the 2-D input spans two chunks and part of a third
+        step = periodic_fn._TERMS_PER_CHUNK // (degree + 1)
+        xs = rng.uniform(-4.0, 4.0, (2, (step if degree == 300 else 4) + 3))
+        xs[0, 0] = 0.0
+        got = p.sample(xs)
+        assert got.shape == xs.shape
+        want = np.array([p.sample(t[None])[0] for t in xs.ravel()])
+        assert np.array_equal(got.ravel().view(np.uint64), want.view(np.uint64))
+        for t in xs[:, :2].ravel():
+            lone = p.sample(t)
+            assert lone.shape == () and lone == p.sample(np.array([t]))[0]
+
+    @pytest.mark.parametrize("degree", [3, 16, 300])
+    def test_partial_sums_equal_a_loop_over_orders(self, degree):
+        rng = np.random.default_rng(degree + 1)
+        c = rng.standard_normal((2 * degree + 1, 2)) @ np.array([1.0, 1j])
+        x = rng.uniform(-np.pi, np.pi, 257)
+        got = periodic_fn._partial_sums(c, x)
+        s = np.full(x.size, c[degree])
+        assert np.array_equal(got[0], s)
+        for k in range(1, degree + 1):
+            s = s + periodic_fn._pair_term(c[degree + k], c[degree - k], k, x)
+            assert np.array_equal(got[k].view(np.uint64), s.view(np.uint64))
 
     def test_nonsymmetric_coefficients_give_complex_function(self):
         p = cb.from_coefficients({1: 1.0})
