@@ -30,7 +30,8 @@ from .periodic_fn import (
     _smallest_disk,
 )
 
-_LOWER_CHUNK = 2 ** 19
+_LOWER_CHUNK = 2 ** 19   # offsets x points per block of the complex scan
+_LOWER_BLOCK = 2 ** 14   # samples or deltas per block of eta_lower's passes
 
 
 @dataclass(frozen=True)
@@ -124,13 +125,19 @@ class BoundCurve:
         return float(vals) if scalar else vals
 
     def evaluate_with_provenance(self, delta):
-        """(value, provenance of the active line) at a single delta."""
-        clamped = self._check_domain(float(delta))
+        """(value, provenance of the active line) at a float delta, or
+        (values, list of provenances in row-major order) at an array."""
+        deltas = np.asarray(delta, dtype=float)
+        clamped = self._check_domain(deltas)
         vals, idxs = self._min_over_lines(clamped)
-        prov = self._prov_fn(int(idxs))
-        if float(clamped) != float(delta):
-            prov += " (clamped at delta=%g)" % self.delta_max
-        return float(vals), prov
+        suffix = " (clamped at delta=%g)" % self.delta_max
+        provs = [self._prov_fn(i) + (suffix if c != d else "")
+                 for i, c, d in zip(idxs.ravel().tolist(),
+                                    clamped.ravel().tolist(),
+                                    deltas.ravel().tolist())]
+        if deltas.ndim == 0:
+            return float(vals), provs[0]
+        return vals, provs
 
     def _sweep_lines(self, lo):
         """Indices of the lines that may be active on [lo, ...]: all here."""
@@ -325,17 +332,65 @@ def _best_by_offset(vals, d_max):
     return best
 
 
+def _window_ranges(vals):
+    """For real samples vals on a circle of n points, a function mapping an
+    int array of offsets d <= n // 2 to the largest |vals[j] - vals[i]| over
+    pairs at most d apart, equal bit for bit to
+    np.maximum.accumulate(_best_by_offset(vals, n // 2))[d].
+
+    Those pairs are the pairs inside the circular windows of d + 1 samples,
+    and round-to-nearest subtraction is monotone, so the value is the
+    largest fl(max - min) over the windows.  A doubling table holds the max
+    and min of every window of 2^k samples; a window of d + 1 samples is
+    the union of two of them.  Only the distinct offsets asked for are
+    evaluated, in blocks of about _LOWER_BLOCK samples.
+    """
+    n = vals.size
+    hi = [np.concatenate((vals, vals[:n // 2]))]
+    lo = hi[:]
+    while 2 ** len(hi) <= n // 2 + 1:
+        s = 2 ** (len(hi) - 1)
+        hi.append(np.maximum(hi[-1][:-s], hi[-1][s:]))
+        lo.append(np.minimum(lo[-1][:-s], lo[-1][s:]))
+    rows = max(1, _LOWER_BLOCK // n)
+
+    def ranges(d):
+        u, inv = np.unique(d, return_inverse=True)
+        k = np.frexp(u + 1)[1] - 1        # 2^k <= d + 1 < 2^(k+1)
+        shift = u + 1 - 2 ** k
+        out = np.zeros(u.size)            # offset 0 (level 0) spans no pair
+        for level in range(1, len(hi)):
+            at = np.flatnonzero(k == level)
+            top = np.lib.stride_tricks.sliding_window_view(hi[level], n)
+            bot = np.lib.stride_tricks.sliding_window_view(lo[level], n)
+            for s in range(0, at.size, rows):
+                j = at[s:s + rows]
+                wide, low = top[shift[j]], bot[shift[j]]
+                np.maximum(wide, top[0], out=wide)
+                np.subtract(wide, np.minimum(low, bot[0], out=low), out=wide)
+                # abs: a window of zeros may give -0 where the scan gives +0
+                out[j] = np.abs(np.max(wide, axis=1))
+        return out[inv.reshape(d.shape)]
+
+    return ranges
+
+
 def _lower_table(f: PeriodicFunction, grid_size: int):
-    key = int(grid_size)
-    table = f._pair_cache.get(key)
+    """(x, vals, ranges) for the grid of grid_size points: ranges maps
+    offsets d <= grid_size // 2 to the largest sample difference over grid
+    pairs at most d apart."""
+    table = f._pair_cache.get(grid_size)
     if table is None:
         x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
         vals = _sample(f, x)
-        best = _best_by_offset(vals, grid_size // 2)
-        # running max over offsets d' <= d keeps the search monotone in delta
-        running = np.maximum.accumulate(best)
-        table = (x, vals, running)
-        f._pair_cache[key] = table
+        if np.iscomplexobj(vals):
+            # a complex window's diameter does not split into two halves
+            ranges = np.maximum.accumulate(
+                _best_by_offset(vals, grid_size // 2)).__getitem__
+        else:
+            ranges = _window_ranges(vals)
+        table = (x, vals, ranges)
+        f._pair_cache[grid_size] = table
     return table
 
 
@@ -347,26 +402,6 @@ def _sample(f, t):
                     copy=False).reshape(t.shape)
 
 
-def _eta_lower_rows(f, w, x, vals, running):
-    """eta_lower for the pair separations w = 2 arcsin(delta/2), with one
-    golden-section search per separation, all run in lockstep."""
-    G = x.size
-    h = TWO_PI / G
-    d_max = np.floor(w / h).astype(np.int64)
-    d_max[d_max * h > w] -= 1
-    best = running[np.minimum(d_max, G // 2)]   # running[0] is 0
-    # pairs at separation exactly w, one endpoint on the grid
-    diffs = np.abs(_sample(f, x + w[:, None]) - vals)
-    i0 = np.argmax(diffs, axis=1)
-    best = np.maximum(best, diffs[np.arange(w.size), i0])
-
-    def pair_gap(t):
-        return np.abs(_sample(f, t + w) - _sample(f, t))
-
-    refined = _golden_max(pair_gap, x[i0] - h, x[i0] + h)
-    return np.maximum(best, refined)
-
-
 def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
     """Constructive lower bound: the largest |f(x2) - f(x1)| over pairs
     whose circular distance is at most 2 arcsin(delta/2).
@@ -376,9 +411,14 @@ def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
     full-width pair; ties go to the smaller x1.
 
     delta may be a float (returns a float) or an array (returns an array
-    of the same shape).  The searches for all deltas of an array run in
-    lockstep, and each entry equals the scalar call bit for bit.
+    of the same shape).  The scan runs in blocks of about _LOWER_BLOCK
+    samples and the searches for all deltas in lockstep, in blocks of
+    _LOWER_BLOCK deltas; each entry equals the scalar call bit for bit.
     """
+    if (isinstance(grid_size, bool)
+            or not isinstance(grid_size, (int, np.integer)) or grid_size < 1):
+        raise ValueError("grid_size must be an integer >= 1, got %r"
+                         % (grid_size,))
     scalar = np.ndim(delta) == 0
     deltas = np.asarray(delta, dtype=float)
     if not np.all((deltas >= 0.0) & (deltas < 2.0)):
@@ -387,12 +427,28 @@ def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
     out = np.zeros(flat.size)
     pos = np.flatnonzero(flat)
     if pos.size:
-        grid_size = int(grid_size)
-        table = _lower_table(f, grid_size)
+        G = int(grid_size)
+        x, vals, ranges = _lower_table(f, G)
+        h = TWO_PI / G
         w = 2.0 * np.arcsin(0.5 * flat[pos])
-        rows = max(1, _LOWER_CHUNK // grid_size)
-        for s in range(0, pos.size, rows):
-            out[pos[s:s + rows]] = _eta_lower_rows(f, w[s:s + rows], *table)
+        d_max = np.floor(w / h).astype(np.int64)
+        d_max[d_max * h > w] -= 1
+        best = ranges(np.minimum(d_max, G // 2))
+        # pairs at separation exactly w, one endpoint on the grid
+        i0 = np.empty(w.size, dtype=np.int64)
+        rows = max(1, _LOWER_BLOCK // G)
+        for s in range(0, w.size, rows):
+            j = slice(s, s + rows)
+            diffs = np.abs(_sample(f, x + w[j, None]) - vals)
+            i0[j] = np.argmax(diffs, axis=1)
+            best[j] = np.maximum(best[j], diffs[np.arange(len(diffs)), i0[j]])
+        for s in range(0, w.size, _LOWER_BLOCK):
+            j = slice(s, s + _LOWER_BLOCK)
+            t = x[i0[j]]
+            best[j] = np.maximum(best[j], _golden_max(
+                lambda t, w=w[j]: np.abs(_sample(f, t + w) - _sample(f, t)),
+                t - h, t + h))
+        out[pos] = best
     return float(out[0]) if scalar else out.reshape(deltas.shape)
 
 

@@ -12,6 +12,7 @@ named like the flags with underscores) > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -48,6 +49,9 @@ MAX_GRID_STEPS = 10 ** 6
 MAX_SAMPLES = 10 ** 5
 MAX_RESTARTS = 1024
 MAX_PROBE_STEPS = 10 ** 8
+# rows per block of CSV text: a block is formatted and written before the
+# next is made, so a long grid's text is never held whole
+_CSV_ROWS = 2 ** 14
 
 _DEFAULTS = {
     ("curve", "sqrt"): dict(delta_min=1e-3, delta_max=1.0, steps=500,
@@ -95,14 +99,17 @@ class RunConfig:
 
 
 def _atomic_write(path, text):
+    """Write text, a string or an iterable of strings written one after
+    the other, to stdout or atomically to path."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".commbound-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -118,11 +125,13 @@ def _cell(v):
     return "%.12e" % float(v)
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_chunks(header, rows):
+    """The CSV text of header and rows in blocks of _CSV_ROWS rows; rows
+    may be any iterable and is consumed one block at a time."""
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_ROWS)):
+        yield "".join(",".join(map(_cell, row)) + "\n" for row in block)
 
 
 def _json_text(obj):
@@ -205,12 +214,16 @@ def cmd_curve_sqrt(cfg: RunConfig) -> int:
                       _segments_json(curve, cfg.delta_min, cfg.delta_max, label))
         return 0
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
-    rows = []
-    for d, g in zip(grid, curve.evaluate(grid)):
-        s = math.sqrt(d)
-        rows.append((float(d), float(g), s, float(g) / s))
-    _atomic_write(cfg.out, _csv_text(["delta", "gamma0", "sqrt_delta", "ratio"],
-                                     rows))
+
+    def rows():
+        # one curve evaluation per block of rows
+        for s in range(0, grid.size, _CSV_ROWS):
+            d = grid[s:s + _CSV_ROWS]
+            for x, g in zip(d.tolist(), curve.evaluate(d).tolist()):
+                yield x, g, math.sqrt(x), g / math.sqrt(x)
+
+    _atomic_write(cfg.out, _csv_chunks(
+        ["delta", "gamma0", "sqrt_delta", "ratio"], rows()))
     return 0
 
 
@@ -228,12 +241,17 @@ def cmd_curve_circle(cfg: RunConfig) -> int:
         return 0
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
     lowers = circle_bounds.eta_lower(f, grid)
-    rows = []
-    for d, lower in zip(grid, lowers):
-        upper, prov = curve.evaluate_with_provenance(float(d))
-        rows.append((float(d), upper, float(lower), prov))
-    _atomic_write(cfg.out, _csv_text(
-        ["delta", "upper", "lower", "active_line_provenance"], rows))
+
+    def rows():
+        # one curve evaluation per block of rows
+        for s in range(0, grid.size, _CSV_ROWS):
+            d = grid[s:s + _CSV_ROWS]
+            uppers, provs = curve.evaluate_with_provenance(d)
+            yield from zip(d.tolist(), uppers.tolist(),
+                           lowers[s:s + _CSV_ROWS].tolist(), provs)
+
+    _atomic_write(cfg.out, _csv_chunks(
+        ["delta", "upper", "lower", "active_line_provenance"], rows()))
     return 0
 
 
@@ -244,23 +262,28 @@ def cmd_lower_circle(cfg: RunConfig) -> int:
         raise ValueError("steps must be at least 2")
     f = _select_function(cfg.function)
     grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
-    rows = [(float(d), float(lower))
-            for d, lower in zip(grid, circle_bounds.eta_lower(f, grid))]
+    lowers = circle_bounds.eta_lower(f, grid)
+
+    def rows():
+        for s in range(0, grid.size, _CSV_ROWS):
+            yield from zip(grid[s:s + _CSV_ROWS].tolist(),
+                           lowers[s:s + _CSV_ROWS].tolist())
+
     if cfg.fmt == "json":
         _atomic_write(cfg.out, _json_text({
             "schema_version": _SCHEMA_VERSION,
             "curve": "circle lower %s" % cfg.function,
             "columns": ["delta", "lower"],
-            "rows": [list(r) for r in rows],
+            "rows": [list(r) for r in rows()],
         }))
         return 0
-    _atomic_write(cfg.out, _csv_text(["delta", "lower"], rows))
+    _atomic_write(cfg.out, _csv_chunks(["delta", "lower"], rows()))
     return 0
 
 
 def _records_rows(records):
-    return [(r.seed, r.dim, r.delta, r.measured, r.bound, r.margin)
-            for r in records]
+    return ((r.seed, r.dim, r.delta, r.measured, r.bound, r.margin)
+            for r in records)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -306,8 +329,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         "min_margin_index": k,
     }
     if cfg.fmt == "csv":
-        text = _csv_text(["seed", "dim", "delta", "measured", "bound", "margin"],
-                         _records_rows(records))
+        text = _csv_chunks(["seed", "dim", "delta", "measured", "bound",
+                            "margin"], _records_rows(records))
     else:
         report = dict(summary)
         report["schema_version"] = _SCHEMA_VERSION
@@ -345,7 +368,7 @@ def cmd_probe(cfg: RunConfig) -> int:
                     for k, v in zip(header, row)})
         text = _json_text(obj)
     else:
-        text = _csv_text(header, [row])
+        text = _csv_chunks(header, [row])
     _atomic_write(cfg.out, text)
     return 0
 

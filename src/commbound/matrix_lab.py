@@ -125,10 +125,24 @@ def commutator(M1, M2) -> np.ndarray:
     return M1 @ M2 - M2 @ M1
 
 
+def _stream_key(seed, index):
+    return np.array([int(seed) % 2 ** 64, int(index) % 2 ** 64], dtype=np.uint64)
+
+
 def stream(seed: int, index: int) -> np.random.Generator:
     """Independent generator for record (seed, index)."""
-    key = np.array([int(seed) % 2 ** 64, int(index) % 2 ** 64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
+
+
+def _restart(rng, seed, index):
+    """Put rng, a generator on a Philox bit generator, in the state that
+    stream(seed, index) starts from: key set, counter 0, buffer empty."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _stream_key(seed, index)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
 
 
 def _as_rng(seed_or_rng):
@@ -327,8 +341,9 @@ def _instances(role, dim, seed, indices, modes):
     _check_dim(dim)
     raw = np.empty((4, len(indices), dim, dim))
     lam = np.empty((len(indices), dim))
+    rng = stream(seed, 0)   # one generator, restarted for each index
     for j, (i, mode) in enumerate(zip(indices, modes)):
-        rng = stream(seed, i)
+        _restart(rng, seed, i)
         raw[:2, j] = rng.standard_normal((2, dim, dim))
         if role == "positive":
             lam[j] = _spectrum(rng, dim, mode)

@@ -15,6 +15,11 @@ def complex_poly():
     return cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def closed_triangle_lower(delta):
     return (4.0 / math.pi) * math.asin(delta / 2.0)
 
@@ -105,6 +110,21 @@ class TestBoundCurve:
         for lo, hi, line in segs:
             for d in np.linspace(lo, hi, 9):
                 assert abs(line.value(d) - curve.evaluate(d)) <= 1e-12
+
+
+class TestArrayProvenance:
+    def test_array_call_equals_scalar_calls(self, triangle_envelope):
+        deltas = np.linspace(0.0, 2.0, 41)
+        vals, provs = triangle_envelope.evaluate_with_provenance(deltas)
+        assert vals.shape == (41,) and len(provs) == 41
+        for d, v, p in zip(deltas, vals, provs):
+            assert (v, p) == triangle_envelope.evaluate_with_provenance(float(d))
+
+    def test_clamped_rows_say_so(self):
+        curve = cb.BoundCurve([cb.BoundLine(1.0, 0.0, 1.0, "a")], clamp_above=True)
+        vals, provs = curve.evaluate_with_provenance(np.array([[0.5, 1.5]]))
+        assert vals.tolist() == [[0.5, 1.0]]
+        assert provs == ["a", "a (clamped at delta=1)"]
 
 
 class TestFolkAndSplit:
@@ -402,6 +422,100 @@ class TestEtaLower:
             lo = cb.eta_lower(triangle, float(d))
             hi = triangle_envelope.evaluate(float(d))
             assert lo <= hi + 1e-8
+
+
+class TestEtaLowerPasses:
+    def test_one_refinement_for_all_deltas(self):
+        # the table, the exact scan in blocks of rows, then one lockstep
+        # golden-section search (2 + 80 probes, each sampling t + w and t)
+        sizes = []
+
+        def rule(x):
+            sizes.append(x.size)
+            return np.abs(x)
+
+        f = cb.PeriodicFunction(rule, real_valued=True)
+        sizes.clear()   # the constructor's own probes
+        cb.eta_lower(f, np.linspace(0.01, 1.99, 500))
+        rows = circle_bounds._LOWER_BLOCK // 4096
+        scan = [rows * 4096] * (500 // rows) + [500 % rows * 4096] * (500 % rows > 0)
+        assert sizes == [4096] + scan + [500] * 164
+
+    def test_many_deltas_memory(self):
+        # 10^5 deltas on a 256-point grid: 8.2 MB here, 19.2 MB when the
+        # scan and the searches ran in chunks of 2^19 samples; one unblocked
+        # pass over all pairs would hold 205 MB per temporary
+        f = cb.builtin_triangle()
+        deltas = np.linspace(1e-3, 1.99, 10 ** 5)
+        tracemalloc.start()
+        try:
+            got = cb.eta_lower(f, deltas, grid_size=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 10 ** 6
+        picks = [0, 1, 4096, 50000, 99999]
+        assert same_bits(got[picks], [cb.eta_lower(f, float(deltas[i]), 256)
+                                      for i in picks])
+
+    @pytest.mark.parametrize("bad", [0, -4, 4096.7, 4096.0, "4096", True, None])
+    def test_bad_grid_size_rejected(self, bad):
+        f = cb.builtin_triangle()
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            cb.eta_lower(f, 0.5, grid_size=bad)
+        assert not f._pair_cache
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 3, np.int64(5)])
+    def test_tiny_grids(self, grid_size):
+        f = cb.builtin_triangle()
+        got = cb.eta_lower(f, np.array([0.0, 0.5, 1.5]), grid_size=grid_size)
+        assert got[0] == 0.0 and 0.0 < got[1] <= got[2] <= 2.0
+        assert list(f._pair_cache) == [grid_size]
+
+
+class TestWindowRanges:
+    @staticmethod
+    def arrays(n):
+        rng = cb.stream(8, n)
+        signed_zeros = np.where(rng.integers(0, 2, n) == 1, 0.0, -0.0)
+        yield "repeats", rng.integers(-3, 4, n).astype(float)
+        yield "normal", rng.standard_normal(n)
+        yield "constant", np.full(n, 0.75)
+        yield "minus zeros", np.full(n, -0.0)
+        yield "signed zeros", signed_zeros
+        yield "zeros then values", np.where(np.arange(n) < n // 2,
+                                            signed_zeros, rng.uniform(size=n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 4096])
+    def test_equal_running_max_of_scan(self, n):
+        d = np.arange(n // 2 + 1)
+        rng = cb.stream(9, n)
+        for name, vals in self.arrays(n):
+            want = np.maximum.accumulate(circle_bounds._best_by_offset(vals, n // 2))
+            ranges = circle_bounds._window_ranges(vals)
+            assert same_bits(ranges(d), want), name
+            # distinct offsets in any order, repeats and shapes
+            pick = rng.integers(0, n // 2 + 1, (3, 7))
+            assert same_bits(ranges(pick), want[pick]), name
+
+    def test_signed_zeros_give_plus_zero_whatever_the_tie_rule(self, monkeypatch):
+        # which of two equal zeros np.maximum and np.minimum return is left
+        # to the build; here np.minimum is made to pick the other operand,
+        # so max - min of a window of zeros can be -0
+        vals = dict(self.arrays(1000))["signed zeros"]
+        want = np.maximum.accumulate(circle_bounds._best_by_offset(vals, 500))
+        minimum = np.minimum
+        monkeypatch.setattr(np, "minimum",
+                            lambda a, b, **kw: minimum(b, a, **kw))
+        got = circle_bounds._window_ranges(vals)(np.arange(501))
+        assert same_bits(got, want)
+        assert not np.any(np.signbit(got))
+
+    def test_complex_samples_keep_the_scan(self, complex_poly):
+        x, vals, ranges = circle_bounds._lower_table(complex_poly, 1024)
+        want = np.maximum.accumulate(circle_bounds._best_by_offset(vals, 512))
+        assert vals.dtype == np.complex128
+        assert same_bits(ranges(np.arange(513)), want)
 
 
 class TestBestByOffset:

@@ -566,3 +566,54 @@ class TestStdout:
         captured = capsys.readouterr().out
         assert captured.startswith("delta,gamma0,sqrt_delta,ratio\n")
         assert len(captured.strip().split("\n")) == 4
+
+
+class TestCsvBlocks:
+    ARGV = [
+        ["curve", "sqrt", "--steps", "50", "--n-max", "200", "--a-grid", "64"],
+        ["curve", "circle", "--steps", "50", "--n-max", "2",
+         "--delta-max", "1.999"],
+        ["lower", "circle", "--steps", "50", "--function", "triangle"],
+        ["validate", "sqrt", "--samples", "20", "--n-max", "200",
+         "--a-grid", "64", "--format", "csv"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_blocks_give_the_same_bytes(self, argv, tmp_path, monkeypatch,
+                                        capsys):
+        one = tmp_path / "one.csv"
+        assert main(argv + ["--out", str(one)]) == 0
+        monkeypatch.setattr(experiments_cli, "_CSV_ROWS", 7)
+        many = tmp_path / "many.csv"
+        assert main(argv + ["--out", str(many)]) == 0
+        assert many.read_bytes() == one.read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == one.read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "delta,lower\n"
+            raise RuntimeError("row 2")
+
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            experiments_cli._atomic_write(str(out), chunks())
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_long_curve_is_written_in_blocks(self, tmp_path):
+        # 10^5 rows: 47.0 MB when the curve was evaluated on the whole grid
+        # and every row kept as cells before one join, 7.7 MB in blocks
+        out = tmp_path / "long.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["curve", "sqrt", "--steps", "100000", "--n-max", "200",
+                       "--a-grid", "64", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 12 * 10 ** 6
+        assert out.read_text().count("\n") == 100001

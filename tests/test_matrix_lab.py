@@ -94,6 +94,20 @@ class TestStreams:
         b = cb.stream(1, 3).standard_normal(8)
         assert np.any(a != b)
 
+    @pytest.mark.parametrize("seed, index", [(0, 0), (42, 7), (3, 2 ** 64),
+                                             (2 ** 64 + 5, 2 ** 65 + 3),
+                                             (-1, -2)])
+    def test_restart_draws_like_a_new_stream(self, seed, index):
+        rng = cb.stream(9, 9)
+        rng.standard_normal(5)
+        rng.integers(0, 3, 7)   # leaves a part-used buffer and 32-bit word
+        cb.matrix_lab._restart(rng, seed, index)
+        want = cb.stream(seed, index)
+        for draw in (lambda g: g.standard_normal((2, 3, 3)),
+                     lambda g: g.integers(0, 3, 5),
+                     lambda g: g.uniform(0.0, 1.0, 4)):
+            assert draw(rng).tobytes() == draw(want).tobytes()
+
 
 class TestGenerators:
     def test_haar_unitarity(self):
