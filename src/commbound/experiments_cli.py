@@ -134,21 +134,45 @@ def _csv_chunks(header, rows):
         yield "".join(",".join(map(_cell, row)) + "\n" for row in block)
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_chunks(doc, key=None):
+    """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline,
+    in blocks.  doc[key], when a key is given, is a top-level list of flat
+    objects or arrays and may be any iterable: it is consumed one block of
+    _CSV_ROWS items at a time, and each item goes through the C encoder
+    with separators that lay it out as indent=2 does at that depth."""
+    if key is None:
+        yield json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return
+    # a raw newline never occurs inside a JSON string, so the key's line
+    # is the only match
+    marker = '\n  "%s": ' % key
+    head, _, tail = json.dumps(dict(doc, **{key: None}), indent=2,
+                               sort_keys=True).partition(marker + "null")
+    encode = json.JSONEncoder(sort_keys=True,
+                              separators=(",\n      ", ": ")).encode
+    yield head + marker + "["
+    items = iter(doc[key])
+    sep, close = "\n    ", "]"
+    while block := list(itertools.islice(items, _CSV_ROWS)):
+        yield sep + ",\n    ".join(
+            t if len(t) == 2 else t[0] + "\n      " + t[1:-1] + "\n    " + t[-1]
+            for t in map(encode, block))
+        sep, close = ",\n    ", "\n  ]"
+    yield close + tail + "\n"
 
 
 def _segments_json(curve, lo, hi, label):
+    # segments() runs here, so an error in it comes before any output
     segs = curve.segments(lo, hi)
-    return _json_text({
+    return _json_chunks({
         "schema_version": _SCHEMA_VERSION,
         "curve": label,
-        "segments": [
+        "segments": (
             {"delta_start": a, "delta_end": b, "m": line.slope,
              "b": line.intercept, "provenance": line.provenance}
             for a, b, line in segs
-        ],
-    })
+        ),
+    }, "segments")
 
 
 def _select_function(name):
@@ -270,12 +294,12 @@ def cmd_lower_circle(cfg: RunConfig) -> int:
                            lowers[s:s + _CSV_ROWS].tolist())
 
     if cfg.fmt == "json":
-        _atomic_write(cfg.out, _json_text({
+        _atomic_write(cfg.out, _json_chunks({
             "schema_version": _SCHEMA_VERSION,
             "curve": "circle lower %s" % cfg.function,
             "columns": ["delta", "lower"],
-            "rows": [list(r) for r in rows()],
-        }))
+            "rows": rows(),
+        }, "rows"))
         return 0
     _atomic_write(cfg.out, _csv_chunks(["delta", "lower"], rows()))
     return 0
@@ -309,7 +333,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         report = {"schema_version": _SCHEMA_VERSION, "command": "validate",
                   "target": cfg.target, "status": "violation",
                   "violation": err.payload}
-        _atomic_write(cfg.out, _json_text(report))
+        _atomic_write(cfg.out, _json_chunks(report))
         print("validate %s: BOUND VIOLATION (%s)" % (cfg.target, err),
               file=sys.stderr)
         return 1
@@ -334,12 +358,12 @@ def cmd_validate(cfg: RunConfig) -> int:
     else:
         report = dict(summary)
         report["schema_version"] = _SCHEMA_VERSION
-        report["records"] = [
+        report["records"] = (
             {"seed": r.seed, "dim": r.dim, "delta": r.delta,
              "measured": r.measured, "bound": r.bound, "margin": r.margin}
             for r in records
-        ]
-        text = _json_text(report)
+        )
+        text = _json_chunks(report, "records")
     _atomic_write(cfg.out, text)
     if cfg.out not in (None, "-"):
         print("validate %s: %d samples, 0 violations, min margin %.12e "
@@ -366,7 +390,7 @@ def cmd_probe(cfg: RunConfig) -> int:
                "dim": cfg.dim, "seed": cfg.seed}
         obj.update({k: (v if isinstance(v, (int, str)) else float(v))
                     for k, v in zip(header, row)})
-        text = _json_text(obj)
+        text = _json_chunks(obj)
     else:
         text = _csv_chunks(header, [row])
     _atomic_write(cfg.out, text)

@@ -8,6 +8,7 @@ can be replayed bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -116,6 +117,20 @@ def op_norm(M):
     return float(s) if s.ndim == 0 else s
 
 
+def _screened_norms(M, tol):
+    """Operator norms of the matrices of the C-contiguous complex stack M
+    that may exceed tol, 0.0 for the rest.  ||M||_2 <= ||M||_F, so a matrix
+    whose Frobenius norm is at most tol/2 lies below tol with room to spare
+    for rounding and skips the SVD; every norm above tol is the SVD's."""
+    m = M.reshape(M.shape[:-2] + (-1,)).view(np.float64)
+    # NaN sums go to the SVD too, which decides them as before
+    big = ~(np.einsum("...i,...i->...", m, m) <= (tol / 2.0) ** 2)
+    out = np.zeros(big.shape)
+    if big.any():
+        out[big] = _norms(M[big])
+    return out
+
+
 def commutator(M1, M2) -> np.ndarray:
     M1 = np.asarray(M1, dtype=np.complex128)
     M2 = np.asarray(M2, dtype=np.complex128)
@@ -160,14 +175,19 @@ def _ginibre(rng, n):
                     _SQRT2)
 
 
-def _spectrum(rng, n, spectrum_mode):
+def _spectrum(rng, lam, spectrum_mode):
+    # fill lam; random() draws the same doubles as uniform(0, 1) and
+    # writes them in place
     if spectrum_mode == "uniform":
-        return rng.uniform(0.0, 1.0, n)
-    if spectrum_mode == "atoms":
+        rng.random(out=lam)
+    elif spectrum_mode == "atoms":
+        n = lam.shape[-1]
         kind = rng.integers(0, 3, n)
         unif = rng.uniform(0.0, 1.0, n)
-        return np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, unif))
-    raise ValueError("spectrum_mode must be 'uniform' or 'atoms'")
+        lam[...] = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, unif))
+    else:
+        raise ValueError("spectrum_mode must be 'uniform' or 'atoms'")
+    return lam
 
 
 def _haar(re, im):
@@ -218,7 +238,7 @@ def random_positive_contraction(n: int, seed, spectrum_mode: str = "uniform") ->
     _check_dim(n)
     rng = _as_rng(seed)
     u = _haar(*rng.standard_normal((2, 1, n, n)))
-    return _positive(u, _spectrum(rng, n, spectrum_mode)[None])[0]
+    return _positive(u, _spectrum(rng, np.empty((1, n)), spectrum_mode))[0]
 
 
 def _reassemble(q, lam):
@@ -227,7 +247,7 @@ def _reassemble(q, lam):
 
 
 def _check_residual(M, q, lam, kind):
-    worst = np.max(_norms(M - _reassemble(q, lam)))
+    worst = np.max(_screened_norms(M - _reassemble(q, lam), 1e-9))
     if worst > 1e-9:
         raise DecompositionError("%s diagonalization residual %.3e" % (kind, worst))
 
@@ -251,7 +271,7 @@ def unitary_calculus(f, V) -> np.ndarray:
     V = np.ascontiguousarray(V, dtype=np.complex128)
     _check_square(V, stacked=True)
     n = V.shape[-1]
-    if np.any(_norms(_adjoint(V) @ V - np.eye(n)) > 1e-10):
+    if np.any(_screened_norms(_adjoint(V) @ V - np.eye(n), 1e-10) > 1e-10):
         raise ValueError("unitary input required")
     w, q = np.linalg.eigh((V + _adjoint(V)) / 2.0)
     ws = w.reshape(-1, n)
@@ -280,7 +300,7 @@ def hermitian_calculus(f, H) -> np.ndarray:
     applies to each matrix."""
     H = np.ascontiguousarray(H, dtype=np.complex128)
     _check_square(H, stacked=True)
-    if np.any(_norms(H - _adjoint(H)) > 1e-10):
+    if np.any(_screened_norms(H - _adjoint(H), 1e-10) > 1e-10):
         raise ValueError("Hermitian input required")
     w, q = np.linalg.eigh((H + _adjoint(H)) / 2.0)
     if np.any(w[..., 0] < -1e-10) or np.any(w[..., -1] > 1.0 + 1e-10):
@@ -339,19 +359,21 @@ def _instances(role, dim, seed, indices, modes):
     if role not in ("unitary", "positive"):
         raise ValueError("role must be 'unitary' or 'positive'")
     _check_dim(dim)
-    raw = np.empty((4, len(indices), dim, dim))
+    raw = np.empty((len(indices), 4, dim, dim))
     lam = np.empty((len(indices), dim))
-    rng = stream(seed, 0)   # one generator, restarted for each index
+    # one generator, built for the first index and restarted for the others
+    rng = stream(seed, indices[0])
     for j, (i, mode) in enumerate(zip(indices, modes)):
-        _restart(rng, seed, i)
-        raw[:2, j] = rng.standard_normal((2, dim, dim))
+        if j:
+            _restart(rng, seed, i)
+        rng.standard_normal(out=raw[j, :2])
         if role == "positive":
-            lam[j] = _spectrum(rng, dim, mode)
-        raw[2:, j] = rng.standard_normal((2, dim, dim))
-    x = _haar(raw[0], raw[1])
+            _spectrum(rng, lam[j], mode)
+        rng.standard_normal(out=raw[j, 2:])
+    x = _haar(raw[:, 0], raw[:, 1])
     if role == "positive":
         x = _positive(x, lam)
-    return x, _contraction(raw[2], raw[3])
+    return x, _contraction(raw[:, 2], raw[:, 3])
 
 
 def instance_pair(role: str, dim: int, seed: int, index: int,
@@ -398,13 +420,14 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
     index_dims = np.array(dims)[np.arange(count) % len(dims)]
     deltas = np.empty(count)
     measured = np.empty(count)
-    for dim in np.unique(index_dims):
+    # a set, not np.unique, which would import numpy.ma
+    for dim in sorted(set(index_dims.tolist())):
         idx = np.flatnonzero(index_dims == dim)
         # at most _SWEEP_ENTRIES matrix entries per stack
         step = max(1, _SWEEP_ENTRIES // (dim * dim))
         for s in range(0, idx.size, step):
             block = idx[s:s + step]
-            x, a = _instances(role, int(dim), seed, block,
+            x, a = _instances(role, dim, seed, block,
                               [modes[i] for i in block])
             deltas[block] = _norms(commutator(x, a))
             measured[block] = _norms(commutator(calculus(f, x), a))
@@ -462,13 +485,20 @@ def _bind_contraction(w, q, araw, delta_target):
     return a, ok
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    # the index pairs i < j of one dimension, built once; there are at
+    # most 63 dimensions
+    return np.triu_indices(n, 1)
+
+
 def _pair_values(w, delta_target):
     """Closed-form value of the best eigenbasis swap A = s (q_i q_j* +
     q_j q_i*) per spectrum: with s binding the constraint it is
     min(1, dt/gap) * |sqrt(w_j) - sqrt(w_i)|.  Returns (value, i, j) for
     the first best pair, or (0, 0, 0) where no pair has a positive value."""
     r = np.sqrt(w)
-    i, j = np.triu_indices(w.shape[-1], 1)
+    i, j = _pairs(w.shape[-1])
     gap = np.abs(w[:, i] - w[:, j])
     num = np.abs(r[:, i] - r[:, j])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -561,16 +591,16 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
     stall = np.zeros(restarts, dtype=np.int64)
     which = np.zeros(restarts, dtype=np.int64)
     # real and imaginary Gaussian parts of each restart's proposal for H
-    # (k = 0, unless which is 1) and for A (k = 1, unless which is 0), drawn
-    # in the order _ginibre draws them
+    # (k = 0) and for A (k = 1), in the order _ginibre draws them: which
+    # picks the slot one standard_normal call fills, H's (0), A's (1) or
+    # both, which lie next to each other (2)
     draws = np.zeros((restarts, 2, 2, dim, dim))
+    slots = [(rng, (draws[r, 0], draws[r, 1], draws[r]))
+             for r, rng in enumerate(rngs)]
     for _ in range(steps_per):
-        for r, rng in enumerate(rngs):
-            which[r] = rng.integers(0, 3)
-            for k in (0, 1):
-                if which[r] != 1 - k:
-                    rng.standard_normal(out=draws[r, k, 0])
-                    rng.standard_normal(out=draws[r, k, 1])
+        for r, (rng, slot) in enumerate(slots):
+            which[r] = k = rng.integers(3)
+            rng.standard_normal(out=slot[k])
         g = _complex(draws[:, :, 0], draws[:, :, 1], _SQRT2)
         step = (sigma * _SQRT2)[:, None, None]
         hc = np.where((which != 1)[:, None, None], hraw + step * g[:, 0], hraw)

@@ -617,3 +617,112 @@ class TestCsvBlocks:
         assert rc == 0
         assert peak < 12 * 10 ** 6
         assert out.read_text().count("\n") == 100001
+
+
+def dumps_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonBlocks:
+    """Every JSON report goes through one block writer whose bytes must be
+    json.dumps(indent=2, sort_keys=True) of the whole document."""
+
+    ITEMS = [
+        {"seed": 3, "dim": 2, "delta": 0.1, "measured": 1e-300,
+         "bound": None, "margin": -0.0},
+        {"b": float("inf"), "m": float("nan"), "provenance": 'q "a",\nbé'},
+        {},
+        [0.0, 2.5e-17],
+        (1, "x"),
+        [],
+    ]
+
+    @pytest.mark.parametrize("key", ["aa", "records", "rows", "zz"])
+    @pytest.mark.parametrize("count", [0, 1, 6, 20])
+    @pytest.mark.parametrize("rows", [7, 2 ** 14])
+    def test_writer_equals_dumps(self, key, count, rows, monkeypatch):
+        monkeypatch.setattr(experiments_cli, "_CSV_ROWS", rows)
+        items = [self.ITEMS[i % len(self.ITEMS)] for i in range(count)]
+        head = {"schema_version": 1, "curve": "label", "columns": ["a", "b"],
+                "nested": {"x": [[1.0, -2.0]]}}
+        doc = dict(head, **{key: items})
+        want = dumps_text(doc)
+        assert "".join(experiments_cli._json_chunks(doc, key)) == want
+        streamed = dict(head, **{key: iter(items)})
+        assert "".join(experiments_cli._json_chunks(streamed, key)) == want
+        assert "".join(experiments_cli._json_chunks(doc)) == want
+
+    REPORTS = [
+        ["validate", "sqrt", "--samples", "20", "--dims", "2,5",
+         "--n-max", "200", "--a-grid", "64"],
+        ["validate", "circle", "--samples", "12", "--dims", "2-4",
+         "--n-max", "4"],
+        ["curve", "sqrt", "--format", "json", "--n-max", "300",
+         "--a-grid", "64", "--delta-min", "0.0005"],
+        ["curve", "circle", "--format", "json", "--n-max", "4"],
+        ["lower", "circle", "--format", "json", "--steps", "30",
+         "--function", "triangle"],
+        ["probe", "--format", "json", "--steps", "200", "--restarts", "4",
+         "--n-max", "200", "--a-grid", "64"],
+    ]
+
+    @pytest.mark.parametrize("argv", REPORTS)
+    def test_reports_equal_dumps(self, argv, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == dumps_text(json.loads(text))
+        monkeypatch.setattr(experiments_cli, "_CSV_ROWS", 7)
+        again = tmp_path / "again.json"
+        assert main(argv + ["--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_violation_report_equals_dumps(self, tmp_path, monkeypatch,
+                                           capsys):
+        absurd = cb.BoundCurve(lines=[cb.BoundLine(0.0, 1e-9, 1.0, "absurd")])
+        monkeypatch.setattr(experiments_cli.positive_bounds, "gamma0",
+                            lambda *args: absurd)
+        out = tmp_path / "report.json"
+        rc = main(["validate", "sqrt", "--samples", "10", "--dims", "3",
+                   "--out", str(out)])
+        assert rc == 1
+        capsys.readouterr()
+        text = out.read_text()
+        doc = json.loads(text)
+        assert doc["status"] == "violation"
+        assert len(doc["violation"]["x"]) == 3
+        assert text == dumps_text(doc)
+
+    def test_long_json_is_written_in_blocks(self, tmp_path, monkeypatch):
+        # 10^5 rows: 45.5 MB when the rows list and its json.dumps text
+        # were built whole, 6.9 MB in blocks.  A stand-in eta_lower keeps
+        # the measurement on the writer and the test quick.
+        monkeypatch.setattr(experiments_cli.circle_bounds, "eta_lower",
+                            lambda f, grid: np.sqrt(grid))
+        out = tmp_path / "long.json"
+        tracemalloc.start()
+        try:
+            rc = main(["lower", "circle", "--format", "json",
+                       "--steps", "100000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 12 * 10 ** 6
+        doc = json.loads(out.read_text())
+        assert len(doc["rows"]) == 100000
+        assert doc["rows"][-1] == [1.99, math.sqrt(1.99)]
+
+
+@pytest.mark.parametrize("target", ["sqrt", "circle"])
+def test_validate_leaves_numpy_ma_unimported(target, tmp_path):
+    code = (
+        "import sys\n"
+        "from commbound.experiments_cli import main\n"
+        "rc = main(['validate', %r, '--samples', '20', '--n-max', '64',"
+        " '--out', %r])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n" % (target, str(tmp_path / "r.json")))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 False"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import commbound as cb
+import frozen_probe
 
 
 def power_norm(M, iters=600, seed=5):
@@ -423,6 +424,31 @@ class TestProbe:
             cb.probe_max_commutator(1.5, 2, 100, seed=0)
         with pytest.raises(ValueError):
             cb.probe_max_commutator(0.25, 1, 100, seed=0)
+
+
+class TestProbeAgainstFrozenCopy:
+    """Each proposal is drawn with one generator call into a slot of the
+    draw stack; the climb must give the frozen copy's bits."""
+
+    @staticmethod
+    def assert_same_bits(delta, dim, iters, seed, restarts):
+        new = cb.probe_max_commutator(delta, dim, iters, seed, restarts=restarts)
+        old = frozen_probe.probe_max_commutator(delta, dim, iters, seed,
+                                                restarts=restarts)
+        assert new.h.tobytes() == old.h.tobytes()
+        assert new.a.tobytes() == old.a.tobytes()
+        assert new.record == old.record
+        assert new.iterations == old.iterations
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cli_defaults(self, seed):
+        self.assert_same_bits(0.25, 2, 20000, seed, 64)
+
+    @pytest.mark.parametrize("delta", [1.0, 1e-3])
+    @pytest.mark.parametrize("restarts", [1, 7])
+    @pytest.mark.parametrize("dim", [3, 5, 8])
+    def test_dims_restarts_deltas(self, dim, restarts, delta):
+        self.assert_same_bits(delta, dim, 60 * restarts, 5, restarts)
 
 
 hypothesis = pytest.importorskip("hypothesis")

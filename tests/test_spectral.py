@@ -171,6 +171,91 @@ class TestStackedCalculus:
             assert norms[k] == cb.op_norm(M[k]) == np.linalg.norm(M[k], 2)
 
 
+def screen_cases(tol):
+    """Matrices around the screen's thresholds: op norm just above tol;
+    Frobenius norm just above tol/2 or above tol with op norm below tol;
+    rank one, where op and Frobenius norms agree; zero."""
+    up, down = np.nextafter(tol, 1.0), np.nextafter(tol, 0.0)
+    rng = cb.stream(21, 0)
+    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rank1 = np.outer(u, v.conj())
+    rank1 /= np.linalg.norm(rank1)
+    return [
+        np.diag([up, 0.0, 0.0, 0.0]).astype(complex),
+        np.diag([tol, 0.0, 0.0, 0.0]).astype(complex),
+        np.diag([0.26 * tol] * 4).astype(complex),
+        np.diag([0.9 * tol] * 4).astype(complex),
+        1j * np.diag([down, down, 0.0, 0.0]),
+        rank1 * up, rank1 * tol, rank1 * down, rank1 * (tol / 2.0),
+        rank1 * np.nextafter(tol / 2.0, 1.0),
+        np.zeros((4, 4), dtype=complex),
+    ]
+
+
+class TestFrobeniusScreen:
+    """The calculus checks send only matrices whose Frobenius norm exceeds
+    tol/2 to the SVD; every decision, and the worst norm reported, must be
+    the SVD's."""
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-9])
+    def test_decisions_equal_the_svd(self, tol):
+        cases = screen_cases(tol)
+        rng = cb.stream(22, 0)
+        noise = rng.standard_normal((40, 4, 4)) + 1j * rng.standard_normal((40, 4, 4))
+        noise *= (rng.uniform(0.2, 1.5, 40) * tol / matrix_lab._norms(noise))[:, None, None]
+        mixed = np.concatenate([np.stack(cases), noise])[rng.permutation(51)]
+        # rank one at Frobenius norm tol: the SVD puts about a third above
+        # tol, which a screen at tol rather than tol/2 would wave through
+        u = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        v = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+        rank1 = u[:, :, None] * v.conj()[:, None, :]
+        rank1 *= (tol / np.linalg.norm(rank1, axis=(1, 2)))[:, None, None]
+        for M in cases + [mixed, mixed.reshape(3, 17, 4, 4), rank1]:
+            svd = matrix_lab._norms(M)
+            screened = matrix_lab._screened_norms(M, tol)
+            np.testing.assert_array_equal(screened > tol, svd > tol)
+            sent = screened != 0.0
+            np.testing.assert_array_equal(screened[sent], svd[sent])
+            if np.max(svd) > tol:
+                assert np.max(screened) == np.max(svd)
+        assert np.any(matrix_lab._norms(mixed) > tol)
+        assert not np.all(matrix_lab._norms(mixed) > tol)
+
+    def test_hermitian_check_matches_the_svd(self):
+        # H - H* is the anti-Hermitian D exactly: its off-diagonal halves
+        # are added to zeros
+        tol = 1e-10
+        for z in (np.nextafter(tol, 1.0), tol, 0.51 * tol, 0.49 * tol):
+            for phase in (1.0, 1j, np.exp(0.3j)):
+                d = np.zeros((3, 3), dtype=complex)
+                d[0, 2] = z * phase
+                d[2, 0] = -np.conj(d[0, 2])
+                H = np.diag([0.2, 0.5, 0.7]) + d / 2.0
+                assert np.array_equal(H - H.conj().T, d)
+                stack = np.stack([cb.random_positive_contraction(3, seed=1), H])
+                rejects = bool(np.any(matrix_lab._norms(stack - matrix_lab._adjoint(stack)) > tol))
+                if rejects:
+                    with pytest.raises(ValueError, match="Hermitian input"):
+                        cb.hermitian_calculus(np.sqrt, stack)
+                else:
+                    cb.hermitian_calculus(np.sqrt, stack)
+
+    def test_residual_message_reports_the_svd_worst(self):
+        q = np.stack([cb.haar_unitary(4, seed=s) for s in range(3)])
+        lam = np.tile(np.linspace(0.1, 0.9, 4), (3, 1))
+        exact = matrix_lab._reassemble(q, lam)
+        bumps = np.stack(screen_cases(1e-9)[:3]) * 1.5
+        M = exact + bumps
+        worst = np.max(matrix_lab._norms(M - exact))
+        assert worst > 1e-9
+        with pytest.raises(matrix_lab.DecompositionError) as info:
+            matrix_lab._check_residual(M, q, lam, "Hermitian")
+        assert str(info.value) == ("Hermitian diagonalization residual %.3e"
+                                   % worst)
+        matrix_lab._check_residual(exact, q, lam, "Hermitian")
+
+
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
