@@ -110,7 +110,8 @@ class BoundCurve:
 
     def _check_domain(self, deltas):
         deltas = np.asarray(deltas, dtype=float)
-        if np.any(deltas < 0.0):
+        # not any(< 0) would let NaN through; -0.0 passes
+        if not np.all(deltas >= 0.0):
             raise ValueError("delta must be nonnegative")
         if np.any(deltas > self.delta_max) and not self.clamp_above:
             raise ValueError("delta beyond the curve domain [0, %g]" % self.delta_max)
@@ -266,10 +267,10 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     xs = _reduce_angle(x)
     fv = np.asarray(f.sample(xs))
     y = _reduce_angle(xs)
-    polys = [TrigPolynomial(zip(range(-N, N + 1), c[N_max - N:N_max + N + 1]),
-                            name="%s truncated at N=%d" % (f.name or "f", N))
-             for N in range(N_max + 1)]
-    real = [N for N, g in enumerate(polys) if f.real_valued and g.real_valued]
+    # g_N's coefficients, with the reality flag a TrigPolynomial would set
+    heads = [c[N_max - N:N_max + N + 1] for N in range(N_max + 1)]
+    real_g = [bool(np.all(a[::-1] == np.conj(a))) for a in heads]
+    real = [N for N in range(N_max + 1) if f.real_valued and real_g[N]]
     radii = {}
 
     def real_remainders():
@@ -279,7 +280,7 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         for N in range(N_max + 1):
             if N:
                 g += _pair_term(c[N_max + N], c[N_max - N], N, y)
-            r = fv - (g.real if polys[N].real_valued else g)
+            r = fv - (g.real if real_g[N] else g)
             if N in real:
                 yield np.real(r)
             else:
@@ -298,8 +299,8 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     for N, a, b in zip(real, lo, hi):
         radii[N] = 0.5 * (float(b) - float(a))
     lines = []
-    for N, g in enumerate(polys):
-        m = derivative_fourier_norm(g)
+    for N, a in enumerate(heads):
+        m = float(np.sum(np.abs(np.arange(-N, N + 1) * a)))
         b_lemma = 2.0 * radii[N]
         b_tail = _corollary_tail(f, N)
         if b_tail is not None:

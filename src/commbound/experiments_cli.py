@@ -6,7 +6,8 @@ are written atomically (temp file in the target directory, then rename).
 Identical configuration and seed produce byte-identical output.
 
 Config precedence: command-line flags > JSON config file (--config, keys
-named like the flags with underscores) > built-in defaults.
+named like the flags with underscores) > built-in defaults.  _COMMANDS,
+at the end, defines every command's flags, defaults, caps and handler.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
@@ -52,50 +52,6 @@ MAX_PROBE_STEPS = 10 ** 8
 # rows per block of CSV text: a block is formatted and written before the
 # next is made, so a long grid's text is never held whole
 _CSV_ROWS = 2 ** 14
-
-_DEFAULTS = {
-    ("curve", "sqrt"): dict(delta_min=1e-3, delta_max=1.0, steps=500,
-                            n_max=100000, a_grid=1024, fmt="csv",
-                            pedersen_only=False, out="-"),
-    ("curve", "circle"): dict(function="triangle", delta_min=0.0,
-                              delta_max=1.99, steps=500, n_max=16,
-                              fmt="csv", out="-"),
-    ("lower", "circle"): dict(function="bump", delta_min=0.0, delta_max=1.99,
-                              steps=500, fmt="csv", out="-"),
-    ("validate", "sqrt"): dict(samples=2000, dims="2-8", seed=0,
-                               spectrum_mode="both", n_max=100000,
-                               a_grid=1024, fmt="json", out="-"),
-    ("validate", "circle"): dict(function="triangle", samples=1000,
-                                 dims="2-8", seed=0, n_max=16, fmt="json",
-                                 out="-"),
-    ("probe", None): dict(delta=0.25, dim=2, steps=20000, restarts=64,
-                          seed=0, n_max=100000, a_grid=1024, fmt="csv",
-                          out="-"),
-}
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings for one command invocation."""
-
-    command: str
-    target: Optional[str] = None
-    function: Optional[str] = None
-    delta_min: float = 0.0
-    delta_max: float = 1.0
-    steps: int = 500
-    n_max: int = 16
-    a_grid: int = 1024
-    samples: int = 0
-    dims: tuple = ()
-    seed: int = 0
-    delta: float = 0.25
-    dim: int = 2
-    restarts: int = 64
-    spectrum_mode: str = "both"
-    pedersen_only: bool = False
-    out: str = "-"
-    fmt: str = "csv"
 
 
 def _atomic_write(path, text):
@@ -208,127 +164,114 @@ def _select_function(name):
     return from_coefficients(mapping)
 
 
+
+
 def _parse_dims(text):
     dims = []
     for part in str(text).split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = (int(p) for p in part.split("-", 1))
-            for end in (lo, hi):  # checked before a huge range is built
+        if part:
+            lo, hi = (map(int, part.split("-", 1)) if "-" in part[1:]
+                      else (int(part),) * 2)
+            # every entry lies between the two ends, checked before a huge
+            # range is built
+            for end in (lo, hi):
                 matrix_lab._check_dim(end)
             dims.extend(range(lo, hi + 1))
-        elif part:
-            dims.append(int(part))
     return tuple(dims)
 
 
-def cmd_curve_sqrt(cfg: RunConfig) -> int:
-    if not 0.0 < cfg.delta_min < cfg.delta_max <= 1.0:
-        raise ValueError("sqrt curve grid must satisfy 0 < min < max <= 1")
+def _grid(cfg, what, unit):
+    """The delta grid of a curve or lower command, checked to lie in
+    (0, 1] when unit is set (sqrt) and in [0, 2) otherwise (circle)."""
+    lo, hi = cfg.delta_min, cfg.delta_max
+    if not (0.0 < lo < hi <= 1.0 if unit else 0.0 <= lo < hi < 2.0):
+        raise ValueError("%s grid must satisfy %s" % (
+            what, "0 < min < max <= 1" if unit else "0 <= min < max < 2"))
     if cfg.steps < 2:
         raise ValueError("steps must be at least 2")
-    if cfg.pedersen_only:
-        curve = positive_bounds.pedersen_envelope(cfg.n_max)
-        label = "sqrt pedersen-only"
-    else:
-        curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
-        label = "sqrt gamma0"
+    return np.linspace(lo, hi, cfg.steps)
+
+
+def _grid_rows(grid, columns):
+    """The rows (delta, *columns(d, j)) over the grid, made one block of
+    _CSV_ROWS deltas d = grid[j] at a time."""
+    for s in range(0, grid.size, _CSV_ROWS):
+        j = slice(s, s + _CSV_ROWS)
+        yield from zip(grid[j].tolist(), *columns(grid[j], j))
+
+
+def cmd_curve_sqrt(cfg) -> int:
+    grid = _grid(cfg, "sqrt curve", unit=True)
+    curve = (positive_bounds.pedersen_envelope(cfg.n_max) if cfg.pedersen_only
+             else positive_bounds.gamma0(cfg.n_max, cfg.a_grid))
     if cfg.fmt == "json":
+        label = "sqrt pedersen-only" if cfg.pedersen_only else "sqrt gamma0"
         _atomic_write(cfg.out,
                       _segments_json(curve, cfg.delta_min, cfg.delta_max, label))
         return 0
-    grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
 
-    def rows():
-        # one curve evaluation per block of rows
-        for s in range(0, grid.size, _CSV_ROWS):
-            d = grid[s:s + _CSV_ROWS]
-            for x, g in zip(d.tolist(), curve.evaluate(d).tolist()):
-                yield x, g, math.sqrt(x), g / math.sqrt(x)
+    def columns(d, j):
+        g, r = curve.evaluate(d), np.sqrt(d)
+        return g.tolist(), r.tolist(), (g / r).tolist()
 
     _atomic_write(cfg.out, _csv_chunks(
-        ["delta", "gamma0", "sqrt_delta", "ratio"], rows()))
+        ["delta", "gamma0", "sqrt_delta", "ratio"], _grid_rows(grid, columns)))
     return 0
 
 
-def cmd_curve_circle(cfg: RunConfig) -> int:
-    if not 0.0 <= cfg.delta_min < cfg.delta_max < 2.0:
-        raise ValueError("circle curve grid must satisfy 0 <= min < max < 2")
-    if cfg.steps < 2:
-        raise ValueError("steps must be at least 2")
+def cmd_curve_circle(cfg) -> int:
+    grid = _grid(cfg, "circle curve", unit=False)
     f = _select_function(cfg.function)
     curve = circle_bounds.truncation_envelope(f, cfg.n_max)
     if cfg.fmt == "json":
-        _atomic_write(cfg.out, _segments_json(curve, max(cfg.delta_min, 0.0),
-                                              cfg.delta_max,
-                                              "circle upper %s" % cfg.function))
+        _atomic_write(cfg.out, _segments_json(
+            curve, cfg.delta_min, cfg.delta_max, "circle upper %s" % cfg.function))
         return 0
-    grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
     lowers = circle_bounds.eta_lower(f, grid)
 
-    def rows():
-        # one curve evaluation per block of rows
-        for s in range(0, grid.size, _CSV_ROWS):
-            d = grid[s:s + _CSV_ROWS]
-            uppers, provs = curve.evaluate_with_provenance(d)
-            yield from zip(d.tolist(), uppers.tolist(),
-                           lowers[s:s + _CSV_ROWS].tolist(), provs)
+    def columns(d, j):
+        uppers, provs = curve.evaluate_with_provenance(d)
+        return uppers.tolist(), lowers[j].tolist(), provs
 
     _atomic_write(cfg.out, _csv_chunks(
-        ["delta", "upper", "lower", "active_line_provenance"], rows()))
+        ["delta", "upper", "lower", "active_line_provenance"],
+        _grid_rows(grid, columns)))
     return 0
 
 
-def cmd_lower_circle(cfg: RunConfig) -> int:
-    if not 0.0 <= cfg.delta_min < cfg.delta_max < 2.0:
-        raise ValueError("lower-bound grid must satisfy 0 <= min < max < 2")
-    if cfg.steps < 2:
-        raise ValueError("steps must be at least 2")
+def cmd_lower_circle(cfg) -> int:
+    grid = _grid(cfg, "lower-bound", unit=False)
     f = _select_function(cfg.function)
-    grid = np.linspace(cfg.delta_min, cfg.delta_max, cfg.steps)
     lowers = circle_bounds.eta_lower(f, grid)
-
-    def rows():
-        for s in range(0, grid.size, _CSV_ROWS):
-            yield from zip(grid[s:s + _CSV_ROWS].tolist(),
-                           lowers[s:s + _CSV_ROWS].tolist())
-
+    rows = _grid_rows(grid, lambda d, j: [lowers[j].tolist()])
     if cfg.fmt == "json":
         _atomic_write(cfg.out, _json_chunks({
             "schema_version": _SCHEMA_VERSION,
             "curve": "circle lower %s" % cfg.function,
             "columns": ["delta", "lower"],
-            "rows": rows(),
+            "rows": rows,
         }, "rows"))
         return 0
-    _atomic_write(cfg.out, _csv_chunks(["delta", "lower"], rows()))
+    _atomic_write(cfg.out, _csv_chunks(["delta", "lower"], rows))
     return 0
 
 
-def _records_rows(records):
-    return ((r.seed, r.dim, r.delta, r.measured, r.bound, r.margin)
-            for r in records)
-
-
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg) -> int:
     if cfg.samples < 1:
         raise ValueError("samples must be at least 1")
     if not cfg.dims:
         raise ValueError("dims must be nonempty")
     if cfg.target == "sqrt":
         curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
-        role = "positive"
-        f = np.sqrt
-        fname = "sqrt"
+        f, fname, role, mode = np.sqrt, "sqrt", "positive", cfg.spectrum_mode
     else:
         f = _select_function(cfg.function)
         curve = circle_bounds.truncation_envelope(f, cfg.n_max)
-        role = "unitary"
-        fname = cfg.function
+        fname, role, mode = cfg.function, "unitary", None
     try:
         records = matrix_lab.sample_sweep(f, role, cfg.samples, cfg.dims,
-                                          cfg.seed, curve,
-                                          spectrum_mode=cfg.spectrum_mode)
+                                          cfg.seed, curve, spectrum_mode=mode)
     except matrix_lab.ViolationError as err:
         report = {"schema_version": _SCHEMA_VERSION, "command": "validate",
                   "target": cfg.target, "status": "violation",
@@ -339,31 +282,20 @@ def cmd_validate(cfg: RunConfig) -> int:
         return 1
     margins = [r.margin for r in records]
     k = int(np.argmin(margins))
-    summary = {
-        "command": "validate",
-        "target": cfg.target,
-        "function": fname,
-        "samples": cfg.samples,
-        "dims": list(cfg.dims),
-        "seed": cfg.seed,
-        "spectrum_mode": cfg.spectrum_mode if cfg.target == "sqrt" else None,
-        "violations": 0,
-        "min_margin": margins[k],
-        "min_margin_seed": records[k].seed,
-        "min_margin_index": k,
-    }
+    columns = ["seed", "dim", "delta", "measured", "bound", "margin"]
+    rows = ([getattr(r, c) for c in columns] for r in records)
     if cfg.fmt == "csv":
-        text = _csv_chunks(["seed", "dim", "delta", "measured", "bound",
-                            "margin"], _records_rows(records))
+        text = _csv_chunks(columns, rows)
     else:
-        report = dict(summary)
-        report["schema_version"] = _SCHEMA_VERSION
-        report["records"] = (
-            {"seed": r.seed, "dim": r.dim, "delta": r.delta,
-             "measured": r.measured, "bound": r.bound, "margin": r.margin}
-            for r in records
-        )
-        text = _json_chunks(report, "records")
+        text = _json_chunks({
+            "schema_version": _SCHEMA_VERSION, "command": "validate",
+            "target": cfg.target, "function": fname,
+            "samples": cfg.samples, "dims": list(cfg.dims), "seed": cfg.seed,
+            "spectrum_mode": mode, "violations": 0,
+            "min_margin": margins[k], "min_margin_seed": records[k].seed,
+            "min_margin_index": k,
+            "records": (dict(zip(columns, row)) for row in rows),
+        }, "records")
     _atomic_write(cfg.out, text)
     if cfg.out not in (None, "-"):
         print("validate %s: %d samples, 0 violations, min margin %.12e "
@@ -372,9 +304,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_probe(cfg: RunConfig) -> int:
+def cmd_probe(cfg) -> int:
     if not 0.0 < cfg.delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
+    matrix_lab._check_dim(cfg.dim)
     curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
     result = matrix_lab.probe_max_commutator(cfg.delta, cfg.dim, cfg.steps,
                                              cfg.seed, restarts=cfg.restarts)
@@ -397,18 +330,74 @@ def cmd_probe(cfg: RunConfig) -> int:
     return 0
 
 
-def _add_output_flags(p):
-    p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    p.add_argument("--format", dest="fmt", choices=_FORMATS,
-                   default=None, help="output format")
-    p.add_argument("--config", default=None,
-                   help="JSON config file (flags override it)")
+# One command: its handler and help text; its options, name -> default in
+# the order the parser adds the flags; its caps, name -> largest value in
+# the order they are checked; and the options listed without help text.
+_Command = namedtuple("_Command", "handler help defaults caps plain",
+                      defaults=((),))
 
 
-def _add_grid_flags(p):
-    p.add_argument("--delta-min", type=float, default=None)
-    p.add_argument("--delta-max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+# the argparse keywords of each option's flag, apart from its default;
+# the type or choices also check the option's config value
+_OPTIONS = {
+    "function": dict(help="triangle | bump | path to coefficient JSON"),
+    "delta_min": dict(type=float),
+    "delta_max": dict(type=float),
+    "steps": dict(type=int),
+    "n_max": dict(type=int),
+    "a_grid": dict(type=int),
+    "pedersen_only": dict(action="store_true"),
+    "samples": dict(type=int),
+    "dims": dict(help="e.g. 2-8 or 2,4,8"),
+    "seed": dict(type=int),
+    "spectrum_mode": dict(choices=["uniform", "atoms", "both"]),
+    "delta": dict(type=float),
+    "dim": dict(type=int),
+    "restarts": dict(type=int),
+    "out": dict(help="output path ('-' for stdout)"),
+    "fmt": dict(choices=_FORMATS, help="output format"),
+}
+_GROUPS = {"curve": "emit bound-curve data",
+           "lower": "emit lower-bound data",
+           "validate": "random-matrix validation sweep"}
+_SQRT_CAPS = dict(n_max=MAX_SQRT_LINES, a_grid=MAX_SQRT_LINES)
+_COMMANDS = {
+    ("curve", "sqrt"): _Command(
+        cmd_curve_sqrt, "gamma0 envelope for f(x)=sqrt(x)",
+        dict(delta_min=1e-3, delta_max=1.0, steps=500, n_max=100000,
+             a_grid=1024, pedersen_only=False, out="-", fmt="csv"),
+        dict(_SQRT_CAPS, steps=MAX_GRID_STEPS)),
+    ("curve", "circle"): _Command(
+        cmd_curve_circle, "upper/lower curves for periodic f",
+        dict(function="triangle", delta_min=0.0, delta_max=1.99, steps=500,
+             n_max=16, out="-", fmt="csv"),
+        dict(n_max=MAX_CIRCLE_N, steps=MAX_GRID_STEPS)),
+    ("lower", "circle"): _Command(
+        cmd_lower_circle, "constructive lower bound for periodic f",
+        dict(function="bump", delta_min=0.0, delta_max=1.99, steps=500,
+             out="-", fmt="csv"),
+        dict(steps=MAX_GRID_STEPS)),
+    ("validate", "sqrt"): _Command(
+        cmd_validate, "validate gamma0 on random (H, A)",
+        dict(samples=2000, dims="2-8", seed=0, spectrum_mode="both",
+             n_max=100000, a_grid=1024, out="-", fmt="json"),
+        dict(_SQRT_CAPS, samples=MAX_SAMPLES)),
+    ("validate", "circle"): _Command(
+        cmd_validate, "validate the truncation envelope on random (V, A)",
+        dict(function="triangle", samples=1000, dims="2-8", seed=0, n_max=16,
+             out="-", fmt="json"),
+        dict(n_max=MAX_CIRCLE_N, samples=MAX_SAMPLES),
+        plain=("function", "dims")),
+    ("probe", None): _Command(
+        cmd_probe, "hill-climb probe of the sqrt modulus",
+        dict(delta=0.25, dim=2, steps=20000, restarts=64, seed=0,
+             n_max=100000, a_grid=1024, out="-", fmt="csv"),
+        dict(_SQRT_CAPS, restarts=MAX_RESTARTS, steps=MAX_PROBE_STEPS)),
+}
+
+
+def _flag(name):
+    return "--format" if name == "fmt" else "--" + name.replace("_", "-")
 
 
 def build_parser():
@@ -417,79 +406,40 @@ def build_parser():
         description="Certified upper/lower bound curves for commutator norms "
                     "of functions of unitaries and positive contractions.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    curve = sub.add_parser("curve", help="emit bound-curve data")
-    csub = curve.add_subparsers(dest="target", required=True)
-    cs = csub.add_parser("sqrt", help="gamma0 envelope for f(x)=sqrt(x)")
-    _add_grid_flags(cs)
-    cs.add_argument("--n-max", type=int, default=None)
-    cs.add_argument("--a-grid", type=int, default=None)
-    cs.add_argument("--pedersen-only", action="store_true", default=None)
-    _add_output_flags(cs)
-    cc = csub.add_parser("circle", help="upper/lower curves for periodic f")
-    cc.add_argument("--function", default=None,
-                    help="triangle | bump | path to coefficient JSON")
-    _add_grid_flags(cc)
-    cc.add_argument("--n-max", type=int, default=None)
-    _add_output_flags(cc)
-
-    lower = sub.add_parser("lower", help="emit lower-bound data")
-    lsub = lower.add_subparsers(dest="target", required=True)
-    lc = lsub.add_parser("circle", help="constructive lower bound for periodic f")
-    lc.add_argument("--function", default=None,
-                    help="triangle | bump | path to coefficient JSON")
-    _add_grid_flags(lc)
-    _add_output_flags(lc)
-
-    val = sub.add_parser("validate", help="random-matrix validation sweep")
-    vsub = val.add_subparsers(dest="target", required=True)
-    vs = vsub.add_parser("sqrt", help="validate gamma0 on random (H, A)")
-    vs.add_argument("--samples", type=int, default=None)
-    vs.add_argument("--dims", default=None, help="e.g. 2-8 or 2,4,8")
-    vs.add_argument("--seed", type=int, default=None)
-    vs.add_argument("--spectrum-mode", dest="spectrum_mode", default=None,
-                    choices=["uniform", "atoms", "both"])
-    vs.add_argument("--n-max", type=int, default=None)
-    vs.add_argument("--a-grid", type=int, default=None)
-    _add_output_flags(vs)
-    vc = vsub.add_parser("circle", help="validate the truncation envelope "
-                                        "on random (V, A)")
-    vc.add_argument("--function", default=None)
-    vc.add_argument("--samples", type=int, default=None)
-    vc.add_argument("--dims", default=None)
-    vc.add_argument("--seed", type=int, default=None)
-    vc.add_argument("--n-max", type=int, default=None)
-    _add_output_flags(vc)
-
-    pr = sub.add_parser("probe", help="hill-climb probe of the sqrt modulus")
-    pr.add_argument("--delta", type=float, default=None)
-    pr.add_argument("--dim", type=int, default=None)
-    pr.add_argument("--steps", type=int, default=None)
-    pr.add_argument("--restarts", type=int, default=None)
-    pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--n-max", type=int, default=None)
-    pr.add_argument("--a-grid", type=int, default=None)
-    _add_output_flags(pr)
+    groups = {}
+    for (command, target), spec in _COMMANDS.items():
+        if target is None:
+            cp = sub.add_parser(command, help=spec.help)
+        else:
+            if command not in groups:
+                groups[command] = sub.add_parser(
+                    command, help=_GROUPS[command]).add_subparsers(
+                        dest="target", required=True)
+            cp = groups[command].add_parser(target, help=spec.help)
+        for name in spec.defaults:
+            kw = dict(_OPTIONS[name], dest=name, default=None)
+            if name in spec.plain:
+                del kw["help"]
+            cp.add_argument(_flag(name), **kw)
+        cp.add_argument("--config", default=None,
+                        help="JSON config file (flags override it)")
     return p
-
-
-_INT_KEYS = ("steps", "n_max", "a_grid", "samples", "seed", "dim", "restarts")
-_FLOAT_KEYS = ("delta_min", "delta_max", "delta")
 
 
 def _check_config_value(name, v):
     """Refuse a config value whose JSON type does not match its flag."""
-    if name == "pedersen_only":
+    opt = _OPTIONS[name]
+    if "action" in opt:
         ok, kind = isinstance(v, bool), "true or false"
-    elif name in _INT_KEYS:
+    elif "choices" in opt:
+        ok, kind = v in opt["choices"], "one of " + ", ".join(opt["choices"])
+    elif opt.get("type") is int:
         ok, kind = isinstance(v, int) and not isinstance(v, bool), "an integer"
-    elif name in _FLOAT_KEYS:
+    elif opt.get("type") is float:
         # an integer too large for a float is refused, not an OverflowError
         ok = isinstance(v, float) or (isinstance(v, int) and not isinstance(
             v, bool) and abs(v) <= sys.float_info.max)
         kind = "a number"
-    elif name == "fmt":
-        ok, kind = v in _FORMATS, "one of " + ", ".join(_FORMATS)
     else:
         ok, kind = isinstance(v, str), "a string"
     if not ok:
@@ -497,18 +447,18 @@ def _check_config_value(name, v):
                          % (name, kind, json.dumps(v)))
 
 
-def _resolve(args) -> RunConfig:
+def _resolve(args) -> argparse.Namespace:
+    """The command's own options from its flags, then the --config file,
+    then the defaults, with dims parsed and every cap checked."""
     key = (args.command, getattr(args, "target", None))
-    defaults = _DEFAULTS[key]
+    spec = _COMMANDS[key]
     from_file = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             from_file = json.load(fh)
         if not isinstance(from_file, dict):
             raise ValueError("config file must hold a JSON object")
-        allowed = set(defaults) | {"out", "fmt", "dims"}
-        unknown = sorted(set(from_file) - allowed)
+        unknown = sorted(set(from_file) - set(spec.defaults))
         if unknown:
             raise ValueError(
                 "unknown config keys for %s %s: %s"
@@ -516,33 +466,19 @@ def _resolve(args) -> RunConfig:
             )
         for name, v in sorted(from_file.items()):
             _check_config_value(name, v)
-
-    def get(name):
-        v = getattr(args, name, None)
-        if v is not None:
-            return v
-        if name in from_file:
-            return from_file[name]
-        return defaults.get(name)
-
-    cfg = RunConfig(command=args.command, target=key[1])
-    for name in ("function", "delta_min", "delta_max", "steps", "n_max",
-                 "a_grid", "samples", "seed", "delta", "dim", "restarts",
-                 "spectrum_mode", "pedersen_only", "out", "fmt"):
-        v = get(name)
-        if v is not None:
-            setattr(cfg, name, float(v) if name in _FLOAT_KEYS else v)
-    dims = get("dims")
-    if dims is not None:
-        cfg.dims = _parse_dims(dims)
-    caps = {"n_max": MAX_CIRCLE_N if key[1] == "circle" else MAX_SQRT_LINES,
-            "a_grid": MAX_SQRT_LINES, "samples": MAX_SAMPLES,
-            "restarts": MAX_RESTARTS,
-            "steps": MAX_PROBE_STEPS if key[0] == "probe" else MAX_GRID_STEPS}
-    for name, cap in caps.items():
-        if name in defaults and getattr(cfg, name) > cap:
-            raise ValueError("--%s %d exceeds the cap %d" % (
-                name.replace("_", "-"), getattr(cfg, name), cap))
+    cfg = argparse.Namespace(command=key[0], target=key[1])
+    for name, default in spec.defaults.items():
+        v = getattr(args, name)
+        if v is None:
+            v = from_file.get(name, default)
+        setattr(cfg, name, float(v) if _OPTIONS[name].get("type") is float
+                else v)
+    if "dims" in spec.defaults:
+        cfg.dims = _parse_dims(cfg.dims)
+    for name, cap in spec.caps.items():
+        if getattr(cfg, name) > cap:
+            raise ValueError("%s %d exceeds the cap %d"
+                             % (_flag(name), getattr(cfg, name), cap))
     return cfg
 
 
@@ -550,20 +486,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
-        if args.command == "curve" and cfg.target == "sqrt":
-            return cmd_curve_sqrt(cfg)
-        if args.command == "curve" and cfg.target == "circle":
-            return cmd_curve_circle(cfg)
-        if args.command == "lower":
-            return cmd_lower_circle(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "probe":
-            return cmd_probe(cfg)
+        return _COMMANDS[cfg.command, cfg.target].handler(cfg)
     except (ValueError, OSError, QuadratureError) as err:
         print("commbound: %s" % err, file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command dispatch")
 
 
 if __name__ == "__main__":

@@ -205,12 +205,16 @@ def _positive(u, lam):
     return (h + _adjoint(h)) / 2.0
 
 
-def _contraction(re, im):
-    a = _complex(re, im, math.sqrt(8.0 * re.shape[-1]))
+def _rescale(a):
+    """Scale each matrix of the stack a with norm above 1 to norm 1."""
     nrm = _norms(a)
     big = nrm > 1.0
     a[big] = a[big] / nrm[big, None, None]
     return a
+
+
+def _contraction(re, im):
+    return _rescale(_complex(re, im, math.sqrt(8.0 * re.shape[-1])))
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -473,10 +477,7 @@ def _bind_contraction(w, q, araw, delta_target):
     """A from a stack of raw material: rescale to a contraction, then
     shrink so the commutator constraint against H = q diag(w) q* binds
     when possible.  Returns (A, ok); ok is False where [H, A] = 0."""
-    a = araw.copy()
-    nrm = _norms(a)
-    big = nrm > 1.0
-    a[big] = a[big] / nrm[big, None, None]
+    a = _rescale(araw.copy())
     dc = _norms(commutator(_reassemble(q, w), a))
     ok = dc != 0.0
     t = delta_target / np.where(ok, dc, 1.0)

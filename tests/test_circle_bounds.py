@@ -89,6 +89,22 @@ class TestBoundCurve:
         with pytest.raises(ValueError):
             curve.evaluate(2.01)
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("delta", [math.nan, [0.5, math.nan],
+                                       [[math.nan]]],
+                             ids=["scalar", "array", "nested"])
+    def test_nan_rejected(self, delta, clamp):
+        curve = cb.BoundCurve(lines=self.lines(), clamp_above=clamp)
+        delta = np.array(delta) if isinstance(delta, list) else delta
+        for call in (curve.evaluate, curve.evaluate_with_provenance):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call(delta)
+
+    def test_negative_zero_accepted(self):
+        curve = cb.BoundCurve(lines=self.lines())
+        assert curve.evaluate_with_provenance(-0.0) == (0.0, "steep")
+        assert curve.evaluate(np.array([-0.0, 0.1])).tolist() == [0.0, 0.2]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cb.BoundCurve(lines=[])

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -16,6 +17,20 @@ from commbound import experiments_cli
 from commbound.experiments_cli import main
 
 CELL = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
+
+
+def refuse_work(monkeypatch, why):
+    """Make every builder and sweep the commands call raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the %s" % why)
+
+    for module, name in ((cb.positive_bounds, "gamma0"),
+                         (cb.positive_bounds, "pedersen_envelope"),
+                         (cb.circle_bounds, "truncation_envelope"),
+                         (cb.circle_bounds, "eta_lower"),
+                         (cb.matrix_lab, "probe_max_commutator"),
+                         (cb.matrix_lab, "sample_sweep")):
+        monkeypatch.setattr(module, name, refuse)
 
 
 def read_rows(path):
@@ -329,15 +344,11 @@ class TestValidate:
 
     @pytest.mark.parametrize("dims", ["2-3000000", "2-1000000000",
                                       "1000000000-2000000000", "1-4",
-                                      "2,3-100"])
+                                      "2,3-100", "65", "2,1"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_dims_range_checked_before_expansion(self, dims, via, tmp_path,
                                                  capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started before the dims check")
-
-        monkeypatch.setattr(cb.positive_bounds, "gamma0", refuse)
-        monkeypatch.setattr(cb.matrix_lab, "sample_sweep", refuse)
+        refuse_work(monkeypatch, "dims check")
         argv = ["validate", "sqrt", "--samples", "2"]
         if via == "flag":
             argv += ["--dims", dims]
@@ -385,6 +396,16 @@ class TestProbeCommand:
         assert float(row[5]) >= -1e-9
         assert row[6] == "300" and row[7] == "2"
 
+    @pytest.mark.parametrize("dim", ["1", "65", "70"])
+    def test_dim_checked_before_gamma0(self, dim, tmp_path, capsys,
+                                       monkeypatch):
+        refuse_work(monkeypatch, "dim check")
+        out = tmp_path / "probe.csv"
+        assert main(["probe", "--dim", dim, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "commbound: dimension must lie in [2, 64]\n"
+        assert not out.exists()
+
 
 class TestSizeCaps:
     SQRT = experiments_cli.MAX_SQRT_LINES
@@ -414,16 +435,7 @@ class TestSizeCaps:
     @pytest.mark.parametrize("argv, cap", CAPPED)
     def test_cap_plus_one_exits_two_before_any_work(self, argv, cap, tmp_path,
                                                     capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started before the size check")
-
-        for module, name in ((cb.positive_bounds, "gamma0"),
-                             (cb.positive_bounds, "pedersen_envelope"),
-                             (cb.circle_bounds, "truncation_envelope"),
-                             (cb.circle_bounds, "eta_lower"),
-                             (cb.matrix_lab, "probe_max_commutator"),
-                             (cb.matrix_lab, "sample_sweep")):
-            monkeypatch.setattr(module, name, refuse)
+        refuse_work(monkeypatch, "size check")
         out = tmp_path / "out.txt"
         tracemalloc.start()
         try:
@@ -473,6 +485,90 @@ class TestSizeCaps:
         assert float(rows[-1][1]) == 1.0
 
 
+# a value of the wrong JSON type for each option
+WRONG = {"function": ["bump"], "delta_min": "0.1", "delta_max": True,
+         "steps": 2.5, "n_max": "16", "a_grid": None, "pedersen_only": 1,
+         "samples": [10], "dims": [2, 3], "seed": 1.0,
+         "spectrum_mode": "bogus", "delta": "0.25", "dim": False,
+         "restarts": {}, "out": 3, "fmt": "xml"}
+# (command words, option) for every option of every command
+EVERY_OPTION = [([c for c in key if c], name)
+                for key, spec in experiments_cli._COMMANDS.items()
+                for name in spec.defaults]
+
+
+class TestParserSurface:
+    """Each command's options as (flag, dest, type, choices, action), as
+    the hand-written parser defined them before the command table."""
+
+    S, T, H = "_StoreAction", "_StoreTrueAction", "_HelpAction"
+    OUTPUT = [("--config", "config", None, None, S),
+              ("--format", "fmt", None, ("csv", "json"), S),
+              ("--out", "out", None, None, S),
+              ("-h", "help", None, None, H)]
+    SURFACE = {
+        ("curve", "sqrt"): OUTPUT + [
+            ("--a-grid", "a_grid", int, None, S),
+            ("--delta-max", "delta_max", float, None, S),
+            ("--delta-min", "delta_min", float, None, S),
+            ("--n-max", "n_max", int, None, S),
+            ("--pedersen-only", "pedersen_only", None, None, T),
+            ("--steps", "steps", int, None, S)],
+        ("curve", "circle"): OUTPUT + [
+            ("--delta-max", "delta_max", float, None, S),
+            ("--delta-min", "delta_min", float, None, S),
+            ("--function", "function", None, None, S),
+            ("--n-max", "n_max", int, None, S),
+            ("--steps", "steps", int, None, S)],
+        ("lower", "circle"): OUTPUT + [
+            ("--delta-max", "delta_max", float, None, S),
+            ("--delta-min", "delta_min", float, None, S),
+            ("--function", "function", None, None, S),
+            ("--steps", "steps", int, None, S)],
+        ("validate", "sqrt"): OUTPUT + [
+            ("--a-grid", "a_grid", int, None, S),
+            ("--dims", "dims", None, None, S),
+            ("--n-max", "n_max", int, None, S),
+            ("--samples", "samples", int, None, S),
+            ("--seed", "seed", int, None, S),
+            ("--spectrum-mode", "spectrum_mode", None,
+             ("uniform", "atoms", "both"), S)],
+        ("validate", "circle"): OUTPUT + [
+            ("--dims", "dims", None, None, S),
+            ("--function", "function", None, None, S),
+            ("--n-max", "n_max", int, None, S),
+            ("--samples", "samples", int, None, S),
+            ("--seed", "seed", int, None, S)],
+        ("probe", None): OUTPUT + [
+            ("--a-grid", "a_grid", int, None, S),
+            ("--delta", "delta", float, None, S),
+            ("--dim", "dim", int, None, S),
+            ("--n-max", "n_max", int, None, S),
+            ("--restarts", "restarts", int, None, S),
+            ("--seed", "seed", int, None, S),
+            ("--steps", "steps", int, None, S)],
+    }
+
+    @staticmethod
+    def subcommands(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+
+    def test_every_command_keeps_its_options(self):
+        found = {}
+        for command, cp in self.subcommands(
+                experiments_cli.build_parser()).items():
+            targets = ({None: cp} if command == "probe"
+                       else self.subcommands(cp))
+            for target, tp in targets.items():
+                found[command, target] = sorted(
+                    (a.option_strings[0], a.dest, a.type,
+                     tuple(a.choices) if a.choices else None,
+                     type(a).__name__) for a in tp._actions)
+        assert found == {key: sorted(options)
+                         for key, options in self.SURFACE.items()}
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_values(self, tmp_path):
         cfgf = tmp_path / "cfg.json"
@@ -510,20 +606,51 @@ class TestConfigPrecedence:
         (["validate", "sqrt"], {"dims": [2, 3]}),
         (["validate", "sqrt"], {"spectrum_mode": "gaussian"}),
         (["probe"], {"delta": [0.25]}),
-    ], ids=["int-list", "int-fraction", "int-bool", "int-string",
-            "bool-string", "bool-int", "float-string", "float-bool",
-            "float-overflow", "int-null", "fmt-choice", "out-int",
-            "function-list", "dims-list", "mode-choice", "probe-delta-list"])
+    ] + [(command, {name: WRONG[name]}) for command, name in EVERY_OPTION],
+        ids=["int-list", "int-fraction", "int-bool", "int-string",
+             "bool-string", "bool-int", "float-string", "float-bool",
+             "float-overflow", "int-null", "fmt-choice", "out-int",
+             "function-list", "dims-list", "mode-choice", "probe-delta-list"]
+        + ["-".join(command + [name]) for command, name in EVERY_OPTION])
     def test_config_value_of_wrong_type_exits_two(self, command, config,
-                                                  tmp_path, capsys):
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        refuse_work(monkeypatch, "config check")
         cfgf = tmp_path / "cfg.json"
         cfgf.write_text(json.dumps(config))
         rc = main(command + ["--config", str(cfgf),
                              "--out", str(tmp_path / "out.txt")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("commbound: ") and err.count("\n") == 1
+        assert err.startswith("commbound: config key %s must be "
+                              % next(iter(config)))
+        assert err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
+
+    def test_spectrum_mode_names_its_choices(self, tmp_path, capsys,
+                                             monkeypatch):
+        refuse_work(monkeypatch, "config check")
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"spectrum_mode": "bogus"}))
+        assert main(["validate", "sqrt", "--config", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (
+            "commbound: config key spectrum_mode must be one of uniform, "
+            "atoms, both, got \"bogus\"\n")
+
+    @pytest.mark.parametrize("command", [["curve", "sqrt"], ["curve", "circle"],
+                                         ["lower", "circle"], ["probe"]])
+    @pytest.mark.parametrize("dims", ["2-8", "1-100"])
+    def test_dims_is_a_config_key_of_validate_only(self, command, dims,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        refuse_work(monkeypatch, "config check")
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"dims": dims}))
+        assert main(command + ["--config", str(cfgf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("commbound: unknown config keys for %s"
+                              % command[0])
+        assert err.endswith(": dims\n") and err.count("\n") == 1
 
     def test_config_types_accepted(self, tmp_path):
         cfgf = tmp_path / "cfg.json"

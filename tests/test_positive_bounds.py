@@ -293,6 +293,16 @@ class TestClosedForm:
             assert env.evaluate_with_provenance(-0.0) == want
             assert env.evaluate(np.array([0.0, -0.0]))[1] == want[0]
 
+    @pytest.mark.parametrize("delta", [math.nan, np.array([0.25, math.nan]),
+                                       np.array([[math.nan, 2.0]])],
+                             ids=["scalar", "array", "nested"])
+    def test_nan_rejected(self, delta):
+        # a NaN "bound" once came back labelled as clamped at delta = 1
+        for env in (cb.gamma0(64, 16), cb.pedersen_envelope(64)):
+            for call in (env.evaluate, env.evaluate_with_provenance):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    call(delta)
+
     @pytest.mark.parametrize("N_max, a_grid", SIZES)
     def test_clamps_above_one(self, N_max, a_grid):
         env = cb.gamma0(N_max, a_grid)
