@@ -18,8 +18,8 @@ from .periodic_fn import (
     chebyshev_radius,
     coefficient_l1,
     derivative_fourier_norm,
-    fourier_coefficient_estimate,
     TWO_PI,
+    _coefficients,
     _dyadic_l1,
     _golden_max,
     _grid,
@@ -27,6 +27,7 @@ from .periodic_fn import (
     _partial_sums,
     _reduce_angle,
     _refined_extent,
+    _signed_orders,
     _smallest_disk,
 )
 
@@ -252,15 +253,11 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     N_max = int(N_max)
     if N_max < 0:
         raise ValueError("N_max must be nonnegative")
+    ns = _signed_orders(0, N_max)
     c = np.zeros(2 * N_max + 1, dtype=np.complex128)   # a_n at n + N_max
-    err_run = [0.0]
-    for k in range(N_max + 1):
-        orders = (0,) if k == 0 else (k, -k)
-        step = err_run[-1]
-        for n in orders:
-            c[N_max + n], err = fourier_coefficient_estimate(f, n)
-            step += err
-        err_run.append(step)
+    c[ns + N_max], err = _coefficients(f, ns, 1e-10)
+    # err_run[k]: the errors of the orders |n| < k, added one by one
+    err_run = [0.0] + np.cumsum(err)[::2].tolist()
     # f sampled once where every remainder's rule samples it; g_N at the
     # points where g_N.sample evaluates, as a running sum over orders
     x = _grid(grid_size)

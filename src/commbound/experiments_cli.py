@@ -331,10 +331,9 @@ def cmd_probe(cfg) -> int:
 
 
 # One command: its handler and help text; its options, name -> default in
-# the order the parser adds the flags; its caps, name -> largest value in
-# the order they are checked; and the options listed without help text.
-_Command = namedtuple("_Command", "handler help defaults caps plain",
-                      defaults=((),))
+# the order the parser adds the flags; and its caps, name -> largest value
+# in the order they are checked.
+_Command = namedtuple("_Command", "handler help defaults caps")
 
 
 # the argparse keywords of each option's flag, apart from its default;
@@ -386,8 +385,7 @@ _COMMANDS = {
         cmd_validate, "validate the truncation envelope on random (V, A)",
         dict(function="triangle", samples=1000, dims="2-8", seed=0, n_max=16,
              out="-", fmt="json"),
-        dict(n_max=MAX_CIRCLE_N, samples=MAX_SAMPLES),
-        plain=("function", "dims")),
+        dict(n_max=MAX_CIRCLE_N, samples=MAX_SAMPLES)),
     ("probe", None): _Command(
         cmd_probe, "hill-climb probe of the sqrt modulus",
         dict(delta=0.25, dim=2, steps=20000, restarts=64, seed=0,
@@ -417,10 +415,8 @@ def build_parser():
                         dest="target", required=True)
             cp = groups[command].add_parser(target, help=spec.help)
         for name in spec.defaults:
-            kw = dict(_OPTIONS[name], dest=name, default=None)
-            if name in spec.plain:
-                del kw["help"]
-            cp.add_argument(_flag(name), **kw)
+            cp.add_argument(_flag(name), **_OPTIONS[name], dest=name,
+                            default=None)
         cp.add_argument("--config", default=None,
                         help="JSON config file (flags override it)")
     return p
@@ -461,8 +457,8 @@ def _resolve(args) -> argparse.Namespace:
         unknown = sorted(set(from_file) - set(spec.defaults))
         if unknown:
             raise ValueError(
-                "unknown config keys for %s %s: %s"
-                % (args.command, key[1] or "", ", ".join(unknown))
+                "unknown config keys for %s: %s"
+                % (" ".join(filter(None, key)), ", ".join(unknown))
             )
         for name, v in sorted(from_file.items()):
             _check_config_value(name, v)

@@ -5,12 +5,12 @@ A PeriodicFunction is known through a vectorized evaluation rule on
 form for the coefficient l1 tail.  Coefficients follow the complex
 exponential convention f(x) = sum a_n e^{inx}.  Quadrature-based
 coefficients use the composite trapezoid rule on uniform samples, which
-is spectrally accurate for periodic integrands.  One FFT per grid level,
-from 2^14 to 2^22 points, gives the trapezoid sums of every order at
-once (Trefethen and Weideman, "The exponentially convergent trapezoidal
-rule", SIAM Review 2014); each order is still accepted at the first
-level where its own K vs 2K Richardson difference is within the
-requested absolute error.
+is spectrally accurate for periodic integrands.  Each grid level, from
+2^14 to 2^22 points, gives the trapezoid sums of every order |n| <= M at
+once (Trefethen and Weideman, SIAM Review 2014) from 2^14-point FFTs of
+interleaved subgrids, in O(2^14 + M) memory; each order is still accepted
+at the first level where its own K vs 2K Richardson difference is within
+the requested absolute error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ TWO_PI = 2.0 * np.pi
 
 _QUAD_K_START = 2 ** 14
 _QUAD_K_CAP = 2 ** 22
-_QUAD_BLOCK = 2 ** 16
 _EXTENT_GRID = 2 ** 16
 _TERMS_PER_CHUNK = 2 ** 20
 
@@ -65,8 +64,7 @@ class PeriodicFunction:
         self.name = name
         self.coefficient_rule = coefficient_rule
         self.l1_tail_rule = l1_tail_rule
-        self._coeff_cache = {}
-        self._ladder = None
+        self._ladder = _TrapezoidLadder(self.real_valued)
         self._pair_cache = {}
         self._check_seam()
         if self.real_valued:
@@ -175,76 +173,93 @@ def evaluate(f: PeriodicFunction, x: float) -> complex:
 
 
 class _TrapezoidLadder:
-    """Trapezoid sums of f(x) e^{-inx} for every order |n| <= M at once.
+    """Trapezoid sums of f(x) e^{-inx} for the orders |n| <= M, and a memo.
 
-    Level l is the K-point rule, K = 2^14 * 2^l, on x_j = -pi + 2pi j/K.
-    Level 0 is one FFT of its samples; level l adds one FFT of the
-    midpoints of level l-1, so each level costs one new set of samples.
-    Bin n mod K carries order n, which aliases exactly as a direct sum
-    over the grid does.  A real f uses rfft and orders n >= 0 only, and
-    a_{-n} is conj(a_n) exactly.  M grows to the next power of two when a
-    larger order is asked for, and the levels are then rebuilt on demand.
+    Level l is the K-point rule, K = 2^14 * 2^l, on x_j = -pi + 2pi j/K;
+    level 0 samples that grid and level l adds the midpoints of level l-1,
+    decimated in time (Cooley and Tukey, 1965) into P = K/B interleaved
+    subgrids of B = 2^14 points.  Subgrid q is sampled, its FFT folded into
+    the orders by T[n] = sum_q e^{-in x_q} DFT_B(f(x[q::P]))[n mod B], and
+    dropped, so a level holds O(B + M) numbers.  Bin n mod B aliases as a
+    direct sum over the grid does.  A real f uses rfft and orders n >= 0
+    only, and a_{-n} is conj(a_n) exactly.  M grows to the next power of
+    two when a larger order is asked for, and the levels are then rebuilt.
     """
 
     def __init__(self, real):
         self.real, self.M, self.est, self.total = real, 64, [], None
+        # memo of a_n at n + M: estimate, error, level K (0 until computed)
+        self.value, self.error, self.K = (
+            np.zeros(2 * self.M + 1, t) for t in (complex, float, np.int64))
 
     def _add_level(self, f):
         L = len(self.est)
         K = _QUAD_K_START << max(L - 1, 0)
         start = 0.5 if L else 0.0   # the K midpoints double the K-point rule
         step = TWO_PI / K
-        buf = np.empty(K, dtype=float if self.real else np.complex128)
-        m = min(K, _QUAD_BLOCK)
-        for s in range(0, K, m):
-            v = f.sample(-np.pi + step * (start + s + np.arange(m)))
-            buf[s:s + m] = np.real(v) if self.real else v
+        B, P = _QUAD_K_START, K // _QUAD_K_START
         ns = np.arange(0 if self.real else -self.M, self.M + 1)
-        r = ns % K
-        if self.real:
-            bins = np.fft.rfft(buf)[np.minimum(r, K - r)]
-            bins = np.where(r > K // 2, np.conj(bins), bins)
-        else:
-            bins = np.fft.fft(buf)[r]
-        # e^{-inx_j} = (-1)^n e^{-in step start} e^{-2pi i n j/K}
-        sums = np.where(ns % 2, -1.0, 1.0) * np.exp(-1j * (step * start) * ns) * bins
+        r = ns % B
+        fold = np.minimum(r, B - r) if self.real else r
+        for q in range(P):
+            v = f.sample(-np.pi + step * (start + q + P * np.arange(B)))
+            if self.real:
+                bins = np.fft.rfft(np.real(v))[fold]
+                bins = np.where(r > B // 2, np.conj(bins), bins)
+            else:
+                bins = np.fft.fft(v)[fold]
+            # at the subgrid point j = q + P m,
+            # e^{-inx_j} = (-1)^n e^{-in step (start + q)} e^{-2pi i nm/B}
+            term = np.exp(-1j * (step * (start + q)) * ns) * bins
+            sums = sums + term if q else term
+        sums *= np.where(ns % 2, -1.0, 1.0)
         self.total = self.total + sums if L else sums
         self.est.append(self.total / (_QUAD_K_START << L))
 
-    def estimate(self, f, n, tol):
-        """(estimate, error, at_cap, K): the first level K whose difference
-        from the previous level is within tol, else the cap level."""
-        if abs(n) > self.M:
-            self.M, self.est = 1 << (abs(n) - 1).bit_length(), []
-        i = abs(n) if self.real else n + self.M
+    def coefficients(self, f, ns, tol):
+        """(estimate, error, K) arrays for the integer orders ns, each from
+        the first level K whose difference from the previous level is
+        within tol, else from the cap level.  A memo entry is reused when
+        its error meets tol, so a looser request keeps the finer value."""
+        top = int(np.max(np.abs(ns), initial=0))
+        if top > self.M:
+            pad = (1 << (top - 1).bit_length()) - self.M
+            self.value, self.error, self.K = (
+                np.pad(a, pad) for a in (self.value, self.error, self.K))
+            self.M, self.est = self.M + pad, []
+        i = ns + self.M
+        todo = i[(self.K[i] == 0) | (self.error[i] > tol)]
         level = 0
-        while True:
+        while todo.size:
             level += 1
             while len(self.est) <= level:
                 self._add_level(f)
-            new = complex(self.est[level][i])
-            diff = abs(new - complex(self.est[level - 1][i]))
-            if diff <= tol or (_QUAD_K_START << level) >= _QUAD_K_CAP:
-                break
-        if self.real and n < 0:
-            new = new.conjugate()
-        return new, diff, diff > tol, _QUAD_K_START << level
+            j = np.abs(todo - self.M) if self.real else todo
+            new = self.est[level][j]
+            diff = np.abs(new - self.est[level - 1][j])
+            done = (diff <= tol) | ((_QUAD_K_START << level) >= _QUAD_K_CAP)
+            new = np.where(self.real & (todo < self.M), np.conj(new), new)
+            self.value[todo[done]] = new[done]
+            self.error[todo[done]] = diff[done]
+            self.K[todo[done]] = _QUAD_K_START << level
+            todo = todo[~done]
+        return self.value[i], self.error[i], self.K[i]
 
 
-def _quadrature(f: PeriodicFunction, n: int, tol: float) -> tuple:
-    """(estimate, error, at_cap) for a_n from the trapezoid ladder.
+def _coefficients(f: PeriodicFunction, ns, tol: float) -> tuple:
+    """(values, errors) arrays of a_n for the orders ns: the exact rule with
+    error 0 when f carries one, else the trapezoid ladder's estimates."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if f.coefficient_rule is not None:
+        values = [complex(f.coefficient_rule(int(n))) for n in ns]
+        return np.array(values, dtype=np.complex128), np.zeros(ns.size)
+    return f._ladder.coefficients(f, ns, tol)[:2]
 
-    Memoized per order: an entry is reused when its error meets tol or it
-    came from the cap grid, so a looser request keeps the finer value.
-    """
-    cached = f._coeff_cache.get(n)
-    if cached is not None and (cached[1] <= tol or cached[2]):
-        return cached
-    if f._ladder is None:
-        f._ladder = _TrapezoidLadder(f.real_valued)
-    cached = f._ladder.estimate(f, n, tol)[:3]
-    f._coeff_cache[n] = cached
-    return cached
+
+def _signed_orders(a, b):
+    """The orders a, -a, a + 1, -(a + 1), ..., b, -b, with 0 listed once."""
+    n = np.arange(a, b + 1)
+    return np.stack((n, -n), axis=1).ravel()[1 if a == 0 else 0:]
 
 
 def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> complex:
@@ -254,11 +269,8 @@ def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> comp
     trapezoid ladder is walked until the K vs 2K Richardson difference is
     within tol; QuadratureError if the cap grid cannot certify it.
     """
-    n = int(n)
-    if f.coefficient_rule is not None:
-        return complex(f.coefficient_rule(n))
-    est, diff, _ = _quadrature(f, n, tol)
-    if diff <= tol:
+    est, diff = fourier_coefficient_estimate(f, n, tol)
+    if diff <= tol or f.coefficient_rule is not None:
         return est
     raise QuadratureError(
         "coefficient a_%d: error estimate %.3e exceeds target %.3e at K=%d"
@@ -276,11 +288,8 @@ def fourier_coefficient_estimate(
     the error bound, which may exceed tol when refinement hits the cap
     grid (slowly converging integrands keep their best estimate).
     """
-    n = int(n)
-    if f.coefficient_rule is not None:
-        return complex(f.coefficient_rule(n)), 0.0
-    est, diff, _ = _quadrature(f, n, tol)
-    return est, diff
+    est, diff = _coefficients(f, [int(n)], tol)
+    return complex(est[0]), float(diff[0])
 
 
 def truncate(f: PeriodicFunction, N: int) -> TrigPolynomial:
@@ -464,14 +473,12 @@ def _dyadic_l1(f, lo, hi, end0, end1, tol):
     r = b1 / b0 the block ratio.  None when the blocks do not decay
     (r >= 0.75, or b0 = 0 < b1) or an order misses tol."""
     sums = []
-    try:
-        for a, b in ((lo, hi), (hi + 1, end0), (end0 + 1, end1)):
-            sums.append(0.0)
-            for n in range(a, b + 1):
-                for m in ((n, -n) if n else (0,)):
-                    sums[-1] += abs(fourier_coefficient(f, m, tol)) + tol
-    except QuadratureError:
-        return None
+    for a, b in ((lo, hi), (hi + 1, end0), (end0 + 1, end1)):
+        values, errors = _coefficients(f, _signed_orders(a, b), tol)
+        if not np.all(errors <= tol):
+            return None
+        # cumsum adds the terms one by one in the order n, -n, n + 1, ...
+        sums.append(float(np.cumsum(np.r_[0.0, np.abs(values) + tol])[-1]))
     s, b0, b1 = sums
     if b0 <= 0.0:
         return None if b1 > 0.0 else s

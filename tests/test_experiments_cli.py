@@ -568,6 +568,22 @@ class TestParserSurface:
         assert found == {key: sorted(options)
                          for key, options in self.SURFACE.items()}
 
+    @pytest.mark.parametrize("key", list(experiments_cli._COMMANDS))
+    def test_every_help_screen_shows_each_option_help(self, key, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([c for c in key if c] + ["--help"])
+        assert done.value.code == 0
+        # argparse wraps the screen to the terminal width
+        screen = " ".join(capsys.readouterr().out.split())
+        for name in experiments_cli._COMMANDS[key].defaults:
+            opt = experiments_cli._OPTIONS[name]
+            if "help" not in opt:
+                continue
+            metavar = ("{%s}" % ",".join(opt["choices"]) if "choices" in opt
+                       else name.upper())
+            assert "%s %s %s" % (experiments_cli._flag(name), metavar,
+                                 opt["help"]) in screen, name
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_values(self, tmp_path):
@@ -651,6 +667,16 @@ class TestConfigPrecedence:
         assert err.startswith("commbound: unknown config keys for %s"
                               % command[0])
         assert err.endswith(": dims\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["probe"], ["curve", "sqrt"]])
+    def test_unknown_key_message_names_the_command(self, command, tmp_path,
+                                                   capsys, monkeypatch):
+        refuse_work(monkeypatch, "config check")
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"dims": "2-8"}))
+        assert main(command + ["--config", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (
+            "commbound: unknown config keys for %s: dims\n" % " ".join(command))
 
     def test_config_types_accepted(self, tmp_path):
         cfgf = tmp_path / "cfg.json"

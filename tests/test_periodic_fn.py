@@ -1,6 +1,7 @@
 """Tests for periodic function evaluation and Fourier analysis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,18 +164,61 @@ def doubling_reference(f, n, tol):
             return complex(est), diff, True, K
 
 
+class OneFFTLadder(periodic_fn._TrapezoidLadder):
+    """Reference ladder: one K-point FFT of each whole level, which holds
+    K samples and their transform."""
+
+    def _add_level(self, f):
+        L = len(self.est)
+        K = 2 ** 14 << max(L - 1, 0)
+        start = 0.5 if L else 0.0
+        step = 2.0 * np.pi / K
+        buf = np.empty(K, dtype=float if self.real else np.complex128)
+        m = min(K, 2 ** 16)
+        for s in range(0, K, m):
+            v = f.sample(-np.pi + step * (start + s + np.arange(m)))
+            buf[s:s + m] = np.real(v) if self.real else v
+        ns = np.arange(0 if self.real else -self.M, self.M + 1)
+        r = ns % K
+        if self.real:
+            bins = np.fft.rfft(buf)[np.minimum(r, K - r)]
+            bins = np.where(r > K // 2, np.conj(bins), bins)
+        else:
+            bins = np.fft.fft(buf)[r]
+        sums = np.where(ns % 2, -1.0, 1.0) * np.exp(-1j * (step * start) * ns) * bins
+        self.total = self.total + sums if L else sums
+        self.est.append(self.total / (2 ** 14 << L))
+
+
+def complex_bump():
+    bump = cb.builtin_bump()
+    return cb.PeriodicFunction(
+        lambda x: bump.rule(x) * np.exp(1j * np.sin(x)), name="complex bump")
+
+
+def ladder_orders(ladder, f, orders, tol):
+    """(estimate, error, at_cap, K) per order from one array request."""
+    got, err, K = ladder.coefficients(f, np.array(orders), tol)
+    return list(zip(got.tolist(), err.tolist(), (err > tol).tolist(),
+                    K.tolist()))
+
+
 def assert_ladder_matches_reference(f, orders, tol, atol=1e-14):
     ladder = periodic_fn._TrapezoidLadder(f.real_valued)
-    for n in orders:
-        got, err, at_cap, K = ladder.estimate(f, n, tol)
+    found = ladder_orders(ladder, f, orders, tol)
+    for n, (got, err, at_cap, K) in zip(orders, found):
         want, want_err, want_cap, want_K = doubling_reference(f, n, tol)
         assert (at_cap, K) == (want_cap, want_K), n
         assert abs(got - want) <= atol, n
         assert abs(err - want_err) <= atol, n
+    # one order at a time, so M grows and the levels are rebuilt in between
+    one_by_one = periodic_fn._TrapezoidLadder(f.real_valued)
+    for n, row in zip(orders, found):
+        assert ladder_orders(one_by_one, f, [n], tol) == [row], n
 
 
 class TestFFTLadder:
-    """The one-FFT-per-level ladder against per-order doubling."""
+    """The FFT ladder against per-order doubling."""
 
     # the envelope's orders (negative ones are exact conjugates, tested
     # below), both sides of the level changes at 1e-10 (25/27, 147/149)
@@ -200,9 +244,7 @@ class TestFFTLadder:
         assert p.real_valued
 
     def test_complex_rule_uses_full_fft(self):
-        bump = cb.builtin_bump()
-        f = cb.PeriodicFunction(
-            lambda x: bump.rule(x) * np.exp(1j * np.sin(x)), name="complex bump")
+        f = complex_bump()
         assert not f.real_valued
         assert_ladder_matches_reference(f, [0, 1, -2, 40], 1e-8)
         a = cb.fourier_coefficient_estimate(f, 3, 1e-8)[0]
@@ -226,6 +268,46 @@ class TestFFTLadder:
         assert cb.fourier_coefficient_estimate(f, 5, 1e-6) == fine
         fresh = cb.fourier_coefficient_estimate(cb.builtin_bump(), 5, 1e-6)
         assert fresh[1] > 1e-10 and fresh != fine
+
+
+class TestDecimatedLadder:
+    """Each level from 2^14-point subgrids against one FFT of the level."""
+
+    # 16384 and 32768 are the M that the orders 9000 and 2^14 + 5 set; at
+    # both, orders past 2^13 = B/2 alias within each subgrid's transform
+    @pytest.mark.parametrize("M", [1024, 2 ** 14, 2 ** 15])
+    @pytest.mark.parametrize("make", [cb.builtin_bump, complex_bump])
+    def test_every_order_at_every_level_matches_one_fft(self, make, M):
+        f = make()
+        new = periodic_fn._TrapezoidLadder(f.real_valued)
+        old = OneFFTLadder(f.real_valued)
+        new.M = old.M = M
+        for level in range(9):
+            new._add_level(f)
+            old._add_level(f)
+            assert new.est[level].shape == old.est[level].shape
+            assert np.max(np.abs(new.est[level] - old.est[level])) <= 1e-15
+
+    def test_ladder_memory_is_a_few_subgrids(self):
+        # one FFT of the whole 2^22 cap level holds 32 MB of samples and
+        # 32 MB of transform; the subgrids hold 2^14 points at a time
+        f = cb.builtin_bump()
+        tracemalloc.start()
+        try:
+            periodic_fn._coefficients(f, np.arange(17), 1e-10)
+            periodic_fn._coefficients(f, np.arange(641), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f._ladder.K[f._ladder.M] == periodic_fn._QUAD_K_CAP
+        assert peak < 4e6
+
+    def test_orders_arrive_in_the_order_asked(self):
+        f = cb.builtin_bump()
+        ns = np.array([5, -640, 0, 3, -3, 640, 5])
+        values, errors = periodic_fn._coefficients(f, ns, 1e-6)
+        for n, v, e in zip(ns, values, errors):
+            assert (v, e) == cb.fourier_coefficient_estimate(f, n, 1e-6)
 
 
 class TestTruncate:
