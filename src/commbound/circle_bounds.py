@@ -214,13 +214,13 @@ def split_line(f: PeriodicFunction, g: TrigPolynomial) -> BoundLine:
                      2.0, "split")
 
 
-def _corollary_tail(f, N, head_factor=10):
+def _corollary_tail(f, N):
     """2 * sum_{|n|>N} |a_n|, by closed form when the function carries one,
     else by cutoff summation with a geometric remainder estimate over dyadic
     blocks; None when the tail cannot be estimated."""
     if f.l1_tail_rule is not None:
         return 2.0 * float(f.l1_tail_rule(N))
-    cutoff = max(head_factor * max(N, 1), N + 8)
+    cutoff = max(10 * max(N, 1), N + 8)
     tail = _dyadic_l1(f, N + 1, cutoff, 2 * cutoff, 4 * cutoff, 1e-6)
     return None if tail is None else 2.0 * tail
 

@@ -6,8 +6,9 @@ are written atomically (temp file in the target directory, then rename).
 Identical configuration and seed produce byte-identical output.
 
 Config precedence: command-line flags > JSON config file (--config, keys
-named like the flags with underscores) > built-in defaults.  _COMMANDS,
-at the end, defines every command's flags, defaults, caps and handler.
+named like the flags with underscores, and fmt for --format) > built-in
+defaults.  _COMMANDS, at the end, defines every command's flags, defaults,
+caps and handler.
 """
 
 from __future__ import annotations
@@ -131,6 +132,14 @@ def _segments_json(curve, lo, hi, label):
     }, "segments")
 
 
+class _JsonObject(dict):
+    """A JSON object that also keeps its key-value pairs, repeats included."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = pairs
+
+
 def _select_function(name):
     if name == "triangle":
         return builtin_triangle()
@@ -138,11 +147,11 @@ def _select_function(name):
         return builtin_bump()
     # anything else is a path to a JSON coefficient map {"n": [re, im] or re}
     with open(name) as fh:
-        raw = json.load(fh)
+        raw = json.load(fh, object_pairs_hook=_JsonObject)
     if not isinstance(raw, dict):
         raise ValueError("%s: coefficient file must hold a JSON object" % name)
     mapping = {}
-    for k, v in raw.items():
+    for k, v in raw.pairs:
         try:
             n = int(k)
         except ValueError:
@@ -150,6 +159,10 @@ def _select_function(name):
         if abs(n) > MAX_ORDER:
             raise ValueError("%s: Fourier order %d exceeds the cap |n| <= %d"
                              % (name, n, MAX_ORDER))
+        # a repeated key, or keys such as "1" and "01" that int() equates
+        if n in mapping:
+            raise ValueError("%s: Fourier order %d is given more than once"
+                             % (name, n))
         parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
                    for p in parts):
@@ -162,8 +175,6 @@ def _select_function(name):
                              "got %s" % (name, k, json.dumps(v)))
         mapping[n] = complex(parts[0], parts[1])
     return from_coefficients(mapping)
-
-
 
 
 def _parse_dims(text):

@@ -521,37 +521,28 @@ def _probe_scores(hraw, araw, delta_target):
 
 
 def _materialize_best(hraw, araw, delta_target):
-    """Turn one winning raw state into actual matrices (H, A), picking
-    whichever of the two candidate A's measures higher."""
+    """Turn one winning raw state into actual matrices (H, A).  The
+    candidate A's are the rescaled random contraction, feasible even where
+    [H, A] = 0, and the swap pair where its two eigenvalues differ; the
+    first to measure highest wins."""
     w, q = _eigh_box(hraw[None])
-    h = _reassemble(q, w)[0]
-    h = (h + h.conj().T) / 2.0
+    h = _positive(q, w)[0]
     root = _reassemble(q, np.sqrt(w))[0]
-    cands = []
-    a_rand, ok = _bind_contraction(w, q, araw[None], delta_target)
-    if ok[0]:
-        cands.append(a_rand[0])
+    a_rand, _ = _bind_contraction(w, q, araw[None], delta_target)
+    cands = [a_rand[0]]
     _, bi, bj = _pair_values(w, delta_target)
     w, q, bi, bj = w[0], q[0], int(bi[0]), int(bj[0])
     gap = abs(w[bi] - w[bj])
     if gap > 0.0:
         s = min(1.0, delta_target / gap)
-        qi = q[:, bi]
-        qj = q[:, bj]
+        qi, qj = q[:, bi], q[:, bj]
         cands.append(s * (np.outer(qi, qj.conj()) + np.outer(qj, qi.conj())))
-    best = None
-    best_v = -1.0
-    for a in cands:
-        v = op_norm(commutator(root, a))
-        if v > best_v:
-            best_v = v
-            best = a
-    return h, best
+    values = [op_norm(commutator(root, a)) for a in cands]
+    return h, cands[int(np.argmax(values))]
 
 
 def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
-                         restarts: int = 64, sigma0: float = 0.5,
-                         stall_limit: int = 10) -> ProbeResult:
+                         restarts: int = 64) -> ProbeResult:
     """Random-restart hill climb maximizing ||[sqrt(H), A]|| subject to
     ||[H, A]|| <= delta_target.
 
@@ -561,8 +552,8 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
     of that feasible instance and the best eigenbasis swap pair for its
     spectrum, so proposals that improve the spectral pair structure are
     accepted even before a good A is found.  Equal scores are accepted
-    (plateau drift); the step size grows 1.5x on improvement up to sigma0
-    and halves after `stall_limit` rejected steps.
+    (plateau drift); the step size grows 1.5x on improvement up to 0.5
+    and halves after 10 rejected steps.
 
     The restarts advance in lockstep, scored as one stack, and restart r
     draws its proposals from stream (seed, r).  The first restart with the
@@ -588,7 +579,7 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
         hraw[r] = _ginibre(rng, dim) * _SQRT2
         araw[r] = _ginibre(rng, dim) / math.sqrt(dim)
     v = _probe_scores(hraw, araw, dt)
-    sigma = np.full(restarts, float(sigma0))
+    sigma = np.full(restarts, 0.5)
     stall = np.zeros(restarts, dtype=np.int64)
     which = np.zeros(restarts, dtype=np.int64)
     # real and imaginary Gaussian parts of each restart's proposal for H
@@ -610,12 +601,12 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
         up = vc > v
         acc = vc >= v
         stall[up] = 0
-        sigma[up] = np.minimum(sigma[up] * 1.5, sigma0)
+        sigma[up] = np.minimum(sigma[up] * 1.5, 0.5)
         v = np.where(acc, vc, v)
         hraw = np.where(acc[:, None, None], hc, hraw)
         araw = np.where(acc[:, None, None], ac, araw)
         stall[~acc] += 1
-        slow = ~acc & (stall >= stall_limit)
+        slow = ~acc & (stall >= 10)
         sigma[slow] = np.maximum(sigma[slow] * 0.5, 1e-300)
         stall[slow] = 0
     best = int(np.argmax(v))

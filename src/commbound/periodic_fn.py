@@ -120,14 +120,12 @@ def _partial_sums(coeffs, x):
 
 
 class TrigPolynomial(PeriodicFunction):
-    """Finite Fourier sum of degree N: at each point a_0 plus the pair
-    terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed in that order."""
+    """Finite Fourier sum of degree N, from a dict n -> a_n: at each point
+    a_0 plus the pair terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed
+    in that order."""
 
     def __init__(self, coefficients, name=""):
-        if isinstance(coefficients, dict):
-            items = {int(n): complex(a) for n, a in coefficients.items()}
-        else:
-            items = {int(n): complex(a) for n, a in coefficients}
+        items = {int(n): complex(a) for n, a in coefficients.items()}
         degree = max((abs(n) for n in items), default=0)
         ns = np.arange(-degree, degree + 1)
         coeffs = np.zeros(2 * degree + 1, dtype=np.complex128)
@@ -165,11 +163,6 @@ class TrigPolynomial(PeriodicFunction):
     def _l1_tail(self, N):
         mask = np.abs(self.ns) > N
         return float(np.sum(np.abs(self.coeffs[mask])))
-
-
-def evaluate(f: PeriodicFunction, x: float) -> complex:
-    """Value of f at angle x, reduced mod 2pi into [-pi, pi)."""
-    return f(x)
 
 
 class _TrapezoidLadder:
@@ -262,6 +255,20 @@ def _signed_orders(a, b):
     return np.stack((n, -n), axis=1).ravel()[1 if a == 0 else 0:]
 
 
+def _certified(f, ns, tol):
+    """Array of a_n for the integer orders ns, each within tol;
+    QuadratureError names the first order the cap grid cannot certify."""
+    values, errors = _coefficients(f, ns, tol)
+    ok = errors <= tol
+    if f.coefficient_rule is None and not ok.all():
+        k = int(np.argmin(ok))
+        raise QuadratureError(
+            "coefficient a_%d: error estimate %.3e exceeds target %.3e at K=%d"
+            % (ns[k], errors[k], tol, _QUAD_K_CAP)
+        )
+    return values
+
+
 def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> complex:
     """Fourier coefficient a_n = (1/2pi) integral f(x) e^{-inx} dx.
 
@@ -269,13 +276,7 @@ def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> comp
     trapezoid ladder is walked until the K vs 2K Richardson difference is
     within tol; QuadratureError if the cap grid cannot certify it.
     """
-    est, diff = fourier_coefficient_estimate(f, n, tol)
-    if diff <= tol or f.coefficient_rule is not None:
-        return est
-    raise QuadratureError(
-        "coefficient a_%d: error estimate %.3e exceeds target %.3e at K=%d"
-        % (n, diff, tol, _QUAD_K_CAP)
-    )
+    return complex(_certified(f, [int(n)], tol)[0])
 
 
 def fourier_coefficient_estimate(
@@ -297,7 +298,8 @@ def truncate(f: PeriodicFunction, N: int) -> TrigPolynomial:
     N = int(N)
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
-    coeffs = {n: fourier_coefficient(f, n) for n in range(-N, N + 1)}
+    ns = list(range(-N, N + 1))
+    coeffs = dict(zip(ns, _certified(f, ns, 1e-10).tolist()))
     return TrigPolynomial(coeffs, name="%s truncated at N=%d" % (f.name or "f", N))
 
 
@@ -306,15 +308,16 @@ def derivative_fourier_norm(p: TrigPolynomial) -> float:
     return float(np.sum(np.abs(p.ns * p.coeffs)))
 
 
-def _golden_max(g, a, b, iters=80):
+def _golden_max(g, a, b):
     """Golden-section search for the maximum of g on each bracket [a, b]
     of the arrays a, b, all advanced in lockstep; g maps an array of
-    points to their values.  Returns the larger final probe value."""
+    points to their values.  Returns the larger final probe value after
+    80 steps."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(80):
         left = gc >= gd
         # left: the bracket shrinks to [a, d] and c is replaced;
         # otherwise it shrinks to [c, b] and d is replaced
@@ -497,9 +500,9 @@ def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
     blocks do not decay.
     """
     if f.l1_tail_rule is not None:
-        total = abs(fourier_coefficient(f, 0))
-        for n in range(1, head + 1):
-            total += abs(fourier_coefficient(f, n)) + abs(fourier_coefficient(f, -n))
+        a = np.abs(_certified(f, _signed_orders(0, max(head, 0)), 1e-10))
+        # |a_0|, then |a_n| + |a_-n| added one pair at a time
+        total = np.cumsum(np.r_[a[0], a[1::2] + a[2::2]])[-1]
         return float(total + f.l1_tail_rule(head))
     return _dyadic_l1(f, 0, head, 2 * head + 1, 4 * head + 3, tol)
 

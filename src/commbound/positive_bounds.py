@@ -16,8 +16,6 @@ import numpy as np
 
 from .circle_bounds import BoundCurve, BoundLine
 
-_SQRT_SERIES_DESC = "series for 1 - sqrt(1 - x): c1 = 1/2, c_{n+1} = c_n (2n-1)/(2n+2)"
-
 
 def _frozen(a):
     a = np.array(a, dtype=float)
@@ -32,7 +30,6 @@ class PowerSeries:
     coefficients: np.ndarray
     partial_sums: np.ndarray
     weighted_sums: np.ndarray
-    description: str = ""
 
     def __post_init__(self):
         if not (len(self.coefficients) == len(self.partial_sums)
@@ -65,8 +62,7 @@ def sqrt_series(N: int) -> PowerSeries:
     # running products of c_{n+1} / c_n and of b_n / b_{n-1}
     c = np.r_[0.0, np.cumprod(np.r_[0.5, (2.0 * n[:-1] - 1.0) / (2.0 * n[:-1] + 2.0)])]
     b = np.r_[1.0, np.cumprod((2.0 * n - 1.0) / (2.0 * n))]
-    return PowerSeries(_frozen(c), _frozen(1.0 - b), _frozen(np.r_[0.0, n] * b),
-                       _SQRT_SERIES_DESC)
+    return PowerSeries(_frozen(c), _frozen(1.0 - b), _frozen(np.r_[0.0, n] * b))
 
 
 def power_series_line(series: PowerSeries, N: int, h_osc: float) -> BoundLine:

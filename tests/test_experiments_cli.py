@@ -230,6 +230,28 @@ class TestCurveCircle:
             assert str(cap) in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"1": 0.5, "-1": 0.5, "1": 0.25}',
+        '{"1": 0.5, "01": 0.25, "-1": 0.5}',
+        '{"1": 0.5, "+1": 0.25}',
+        '{" 1": 0.5, "1": 0.25}',
+    ], ids=["same-key", "leading-zero", "plus-sign", "space"])
+    def test_repeated_order_exits_two(self, text, tmp_path, capsys):
+        # json keeps the last of two equal keys, and int() equates "1" with
+        # "01", "+1" and " 1": either way one coefficient was dropped
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        for command in (["curve", "circle", "--steps", "3"],
+                        ["lower", "circle", "--steps", "3"],
+                        ["validate", "circle", "--samples", "2"]):
+            rc = main(command + ["--function", str(path), "--out",
+                                 str(tmp_path / "out.txt")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err == ("commbound: %s: Fourier order 1 is given more "
+                           "than once\n" % path)
+        assert not (tmp_path / "out.txt").exists()
+
     def test_missing_function_file_exits_two(self, capsys, tmp_path):
         rc = main([
             "curve", "circle", "--function", str(tmp_path / "absent.json"),
@@ -395,6 +417,16 @@ class TestProbeCommand:
         assert abs(float(row[3]) - (0.5 - best)) <= 1e-12
         assert float(row[5]) >= -1e-9
         assert row[6] == "300" and row[7] == "2"
+
+    def test_flat_spectrum_falls_back_to_the_random_a(self, tmp_path):
+        # this one-step climb ends on an H whose clipped spectrum is flat,
+        # so there is no swap pair and [H, A] = 0 for every A
+        out = tmp_path / "probe.csv"
+        rc = main(["probe", "--restarts", "1", "--steps", "1", "--seed",
+                   "15", "--out", str(out)])
+        assert rc == 0
+        header, rows = read_rows(out)
+        assert float(rows[0][header.index("best")]) == 0.0
 
     @pytest.mark.parametrize("dim", ["1", "65", "70"])
     def test_dim_checked_before_gamma0(self, dim, tmp_path, capsys,

@@ -417,6 +417,19 @@ class TestProbe:
             res = cb.probe_max_commutator(dt, 3, 800, seed=3, restarts=2)
             assert res.record.measured <= gamma_small.evaluate(dt) + 1e-9
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_step_probe_is_always_feasible(self, dim):
+        # a flat clipped spectrum leaves no swap pair; the random
+        # contraction is then the answer, not a missing A.  The measured
+        # delta may pass 0.25 by rounding (by 11 ulps at most here)
+        for seed in range(400):
+            res = cb.probe_max_commutator(0.25, dim, 1, seed, restarts=1)
+            assert res.a.shape == (dim, dim)
+            assert res.record.delta <= 0.25 + 1e-12
+            assert cb.op_norm(res.a) <= 1.0 + 1e-12
+            w = np.linalg.eigvalsh(res.h)
+            assert w.min() >= -1e-12 and w.max() <= 1.0 + 1e-12
+
     def test_probe_validation(self):
         with pytest.raises(ValueError):
             cb.probe_max_commutator(0.0, 2, 100, seed=0)

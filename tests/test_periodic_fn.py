@@ -33,12 +33,12 @@ class TestEvaluate:
         # sqrt(1 - (2x/pi)^2) inside [-pi/2, pi/2], zero outside
         for x in (0.0, 0.3, 1.2, 2.0, 3.0):
             want = math.sqrt(max(1.0 - (2.0 * x / math.pi) ** 2, 0.0))
-            assert abs(cb.evaluate(bump, x) - want) <= 1e-15
+            assert abs(bump(x) - want) <= 1e-15
 
     def test_wraps_by_full_periods(self, triangle):
         for x in (0.3, 1.7, -2.2):
-            a = cb.evaluate(triangle, x)
-            b = cb.evaluate(triangle, x + 6.0 * math.pi)
+            a = triangle(x)
+            b = triangle(x + 6.0 * math.pi)
             assert abs(a - b) <= 1e-12
 
     def test_seam_mismatch_rejected(self):
@@ -532,6 +532,51 @@ def old_coefficient_l1(f, head=64, tol=1e-6):
     return float(total + b1 * ratio / (1.0 - ratio))
 
 
+def loop_functions():
+    return [cb.builtin_triangle(), cb.builtin_bump(),
+            cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125}),
+            cb.from_coefficients({n: (-1) ** n / n ** 2
+                                  for n in range(-40, 41) if n})]
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except QuadratureError as err:
+        return str(err)
+
+
+class TestOneCallFetches:
+    """truncate and the closed-tail branch of coefficient_l1 fetch their
+    orders in one call; both give the bits and the QuadratureError message
+    of the order-by-order loops they replace."""
+
+    @pytest.mark.parametrize("N", [0, 3, 9])
+    @pytest.mark.parametrize("k", range(4))
+    def test_truncate_equals_loop(self, k, N):
+        def loop(f):
+            coeffs = {n: cb.fourier_coefficient(f, n) for n in range(-N, N + 1)}
+            return cb.TrigPolynomial(coeffs).coeffs.tobytes()
+
+        want = outcome(loop, loop_functions()[k])
+        got = outcome(lambda f: cb.truncate(f, N).coeffs.tobytes(),
+                      loop_functions()[k])
+        assert got == want
+        if k == 1:
+            # the bump's coefficients stop short of 1e-10 at the cap grid
+            assert got.startswith("coefficient a_")
+
+    @pytest.mark.parametrize("head", [0, 1, 5, 64])
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_closed_tail_l1_equals_loop(self, k, head):
+        f = loop_functions()[k]
+        total = abs(cb.fourier_coefficient(f, 0))
+        for n in range(1, head + 1):
+            total += (abs(cb.fourier_coefficient(f, n))
+                      + abs(cb.fourier_coefficient(f, -n)))
+        assert cb.coefficient_l1(f, head) == float(total + f.l1_tail_rule(head))
+
+
 class TestDyadicTail:
     @pytest.fixture(scope="class")
     def quadrature_only(self):
@@ -564,7 +609,7 @@ class TestFromCoefficients:
         assert p.real_valued
         for x in (0.0, 0.7, -2.4):
             want = sum(a * np.exp(1j * n * x) for n, a in coeffs.items())
-            assert abs(cb.evaluate(p, x) - want) <= 1e-14
+            assert abs(p(x) - want) <= 1e-14
 
     def test_high_degree_evaluates_in_bounded_chunks(self):
         # 601 orders x 2^14 angles exceeds one chunk of 2^22 terms
@@ -639,7 +684,7 @@ coeff_dicts = st.dictionaries(
 def test_property_polynomial_evaluates_as_sum(coeffs, x):
     p = cb.from_coefficients(coeffs)
     want = sum(a * np.exp(1j * n * x) for n, a in coeffs.items())
-    assert abs(cb.evaluate(p, x) - want) <= 1e-10 * (1.0 + abs(want))
+    assert abs(p(x) - want) <= 1e-10 * (1.0 + abs(want))
 
 
 @given(coeff_dicts)
