@@ -272,16 +272,21 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
 
     def real_remainders():
         # f - g_N with g_N = g_{N-1} + pair term N, each used as it is made:
-        # a real one by the lockstep extent, a complex one by its disk
-        g = np.full(x.size, c[N_max])
+        # a real one by the lockstep extent, a complex one by its disk.
+        # Every order is written into one set of grid arrays, so a yielded
+        # row is overwritten when the next one is asked for
+        work = (np.empty(y.size), np.empty(y.size, dtype=np.complex128),
+                np.empty(y.size, dtype=np.complex128))
+        rem = np.empty(y.size)
+        g = np.full(y.size, c[N_max])
         for N in range(N_max + 1):
             if N:
-                g += _pair_term(c[N_max + N], c[N_max - N], N, y)
-            r = fv - (g.real if real_g[N] else g)
+                g += _pair_term(c[N_max + N], c[N_max - N], N, y, work)
             if N in real:
-                yield np.real(r)
+                # the bits of np.real(fv - g.real), for a complex fv too
+                yield np.subtract(np.real(fv), g.real, out=rem)
             else:
-                radii[N] = _smallest_disk(r)[1]
+                radii[N] = _smallest_disk(fv - (g.real if real_g[N] else g))[1]
 
     def values(r, t):
         # a bracket's value is the one a lone search of its remainder

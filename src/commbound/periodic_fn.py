@@ -95,16 +95,26 @@ class PeriodicFunction:
         return "PeriodicFunction(name=%r, real_valued=%r)" % (self.name, self.real_valued)
 
 
-def _pair_term(a_pos, a_neg, k, x):
+def _pair_term(a_pos, a_neg, k, x, out=None):
     """a_k e^{ikx} + a_{-k} e^{-ikx} for the order k, an int or an array
     that broadcasts against the angles x.  e^{-ikx} is filled from
     e^{ikx}: cos is even and sin odd, and 0 - im keeps the +0 imaginary
-    part that exp gives at x = 0."""
-    e = np.exp(1j * (k * x))
-    c = np.empty_like(e)
+    part that exp gives at x = 0.
+
+    out, if given, is a (float, complex, complex) triple of arrays of the
+    result's shape: the exponent kx, e^{ikx} and e^{-ikx} are written into
+    them in turn, and the term, returned in the last, has the bits of the
+    allocating call."""
+    kx, e, c = (None, None, None) if out is None else out
+    kx = np.multiply(k, x, out=kx)
+    e = np.multiply(1j, kx, out=e)
+    np.exp(e, out=e)
+    if c is None:
+        c = np.empty_like(e)
     c.real = e.real
     np.subtract(0.0, e.imag, out=c.imag)
-    return a_pos * e + a_neg * c
+    np.multiply(a_neg, c, out=c)
+    return np.add(np.multiply(a_pos, e, out=e), c, out=c)
 
 
 def _partial_sums(coeffs, x):
@@ -341,9 +351,11 @@ def _refined_extent(x, rows, values):
     sample rows on the grid x, each refined by one golden-section pass
     inside its best cell.
 
-    rows yields the k >= 0 rows one at a time.  values(r, t) maps arrays of
-    row indices and points to the values of function r[j] at t[j].  All 2k
-    searches run in lockstep, the min searches on the negated values.
+    rows yields the k >= 0 rows one at a time.  Each row is read before the
+    next one is requested, so rows may yield one array rewritten in place
+    for every function.  values(r, t) maps arrays of row indices and points
+    to the values of function r[j] at t[j].  All 2k searches run in
+    lockstep, the min searches on the negated values.
     """
     h = TWO_PI / x.size
     peaks = []

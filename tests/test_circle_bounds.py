@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import commbound as cb
+import frozen_envelope
 from commbound import circle_bounds, periodic_fn
 
 
@@ -353,6 +354,89 @@ class TestExpTable:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 10 ** 6
+
+
+def degree60():
+    return cb.from_coefficients({s * n: (-1) ** n / n ** 2
+                                 for n in range(1, 61) for s in (1, -1)})
+
+
+def line_bits(lines):
+    return [(float(m).hex(), float(b).hex(), prov) for m, b, prov in lines]
+
+
+class TestSweepAgainstFrozenCopy:
+    """The remainder sweep writes every order into one set of grid arrays;
+    its lines must carry the bits of the frozen allocating sweep, at the
+    CLI cap and on the real, complex and all-zero-remainder paths.  Each
+    side gets its own function, so neither reuses the other's memo."""
+
+    @pytest.mark.parametrize("make, N_max", [
+        (cb.builtin_triangle, 0),
+        (cb.builtin_triangle, 1),
+        (cb.builtin_triangle, 16),
+        (cb.builtin_triangle, 128),
+        (cb.builtin_bump, 16),
+        (degree60, 60),
+        (lambda: cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125}), 4),
+    ], ids=["triangle-0", "triangle-1", "triangle-16", "triangle-128",
+            "bump-16", "degree60-60", "complex-4"])
+    def test_lines_equal_frozen_copy(self, make, N_max):
+        env = cb.truncation_envelope(make(), N_max)
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        want = frozen_envelope.truncation_lines(make(), N_max)
+        assert line_bits(got) == line_bits(want)
+
+
+class TestPairTermBuffers:
+    @staticmethod
+    def angles():
+        # the reduced grid holds +0.0; -0.0 and the seam are added
+        x = periodic_fn._reduce_angle(periodic_fn._grid(2 ** 12))
+        return np.concatenate((x, [-0.0, 0.0, -np.pi, np.pi]))
+
+    @staticmethod
+    def work(shape):
+        return (np.empty(shape), np.empty(shape, dtype=np.complex128),
+                np.empty(shape, dtype=np.complex128))
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_buffered_term_equals_allocating_call(self, conjugate):
+        x = self.angles()
+        assert np.signbit(x[x == 0.0]).any() and not np.signbit(x[x == 0.0]).all()
+        rng = np.random.default_rng(int(conjugate))
+        a = rng.standard_normal((129, 2)) @ np.array([1.0, 1j])
+        b = (np.conj(a) if conjugate
+             else rng.standard_normal((129, 2)) @ np.array([1.0, 1j]))
+        work = self.work(x.size)    # one set of buffers for every order
+        for k in range(129):
+            want = periodic_fn._pair_term(a[k], b[k], k, x)
+            got = periodic_fn._pair_term(a[k], b[k], k, x, work)
+            assert got is work[2]
+            assert same_bits(got, want)
+            assert same_bits(want, frozen_envelope._pair_term(a[k], b[k], k, x))
+
+    def test_buffered_table_equals_allocating_call(self):
+        x = self.angles()
+        k = np.arange(1, 129)[:, None]
+        a, b = np.full((2, 128, 1), 0.25 - 0.5j)
+        want = periodic_fn._pair_term(a, b, k, x)
+        got = periodic_fn._pair_term(a, b, k, x, self.work(want.shape))
+        assert same_bits(got, want)
+        assert same_bits(want, frozen_envelope._pair_term(a, b, k, x))
+
+    @pytest.mark.parametrize("N_max", [16, 128])
+    def test_envelope_peak_below_one_set_of_sweep_arrays(self, N_max):
+        # the grid, f, the twice-reduced angles and five reused work arrays
+        # (4 MB); a fresh set per order would lift the peak above 7.8 MB
+        f = cb.builtin_triangle()
+        tracemalloc.start()
+        try:
+            cb.truncation_envelope(f, N_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 10 ** 6
 
 
 class TestEtaLower:

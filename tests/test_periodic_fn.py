@@ -490,6 +490,27 @@ class TestLockstepExtent:
         for k, f in enumerate(fs):
             assert (float(lo[k]), float(hi[k])) == cb.range_extent(f, 4096)
 
+    def test_one_reused_row_array_gives_the_same_extents(self):
+        fs = [cb.builtin_triangle(), cb.builtin_bump(),
+              cb.from_coefficients({1: 0.5, -1: 0.5, 3: 0.25, -3: 0.25})]
+        x = periodic_fn._grid(4096)
+        rows = [np.real(f.sample(x)) for f in fs]
+
+        def values(r, t):
+            return np.array([np.real(fs[k].sample(t[j:j + 1]))[0]
+                             for j, k in enumerate(r)])
+
+        def reused():
+            buf = np.empty(x.size)
+            for row in rows:
+                buf[:] = row
+                yield buf
+
+        want = periodic_fn._refined_extent(x, iter(rows), values)
+        got = periodic_fn._refined_extent(x, reused(), values)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_no_rows_give_empty_extents(self):
         def values(r, t):
             raise AssertionError("no bracket to refine")

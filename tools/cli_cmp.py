@@ -45,8 +45,12 @@ INVOCATIONS = [
     "curve circle --function bump --format json",
     "curve circle --steps 50 --function complex.json",
     "curve circle --steps 10 --function deg500.json",
+    "curve circle --n-max 128 --steps 50",
+    "curve circle --function bump --n-max 128 --format json",
     "lower circle",
+    "lower circle --function triangle",
     "validate circle",
+    "validate circle --function bump --seed 1 --samples 200",
     "validate circle --samples 200 --function complex.json",
 ]
 VIOLATIONS = [
