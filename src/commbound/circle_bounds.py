@@ -26,13 +26,15 @@ from .periodic_fn import (
     _pair_term,
     _partial_sums,
     _reduce_angle,
-    _refined_extent,
+    _refine_peaks,
+    _row_peaks,
     _signed_orders,
     _smallest_disk,
 )
 
 _LOWER_CHUNK = 2 ** 19   # offsets x points per block of the complex scan
 _LOWER_BLOCK = 2 ** 14   # samples or deltas per block of eta_lower's passes
+                         # and of the truncation envelope's remainder sweep
 
 
 @dataclass(frozen=True)
@@ -258,12 +260,6 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     c[ns + N_max], err = _coefficients(f, ns, 1e-10)
     # err_run[k]: the errors of the orders |n| < k, added one by one
     err_run = [0.0] + np.cumsum(err)[::2].tolist()
-    # f sampled once where every remainder's rule samples it; g_N at the
-    # points where g_N.sample evaluates, as a running sum over orders
-    x = _grid(grid_size)
-    xs = _reduce_angle(x)
-    fv = np.asarray(f.sample(xs))
-    y = _reduce_angle(xs)
     # g_N's coefficients, with the reality flag a TrigPolynomial would set
     heads = [c[N_max - N:N_max + N + 1] for N in range(N_max + 1)]
     real_g = [bool(np.all(a[::-1] == np.conj(a))) for a in heads]
@@ -272,19 +268,35 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
 
     def real_remainders():
         # f - g_N with g_N = g_{N-1} + pair term N, each used as it is made:
-        # a real one by the lockstep extent, a complex one by its disk.
-        # Every order is written into one set of grid arrays, so a yielded
-        # row is overwritten when the next one is asked for
-        work = (np.empty(y.size), np.empty(y.size, dtype=np.complex128),
-                np.empty(y.size, dtype=np.complex128))
-        rem = np.empty(y.size)
-        g = np.full(y.size, c[N_max])
+        # a real one by the lockstep extent, block by block, a complex one
+        # by its disk.  f is sampled once where every remainder's rule
+        # samples it, and g_N summed at the points y where g_N.sample
+        # evaluates.  Pair terms and remainder blocks are written into
+        # block-sized arrays, so a yielded block is overwritten when the
+        # next one is asked for; f, y and g_N are freed when the sweep ends
+        xs = _reduce_angle(_grid(grid_size))
+        fv = np.asarray(f.sample(xs))
+        y = _reduce_angle(xs)
+        del xs
+        B = min(_LOWER_BLOCK, y.size)
+        work = (np.empty(B), np.empty(B, dtype=np.complex128),
+                np.empty(B, dtype=np.complex128))
+        rem = np.empty(B)
+        # only the real part of g_N is read when every head is real
+        real_sum = real_g[-1]
+        g = np.full(y.size, c[N_max].real if real_sum else c[N_max])
+        blocks = [(y[s:s + B], np.real(fv[s:s + B]), g[s:s + B])
+                  for s in range(0, y.size, B)]
         for N in range(N_max + 1):
             if N:
-                g += _pair_term(c[N_max + N], c[N_max - N], N, y, work)
+                for t, _, gb in blocks:
+                    term = _pair_term(c[N_max + N], c[N_max - N], N, t,
+                                      [w[:t.size] for w in work])
+                    gb += term.real if real_sum else term
             if N in real:
                 # the bits of np.real(fv - g.real), for a complex fv too
-                yield np.subtract(np.real(fv), g.real, out=rem)
+                yield (np.subtract(fb, gb.real, out=rem[:fb.size])
+                       for _, fb, gb in blocks)
             else:
                 radii[N] = _smallest_disk(fv - (g.real if real_g[N] else g))[1]
 
@@ -297,7 +309,9 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         return np.real(np.asarray(f.sample(t))
                        - gv[np.asarray(real)[r], np.arange(t.size)].real)
 
-    lo, hi = _refined_extent(x, real_remainders(), values)
+    peaks = _row_peaks(real_remainders())
+    # the grid's points are needed only once the sweep has freed its arrays
+    lo, hi = _refine_peaks(_grid(grid_size), peaks, values)
     for N, a, b in zip(real, lo, hi):
         radii[N] = 0.5 * (float(b) - float(a))
     lines = []

@@ -346,26 +346,46 @@ def _grid(grid_size):
     return -np.pi + TWO_PI * np.arange(grid_size) / grid_size
 
 
-def _refined_extent(x, rows, values):
-    """(lo, hi): arrays of the min and max of k real functions from their
-    sample rows on the grid x, each refined by one golden-section pass
-    inside its best cell.
+def _row_peaks(rows):
+    """(imax, imin, vmax, vmin): arrays of the first argmax and argmin of
+    k >= 0 real sample rows and the values there.
 
-    rows yields the k >= 0 rows one at a time.  Each row is read before the
-    next one is requested, so rows may yield one array rewritten in place
-    for every function.  values(r, t) maps arrays of row indices and points
-    to the values of function r[j] at t[j].  All 2k searches run in
-    lockstep, the min searches on the negated values.
+    rows yields each row as an iterable of its consecutive blocks, one at a
+    time.  Each block is read before the next one is requested, so one
+    array rewritten in place may serve every block of every row.  argmax
+    over the blocks' peaks picks the block of the row's first maximum (or
+    first NaN), so the indices are those of the whole row; likewise argmin.
     """
-    h = TWO_PI / x.size
     peaks = []
-    for v in rows:
-        imax, imin = int(np.argmax(v)), int(np.argmin(v))
-        peaks.append((imax, imin, v[imax], v[imin]))
+    for blocks in rows:
+        at, top, bot, n = [], [], [], 0
+        for v in blocks:
+            i, j = int(np.argmax(v)), int(np.argmin(v))
+            at.append((n + i, n + j))
+            top.append(v[i])
+            bot.append(v[j])
+            n += v.size
+        i, j = int(np.argmax(top)), int(np.argmin(bot))
+        peaks.append((at[i][0], at[j][1], top[i], bot[j]))
     if not peaks:
-        return np.empty(0), np.empty(0)
-    imax, imin, vmax, vmin = (np.array(c) for c in zip(*peaks))
+        return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 2
+    return tuple(np.array(c) for c in zip(*peaks))
+
+
+def _refine_peaks(x, peaks, values):
+    """(lo, hi): arrays of the min and max of k real functions from their
+    grid peaks (_row_peaks) on the grid x, each refined by one
+    golden-section pass inside its best cell.
+
+    values(r, t) maps arrays of row indices and points to the values of
+    function r[j] at t[j].  All 2k searches run in lockstep, the min
+    searches on the negated values.
+    """
+    imax, imin, vmax, vmin = peaks
     k = imax.size
+    if not k:
+        return np.empty(0), np.empty(0)
+    h = TWO_PI / x.size
     r = np.tile(np.arange(k), 2)
     sign = np.repeat([1.0, -1.0], k)
     mid = x[np.concatenate((imax, imin))]
@@ -374,6 +394,14 @@ def _refined_extent(x, rows, values):
     # min(v, refined) and max(v, refined), ties to the grid value
     return (np.where(refined[k:] < vmin, refined[k:], vmin),
             np.where(refined[:k] > vmax, refined[:k], vmax))
+
+
+def _refined_extent(x, rows, values):
+    """(lo, hi) of _refine_peaks for rows that yields k >= 0 whole sample
+    rows on the grid x, one at a time.  Each row is read before the next
+    one is requested, so rows may yield one array rewritten in place for
+    every function."""
+    return _refine_peaks(x, _row_peaks([v] for v in rows), values)
 
 
 def _extent(f, x, v):

@@ -18,7 +18,7 @@ from .circle_bounds import BoundCurve, BoundLine
 
 
 def _frozen(a):
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -129,7 +129,9 @@ class _PedersenEnvelope(BoundCurve):
         del s  # holding the series while the line arrays are built raises peak RSS
         m, b = np.r_[ms, m], np.r_[bs, b]
         self._n_max = N_max
-        super().__init__(arrays=(m, b, np.ones(m.size), self._provenance),
+        # every line's domain is [0, 1]: one read-only value for all of them
+        super().__init__(arrays=(m, b, np.broadcast_to(1.0, m.shape),
+                                 self._provenance),
                          clamp_above=clamp_above)
 
     def _provenance(self, i):

@@ -387,6 +387,22 @@ class TestSweepAgainstFrozenCopy:
         want = frozen_envelope.truncation_lines(make(), N_max)
         assert line_bits(got) == line_bits(want)
 
+    # the sweep runs in blocks of _LOWER_BLOCK points: a grid smaller than
+    # one block, and one whose last block is 5 points long
+    @pytest.mark.parametrize("grid_size", [1024, 3 * 2 ** 14 + 5])
+    @pytest.mark.parametrize("make, N_max", [
+        (cb.builtin_triangle, 16),
+        (degree60, 60),
+        (lambda: cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125}), 4),
+    ], ids=["triangle-16", "degree60-60", "complex-4"])
+    def test_awkward_grid_sizes_equal_frozen_copy(self, make, N_max,
+                                                  grid_size):
+        assert circle_bounds._LOWER_BLOCK == 2 ** 14
+        env = cb.truncation_envelope(make(), N_max, grid_size=grid_size)
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        want = frozen_envelope.truncation_lines(make(), N_max, grid_size)
+        assert line_bits(got) == line_bits(want)
+
 
 class TestPairTermBuffers:
     @staticmethod
@@ -437,6 +453,21 @@ class TestPairTermBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 7 * 10 ** 6
+
+    @pytest.mark.parametrize("make", [cb.builtin_triangle, cb.builtin_bump])
+    @pytest.mark.parametrize("N_max", [16, 128])
+    def test_envelope_peak_below_block_sized_sweep(self, make, N_max):
+        # at grid size the sweep holds f, the twice-reduced angles and g_N
+        # (real here), 1.5 MB, and frees them before the cap samples its
+        # grid; 2^16-point work arrays and remainder rows peak at 6.5 MB
+        f = make()
+        tracemalloc.start()
+        try:
+            cb.truncation_envelope(f, N_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10 ** 6
 
 
 class TestEtaLower:

@@ -520,6 +520,43 @@ class TestLockstepExtent:
         assert lo.shape == hi.shape == (0,)
 
 
+class TestBlockedRowPeaks:
+    @staticmethod
+    def rows():
+        # ties across blocks (+-0.0 and repeated extremes), a NaN after a
+        # maximum, and rows of random values
+        rng = np.random.default_rng(3)
+        tied = np.zeros(1000)
+        tied[[5, 400, 999]] = 2.0
+        tied[[7, 401]] = -2.0
+        signed = np.zeros(1000)
+        signed[::3] = -0.0
+        nan = rng.standard_normal(1000)
+        nan[[10, 600]] = [9.0, np.nan]
+        return [tied, signed, nan] + list(rng.standard_normal((5, 1000)))
+
+    @pytest.mark.parametrize("block", [1, 7, 256, 999, 1000, 4096])
+    def test_blocks_give_the_peaks_of_whole_rows(self, block):
+        rows = self.rows()
+        want = periodic_fn._row_peaks([v] for v in rows)
+        buf = np.empty(block)
+
+        def blocks(v):
+            # one array rewritten for every block of every row
+            for s in range(0, v.size, block):
+                part = buf[:v[s:s + block].size]
+                part[:] = v[s:s + block]
+                yield part
+
+        got = periodic_fn._row_peaks(blocks(v) for v in rows)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        imax, imin, vmax, vmin = want
+        assert [int(i) for i in imax] == [int(np.argmax(v)) for v in rows]
+        assert [int(i) for i in imin] == [int(np.argmin(v)) for v in rows]
+
+
 class TestCoefficientL1:
     def test_triangle_total_is_one(self, triangle):
         assert cb.coefficient_l1(triangle) == 1.0

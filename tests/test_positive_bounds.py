@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,15 @@ class TestSqrtSeries:
         s = cb.sqrt_series(8)
         with pytest.raises(ValueError):
             s.coefficients[0] = 0.0
+
+    @pytest.mark.parametrize("table", ["coefficients", "partial_sums",
+                                       "weighted_sums"])
+    def test_every_table_stays_read_only(self, table):
+        # the tables are frozen in place, without a copy
+        a = getattr(cb.sqrt_series(8), table)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[1] = 0.0
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -204,6 +214,22 @@ class TestGammaEnvelope:
         assert segs[0][0] == 0.0 and segs[-1][1] == 1.0
         slopes = [s[2].slope for s in segs]
         assert all(x > y for x, y in zip(slopes, slopes[1:]))
+
+    def test_every_line_domain_is_the_unit_interval(self, gamma_small):
+        assert gamma_small.delta_max == 1.0
+        assert {l.delta_max for l in gamma_small.lines()} == {1.0}
+
+    def test_default_envelope_memory(self):
+        # the series tables are frozen without copies and the line domains
+        # are one broadcast value: 5.4 MB of tracemalloc with a copy of each
+        # table and a 10^5-entry array of ones
+        tracemalloc.start()
+        try:
+            cb.gamma0()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.3 * 10 ** 6
 
 
 class BruteEnvelope:

@@ -7,7 +7,8 @@ with this checkout's src/ on the import path and once with OTHER's, both in
 one scratch directory that holds the coefficient files they read.  For each
 invocation it compares stdout, the file written by --out, stderr and the
 exit code, and prints one line: `same` or `DIFF` with the parts that
-differ.  Exits 1 on any difference.  The two violation reports run with
+differ, and the peak RSS of the run with this checkout and with OTHER
+(ru_maxrss of the child, in MB).  Exits 1 on any difference.  The two violation reports run with
 every bound curve replaced by the constant 1e-9, so they exit 1 with a
 replay payload.
 """
@@ -72,17 +73,24 @@ sys.exit(experiments_cli.main(sys.argv[1:]))
 
 
 def run(checkout, args, tiny, workdir):
-    """(stdout, out file, stderr, exit code) of one invocation."""
-    out = workdir / OUT
+    """((stdout, out file, stderr, exit code), peak RSS MB) of one
+    invocation; stdout and stderr go through files in workdir."""
+    out, streams = workdir / OUT, (workdir / "stdout", workdir / "stderr")
     if out.exists():
         out.unlink()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     head = ["-c", _TINY_CURVE] if tiny else ["-m", "commbound.experiments_cli"]
-    proc = subprocess.run([sys.executable, *head, *args.split(), "--out", OUT],
-                          cwd=workdir, env=env, capture_output=True)
+    with open(streams[0], "wb") as so, open(streams[1], "wb") as se:
+        proc = subprocess.Popen(
+            [sys.executable, *head, *args.split(), "--out", OUT],
+            cwd=workdir, env=env, stdin=subprocess.DEVNULL, stdout=so,
+            stderr=se)
+        _, status, ru = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     written = out.read_bytes() if out.exists() else None
-    return proc.stdout, written, proc.stderr, proc.returncode
+    stdout, stderr = (p.read_bytes() for p in streams)
+    return (stdout, written, stderr, proc.returncode), ru.ru_maxrss / 1024.0
 
 
 def main(argv):
@@ -102,12 +110,12 @@ def main(argv):
             (workdir / name).write_text(json.dumps(coeffs))
         for args, tiny in ([(a, False) for a in INVOCATIONS]
                            + [(a, True) for a in VIOLATIONS]):
-            mine = run(HERE, args, tiny, workdir)
-            theirs = run(other, args, tiny, workdir)
+            mine, rss = run(HERE, args, tiny, workdir)
+            theirs, rss_other = run(other, args, tiny, workdir)
             bad = [p for p, x, y in zip(parts, mine, theirs) if x != y]
             differ += bool(bad)
-            print("%s exit %d  %s%s%s" % (
-                "DIFF" if bad else "same", mine[3], args,
+            print("%s exit %d  rss %6.2f vs %6.2f MB  %s%s%s" % (
+                "DIFF" if bad else "same", mine[3], rss, rss_other, args,
                 " (curve 1e-9)" if tiny else "",
                 "  [%s]" % ", ".join(bad) if bad else ""), flush=True)
     print("%d of %d invocations differ"
