@@ -347,8 +347,8 @@ def _grid(grid_size):
 
 
 def _row_peaks(rows):
-    """(imax, imin, vmax, vmin): arrays of the first argmax and argmin of
-    k >= 0 real sample rows and the values there.
+    """[(imax, imin, vmax, vmin), ...]: the first argmax and argmin of each
+    of k >= 0 real sample rows, and the values there.
 
     rows yields each row as an iterable of its consecutive blocks, one at a
     time.  Each block is read before the next one is requested, so one
@@ -367,9 +367,7 @@ def _row_peaks(rows):
             n += v.size
         i, j = int(np.argmax(top)), int(np.argmin(bot))
         peaks.append((at[i][0], at[j][1], top[i], bot[j]))
-    if not peaks:
-        return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 2
-    return tuple(np.array(c) for c in zip(*peaks))
+    return peaks
 
 
 def _refine_peaks(x, peaks, values):
@@ -381,10 +379,10 @@ def _refine_peaks(x, peaks, values):
     function r[j] at t[j].  All 2k searches run in lockstep, the min
     searches on the negated values.
     """
-    imax, imin, vmax, vmin = peaks
-    k = imax.size
-    if not k:
+    if not peaks:
         return np.empty(0), np.empty(0)
+    imax, imin, vmax, vmin = (np.array(c) for c in zip(*peaks))
+    k = imax.size
     h = TWO_PI / x.size
     r = np.tile(np.arange(k), 2)
     sign = np.repeat([1.0, -1.0], k)

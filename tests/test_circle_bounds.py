@@ -459,7 +459,8 @@ class TestPairTermBuffers:
     def test_envelope_peak_below_block_sized_sweep(self, make, N_max):
         # at grid size the sweep holds f, the twice-reduced angles and g_N
         # (real here), 1.5 MB, and frees them before the cap samples its
-        # grid; 2^16-point work arrays and remainder rows peak at 6.5 MB
+        # grid (peaks 2.5-3.2 MB); 2^16-point work arrays and a remainder
+        # row held through the cap peak at 6.4-6.6 MB
         f = make()
         tracemalloc.start()
         try:

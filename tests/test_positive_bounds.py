@@ -221,8 +221,8 @@ class TestGammaEnvelope:
 
     def test_default_envelope_memory(self):
         # the series tables are frozen without copies and the line domains
-        # are one broadcast value: 5.4 MB of tracemalloc with a copy of each
-        # table and a 10^5-entry array of ones
+        # are one broadcast value (4.0 MB); with a copy of each table and a
+        # 10^5-entry array of ones the peak is 5.6 MB
         tracemalloc.start()
         try:
             cb.gamma0()
