@@ -282,7 +282,8 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         work = (np.empty(B), np.empty(B, dtype=np.complex128),
                 np.empty(B, dtype=np.complex128))
         rem = np.empty(B)
-        # only the real part of g_N is read when every head is real
+        # when every head is conjugate-symmetric only g_N's real part is
+        # read, so only that part is summed
         real_sum = real_g[-1]
         g = np.full(y.size, c[N_max].real if real_sum else c[N_max])
         blocks = [(y[s:s + B], np.real(fv[s:s + B]), g[s:s + B])
@@ -310,7 +311,8 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
                        - gv[np.asarray(real)[r], np.arange(t.size)].real)
 
     peaks = _row_peaks(real_remainders())
-    # the grid's points are needed only once the sweep has freed its arrays
+    # the grid is built once the sweep has freed its arrays; the searches
+    # read only the peaks' points
     lo, hi = _refine_peaks(_grid(grid_size), peaks, values)
     for N, a, b in zip(real, lo, hi):
         radii[N] = 0.5 * (float(b) - float(a))
