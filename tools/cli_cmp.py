@@ -8,9 +8,9 @@ one scratch directory that holds the coefficient files they read.  For each
 invocation it compares stdout, the file written by --out, stderr and the
 exit code, and prints one line: `same` or `DIFF` with the parts that
 differ, and the peak RSS of the run with this checkout and with OTHER
-(ru_maxrss of the child, in MB).  Exits 1 on any difference.  The two violation reports run with
-every bound curve replaced by the constant 1e-9, so they exit 1 with a
-replay payload.
+(ru_maxrss of the child, in MB).  Exits 1 on any difference.  The two
+violation reports run with every bound curve replaced by the constant
+1e-9, so they exit 1 with a replay payload.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ def run(checkout, args, tiny, workdir):
             cwd=workdir, env=env, stdin=subprocess.DEVNULL, stdout=so,
             stderr=se)
         _, status, ru = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
     written = out.read_bytes() if out.exists() else None
     stdout, stderr = (p.read_bytes() for p in streams)
-    return (stdout, written, stderr, proc.returncode), ru.ru_maxrss / 1024.0
+    return ((stdout, written, stderr, os.waitstatus_to_exitcode(status)),
+            ru.ru_maxrss / 1024.0)
 
 
 def main(argv):
