@@ -64,8 +64,12 @@ def _atomic_write(path, text):
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".commbound-")
+    # mkstemp's file is 0600; the file gets the mode open() would give it
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -499,5 +503,38 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """Run main(argv), flush stdout and stderr, and end the process with
+    main's exit code through os._exit.
+
+    os._exit skips atexit handlers, object finalizers and module teardown,
+    which here would only free numpy and module state that the OS discards
+    anyway.  That is safe because commbound registers no
+    atexit handler, _atomic_write has closed and renamed its file before main
+    returns, and no thread or child process of commbound's is running then.
+    An exception that escapes main, such as argparse's SystemExit for a
+    usage error or --help, propagates and the interpreter ends as usual.  If
+    the final flush fails (stdout a closed pipe, say), one "commbound:" line
+    goes to stderr, unless main's own error line (code 2) is already there,
+    and the exit code is main's if nonzero, else 2.
+    """
+    code = main(argv)
+    error = None
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except (OSError, ValueError) as err:
+            error = error or err
+    if error is not None:
+        if code != 2 and sys.stderr is not None:
+            try:
+                print("commbound: %s" % error, file=sys.stderr, flush=True)
+            except (OSError, ValueError):
+                pass
+        code = code or 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

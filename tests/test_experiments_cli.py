@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -911,3 +912,203 @@ def test_validate_leaves_numpy_ma_unimported(target, tmp_path):
                           text=True, env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[-2] == "0 False"
+
+
+class TestOutFileMode:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                             (0o002, 0o664)])
+    def test_new_file_gets_the_mode_of_open(self, umask, mode, tmp_path):
+        out = tmp_path / "curve.csv"
+        old = os.umask(umask)
+        try:
+            rc = main(["curve", "sqrt", "--steps", "3", "--n-max", "100",
+                       "--a-grid", "32", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        assert os.stat(out).st_mode & 0o777 == mode
+
+
+SMALL_SQRT = ["--n-max", "200", "--a-grid", "64"]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(experiments_cli.__file__)))
+
+
+def cli_process(args, cwd, head=("-m", "commbound.experiments_cli")):
+    """The command line run in a fresh interpreter, as a finished
+    subprocess.run with stdout and stderr as bytes."""
+    return subprocess.run([sys.executable, *head, *args], cwd=cwd,
+                          capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
+def tiny_curve_script():
+    """tools/cli_cmp.py's script: the CLI with every bound curve replaced
+    by the constant 1e-9, so any validate run is a violation."""
+    path = os.path.join(os.path.dirname(SRC), "tools", "cli_cmp.py")
+    spec = importlib.util.spec_from_file_location("cli_cmp", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._TINY_CURVE
+
+
+def no_traceback(stderr):
+    assert b"Traceback" not in stderr
+    assert b"Exception ignored" not in stderr
+
+
+class TestExitPath:
+    """The process exit through experiments_cli.run, as a user runs it."""
+
+    def test_success_writes_the_file_and_the_summary_line(self, tmp_path):
+        proc = cli_process(["validate", "sqrt", "--samples", "20", "--dims",
+                            "2-3", *SMALL_SQRT, "--out", "r.json"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == b""
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["violations"] == 0 and len(doc["records"]) == 20
+        assert proc.stdout.decode() == (
+            "validate sqrt: 20 samples, 0 violations, min margin %.12e at "
+            "seed %d index %d\n" % (doc["min_margin"], doc["min_margin_seed"],
+                                    doc["min_margin_index"]))
+
+    def test_violation_exits_one_with_a_replay_payload(self, tmp_path):
+        proc = cli_process(["validate", "sqrt", "--samples", "20", "--dims",
+                            "2-3", *SMALL_SQRT, "--out", "r.json"], tmp_path,
+                           head=("-c", tiny_curve_script()))
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"validate sqrt: BOUND VIOLATION")
+        assert proc.stderr.count(b"\n") == 1
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["status"] == "violation"
+        v = doc["violation"]
+        pair = cb.instance_pair(v["role"], v["dim"], v["seed"], v["index"],
+                                v["spectrum_mode"])
+        x = np.array([[complex(*z) for z in row] for row in v["x"]])
+        np.testing.assert_array_equal(pair.x, x)
+        assert cb.op_norm(cb.commutator(pair.x, pair.a)) == v["delta"]
+
+    @pytest.mark.parametrize("args, message", [
+        (["curve", "sqrt", "--steps", "1"],
+         b"commbound: steps must be at least 2\n"),
+        (["curve", "sqrt", "--steps", "abc"],
+         b"commbound curve sqrt: error: argument --steps: invalid int value:"
+         b" 'abc'\n"),
+    ])
+    def test_errors_exit_two_with_one_line(self, args, message, tmp_path):
+        proc = cli_process(args + ["--out", "x.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.endswith(message)
+        no_traceback(proc.stderr)
+        assert os.listdir(tmp_path) == []
+
+    def test_large_stdout_output_arrives_whole(self, tmp_path):
+        args = ["curve", "sqrt", "--steps", "100000", *SMALL_SQRT]
+        to_file = cli_process(args + ["--out", "c.csv"], tmp_path)
+        to_stdout = cli_process(args + ["--out", "-"], tmp_path)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stdout == to_file.stderr == to_stdout.stderr == b""
+        assert to_stdout.stdout == (tmp_path / "c.csv").read_bytes()
+        assert to_stdout.stdout.count(b"\n") == 100001
+
+    def test_stdout_closed_early_exits_two(self, tmp_path):
+        # 7 MB of CSV: the writer blocks on the full pipe until the reader
+        # closes it after one line
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "commbound.experiments_cli", "curve",
+             "sqrt", "--steps", "100000", *SMALL_SQRT, "--out", "-"],
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        try:
+            assert proc.stdout.readline() == b"delta,gamma0,sqrt_delta,ratio\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        no_traceback(stderr)
+        assert stderr.startswith(b"commbound: ")
+        assert stderr.count(b"\n") == 1
+
+
+class HardExit(Exception):
+    pass
+
+
+def refuse_hard_exit(monkeypatch):
+    def hard_exit(code):
+        raise HardExit(code)
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+
+
+def fake_violation(monkeypatch):
+    def boom(*args, **kwargs):
+        raise cb.ViolationError("bound violated", {"seed": 0})
+
+    monkeypatch.setattr(experiments_cli.matrix_lab, "sample_sweep", boom)
+
+
+class TestMainReturns:
+    def test_main_returns_every_code_in_process(self, tmp_path, monkeypatch,
+                                                capsys):
+        refuse_hard_exit(monkeypatch)
+        assert main(["curve", "sqrt", "--steps", "3", *SMALL_SQRT,
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        assert main(["curve", "sqrt", "--steps", "1"]) == 2
+
+        fake_violation(monkeypatch)
+        assert main(["validate", "sqrt", "--samples", "2", *SMALL_SQRT,
+                     "--out", str(tmp_path / "r.json")]) == 1
+
+    @pytest.mark.parametrize("args, code", [
+        (["curve", "sqrt", "--steps", "3", *SMALL_SQRT, "--out", "-"], 0),
+        (["curve", "sqrt", "--steps", "1"], 2),
+    ])
+    def test_run_ends_with_main_code(self, args, code, monkeypatch, capsys):
+        refuse_hard_exit(monkeypatch)
+        with pytest.raises(HardExit) as info:
+            experiments_cli.run(args)
+        assert info.value.args == (code,)
+        if code == 0:
+            assert capsys.readouterr().out.count("\n") == 4
+
+    def test_run_lets_usage_errors_propagate(self, monkeypatch, capsys):
+        refuse_hard_exit(monkeypatch)
+        with pytest.raises(SystemExit) as info:
+            experiments_cli.run(["curve", "sqrt", "--steps", "abc"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("args, code, err", [
+        (["curve", "sqrt", "--steps", "3", *SMALL_SQRT, "--out", "-"], 2,
+         "commbound: [Errno 32] Broken pipe\n"),
+        # main's own line already names the failure
+        (["curve", "sqrt", "--steps", "1"], 2,
+         "commbound: steps must be at least 2\n"),
+        (["validate", "sqrt", "--samples", "2", *SMALL_SQRT], 1,
+         "validate sqrt: BOUND VIOLATION (bound violated)\n"
+         "commbound: [Errno 32] Broken pipe\n"),
+    ])
+    def test_failed_flush_reports_once(self, args, code, err, monkeypatch,
+                                       capsys):
+        class ClosedPipe:
+            def write(self, text):
+                return len(text)
+
+            def writelines(self, chunks):
+                for _ in chunks:
+                    pass
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        refuse_hard_exit(monkeypatch)
+        fake_violation(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(HardExit) as info:
+            experiments_cli.run(args)
+        assert info.value.args == (code,)
+        assert capsys.readouterr().err == err

@@ -7,10 +7,13 @@ with this checkout's src/ on the import path and once with OTHER's, both in
 one scratch directory that holds the coefficient files they read.  For each
 invocation it compares stdout, the file written by --out, stderr and the
 exit code, and prints one line: `same` or `DIFF` with the parts that
-differ, and the peak RSS of the run with this checkout and with OTHER
-(ru_maxrss of the child, in MB).  Exits 1 on any difference.  The two
-violation reports run with every bound curve replaced by the constant
-1e-9, so they exit 1 with a replay payload.
+differ, and the peak RSS and minor page faults of the run with this
+checkout and with OTHER (ru_maxrss and ru_minflt of the child).  Exits 1 on
+any difference.  An invocation that names its own --out (`-` for stdout)
+keeps it; the others write to a file.  The two violation reports run with
+every bound curve replaced by the constant 1e-9, so they exit 1 with a
+replay payload; they end through experiments_cli.run where the checkout
+has it, and through sys.exit(main(...)) where it does not.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ INVOCATIONS = [
     "curve circle --steps 10 --function deg500.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
+    "curve sqrt --steps 100000 --out -",
     "lower circle",
     "lower circle --function triangle",
     "validate circle",
@@ -68,13 +72,15 @@ def tiny(*args, **kwargs):
     return circle_bounds.BoundCurve([circle_bounds.BoundLine(0.0, 1e-9)])
 
 positive_bounds.gamma0 = circle_bounds.truncation_envelope = tiny
+if hasattr(experiments_cli, "run"):
+    experiments_cli.run(sys.argv[1:])
 sys.exit(experiments_cli.main(sys.argv[1:]))
 """
 
 
 def run(checkout, args, tiny, workdir):
-    """((stdout, out file, stderr, exit code), peak RSS MB) of one
-    invocation; stdout and stderr go through files in workdir."""
+    """((stdout, out file, stderr, exit code), peak RSS MB, minor faults)
+    of one invocation; stdout and stderr go through files in workdir."""
     out, streams = workdir / OUT, (workdir / "stdout", workdir / "stderr")
     if out.exists():
         out.unlink()
@@ -83,14 +89,15 @@ def run(checkout, args, tiny, workdir):
     head = ["-c", _TINY_CURVE] if tiny else ["-m", "commbound.experiments_cli"]
     with open(streams[0], "wb") as so, open(streams[1], "wb") as se:
         proc = subprocess.Popen(
-            [sys.executable, *head, *args.split(), "--out", OUT],
+            [sys.executable, *head, *args.split(),
+             *([] if "--out" in args.split() else ["--out", OUT])],
             cwd=workdir, env=env, stdin=subprocess.DEVNULL, stdout=so,
             stderr=se)
         _, status, ru = os.wait4(proc.pid, 0)
     written = out.read_bytes() if out.exists() else None
     stdout, stderr = (p.read_bytes() for p in streams)
     return ((stdout, written, stderr, os.waitstatus_to_exitcode(status)),
-            ru.ru_maxrss / 1024.0)
+            ru.ru_maxrss / 1024.0, ru.ru_minflt)
 
 
 def main(argv):
@@ -110,14 +117,15 @@ def main(argv):
             (workdir / name).write_text(json.dumps(coeffs))
         for args, tiny in ([(a, False) for a in INVOCATIONS]
                            + [(a, True) for a in VIOLATIONS]):
-            mine, rss = run(HERE, args, tiny, workdir)
-            theirs, rss_other = run(other, args, tiny, workdir)
+            mine, rss, faults = run(HERE, args, tiny, workdir)
+            theirs, rss_other, faults_other = run(other, args, tiny, workdir)
             bad = [p for p, x, y in zip(parts, mine, theirs) if x != y]
             differ += bool(bad)
-            print("%s exit %d  rss %6.2f vs %6.2f MB  %s%s%s" % (
-                "DIFF" if bad else "same", mine[3], rss, rss_other, args,
-                " (curve 1e-9)" if tiny else "",
-                "  [%s]" % ", ".join(bad) if bad else ""), flush=True)
+            print("%s exit %d  rss %6.2f vs %6.2f MB  minflt %6d vs %6d  %s%s%s"
+                  % ("DIFF" if bad else "same", mine[3], rss, rss_other,
+                     faults, faults_other, args,
+                     " (curve 1e-9)" if tiny else "",
+                     "  [%s]" % ", ".join(bad) if bad else ""), flush=True)
     print("%d of %d invocations differ"
           % (differ, len(INVOCATIONS) + len(VIOLATIONS)))
     return 1 if differ else 0
