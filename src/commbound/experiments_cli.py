@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from collections import namedtuple
@@ -62,14 +63,19 @@ def _atomic_write(path, text):
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
         return
+    # mkstemp's file is 0600; the file gets the mode open() would give it:
+    # an existing file's own, else 0o666 less the umask
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".commbound-")
-    # mkstemp's file is 0600; the file gets the mode open() would give it
-    umask = os.umask(0)
-    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
+            os.chmod(tmp, mode)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -509,9 +515,9 @@ def run(argv=None):
 
     os._exit skips atexit handlers, object finalizers and module teardown,
     which here would only free numpy and module state that the OS discards
-    anyway.  That is safe because commbound registers no
-    atexit handler, _atomic_write has closed and renamed its file before main
-    returns, and no thread or child process of commbound's is running then.
+    anyway.  That is safe because commbound registers no atexit handler,
+    _atomic_write has closed and renamed its file before main returns, and
+    no thread or child process of commbound's is running then.
     An exception that escapes main, such as argparse's SystemExit for a
     usage error or --help, propagates and the interpreter ends as usual.  If
     the final flush fails (stdout a closed pipe, say), one "commbound:" line

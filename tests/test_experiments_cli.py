@@ -928,17 +928,39 @@ class TestOutFileMode:
         assert rc == 0
         assert os.stat(out).st_mode & 0o777 == mode
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640])
+    def test_existing_file_keeps_its_mode(self, mode, tmp_path):
+        out = tmp_path / "curve.csv"
+        out.write_text("old\n")
+        out.chmod(mode)
+        old = os.umask(0o022)
+        try:
+            rc = main(["curve", "sqrt", "--steps", "3", "--n-max", "100",
+                       "--a-grid", "32", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        assert out.read_text().startswith("delta,")
+        assert os.stat(out).st_mode & 0o777 == mode
+
 
 SMALL_SQRT = ["--n-max", "200", "--a-grid", "64"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(experiments_cli.__file__)))
+
+
+def cli_env():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    # stdout block-buffered, as by default, so that output left in the
+    # buffer reaches the reader only through the final flush
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def cli_process(args, cwd, head=("-m", "commbound.experiments_cli")):
     """The command line run in a fresh interpreter, as a finished
     subprocess.run with stdout and stderr as bytes."""
     return subprocess.run([sys.executable, *head, *args], cwd=cwd,
-                          capture_output=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          capture_output=True, timeout=120, env=cli_env())
 
 
 def tiny_curve_script():
@@ -1019,7 +1041,7 @@ class TestExitPath:
             [sys.executable, "-m", "commbound.experiments_cli", "curve",
              "sqrt", "--steps", "100000", *SMALL_SQRT, "--out", "-"],
             cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=SRC))
+            env=cli_env())
         try:
             assert proc.stdout.readline() == b"delta,gamma0,sqrt_delta,ratio\n"
             proc.stdout.close()
@@ -1032,6 +1054,22 @@ class TestExitPath:
         no_traceback(stderr)
         assert stderr.startswith(b"commbound: ")
         assert stderr.count(b"\n") == 1
+
+    def test_stdout_closed_before_the_final_flush_exits_two(self, tmp_path):
+        # four rows stay in stdout's buffer until run flushes it, into a
+        # pipe whose reader is already gone
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "commbound.experiments_cli", "curve",
+                 "sqrt", "--steps", "3", *SMALL_SQRT, "--out", "-"],
+                cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120, env=cli_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == b"commbound: [Errno 32] Broken pipe\n"
 
 
 class HardExit(Exception):

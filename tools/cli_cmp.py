@@ -86,6 +86,8 @@ def run(checkout, args, tiny, workdir):
         out.unlink()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    # stdout block-buffered, as by default, so the exit path's flush counts
+    env.pop("PYTHONUNBUFFERED", None)
     head = ["-c", _TINY_CURVE] if tiny else ["-m", "commbound.experiments_cli"]
     with open(streams[0], "wb") as so, open(streams[1], "wb") as se:
         proc = subprocess.Popen(
