@@ -1102,24 +1102,6 @@ class TestMainReturns:
         assert main(["validate", "sqrt", "--samples", "2", *SMALL_SQRT,
                      "--out", str(tmp_path / "r.json")]) == 1
 
-    @pytest.mark.parametrize("args, code", [
-        (["curve", "sqrt", "--steps", "3", *SMALL_SQRT, "--out", "-"], 0),
-        (["curve", "sqrt", "--steps", "1"], 2),
-    ])
-    def test_run_ends_with_main_code(self, args, code, monkeypatch, capsys):
-        refuse_hard_exit(monkeypatch)
-        with pytest.raises(HardExit) as info:
-            experiments_cli.run(args)
-        assert info.value.args == (code,)
-        if code == 0:
-            assert capsys.readouterr().out.count("\n") == 4
-
-    def test_run_lets_usage_errors_propagate(self, monkeypatch, capsys):
-        refuse_hard_exit(monkeypatch)
-        with pytest.raises(SystemExit) as info:
-            experiments_cli.run(["curve", "sqrt", "--steps", "abc"])
-        assert info.value.code == 2
-
     @pytest.mark.parametrize("args, code, err", [
         (["curve", "sqrt", "--steps", "3", *SMALL_SQRT, "--out", "-"], 2,
          "commbound: [Errno 32] Broken pipe\n"),
@@ -1133,9 +1115,6 @@ class TestMainReturns:
     def test_failed_flush_reports_once(self, args, code, err, monkeypatch,
                                        capsys):
         class ClosedPipe:
-            def write(self, text):
-                return len(text)
-
             def writelines(self, chunks):
                 for _ in chunks:
                     pass

@@ -89,10 +89,12 @@ def run(checkout, args, tiny, workdir):
     # stdout block-buffered, as by default, so the exit path's flush counts
     env.pop("PYTHONUNBUFFERED", None)
     head = ["-c", _TINY_CURVE] if tiny else ["-m", "commbound.experiments_cli"]
+    argv = args.split()
+    if "--out" not in argv:
+        argv += ["--out", OUT]
     with open(streams[0], "wb") as so, open(streams[1], "wb") as se:
         proc = subprocess.Popen(
-            [sys.executable, *head, *args.split(),
-             *([] if "--out" in args.split() else ["--out", OUT])],
+            [sys.executable, *head, *argv],
             cwd=workdir, env=env, stdin=subprocess.DEVNULL, stdout=so,
             stderr=se)
         _, status, ru = os.wait4(proc.pid, 0)
