@@ -14,6 +14,7 @@ caps and handler.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
@@ -61,8 +62,13 @@ def _atomic_write(path, text):
     the other, to stdout or atomically to path."""
     chunks = [text] if isinstance(text, str) else text
     if path is None or path == "-":
+        # Python sets sys.stdout to None when it starts with fd 1 closed
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
         sys.stdout.writelines(chunks)
         return
+    # write through a symlink, as open() does, not over it
+    path = os.path.realpath(path)
     # mkstemp's file is 0600; the file gets the mode open() would give it:
     # an existing file's own, else 0o666 less the umask
     try:
@@ -184,6 +190,13 @@ def _select_function(name):
             raise ValueError("%s: coefficient for order %s must be finite, "
                              "got %s" % (name, k, json.dumps(v)))
         mapping[n] = complex(parts[0], parts[1])
+    # the envelope's lines reach slope MAX_ORDER * l1 and intercept 2 * l1,
+    # so their values on [0, 2] stay below 2 (MAX_ORDER + 1) l1
+    with np.errstate(over="ignore"):
+        reach = 2.0 * (MAX_ORDER + 1) * np.abs(list(mapping.values())).sum()
+    if not np.isfinite(reach):
+        raise ValueError("%s: coefficients too large: 2 (%d + 1) sum |a_n| "
+                         "overflows a float" % (name, MAX_ORDER))
     return from_coefficients(mapping)
 
 

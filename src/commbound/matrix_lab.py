@@ -513,11 +513,25 @@ def _pair_values(w, delta_target):
 def _probe_scores(hraw, araw, delta_target):
     """Composite objective of a stack of raw states: the better of the
     feasible random instance and the best swap pair for the candidate
-    spectrum."""
+    spectrum.
+
+    At dim 2 the swap pair alone is the score.  In H's eigenbasis a 2x2
+    commutator is [f(W), B] = (f(w0) - f(w1)) [[0, B01], [-B10, 0]], of
+    norm |f(w0) - f(w1)| m with m = max(|B01|, |B10|) <= ||B|| <= 1.  So
+    the random contraction, shrunk until ||[H, A]|| <= dt, scores
+    min(num m, num dt/gap) <= num min(1, dt/gap), the pair value (num =
+    |sqrt(w0) - sqrt(w1)|, gap = |w0 - w1|): the maximum is the pair value
+    in exact arithmetic, and the SVDs of the random candidate are skipped.
+    They could only add rounding, a few ulps in about one evaluation in
+    eight of a default climb.  At dims 3 and up only the random
+    contraction can exceed sqrt(dt), so both are scored."""
     w, q = _eigh_box(hraw)
+    pair = _pair_values(w, delta_target)[0]
+    if hraw.shape[-1] == 2:
+        return pair
     a, ok = _bind_contraction(w, q, araw, delta_target)
     rand = np.where(ok, _norms(commutator(_reassemble(q, np.sqrt(w)), a)), 0.0)
-    return np.maximum(rand, _pair_values(w, delta_target)[0])
+    return np.maximum(rand, pair)
 
 
 def _materialize_best(hraw, araw, delta_target):
@@ -551,9 +565,12 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
     commutator constraint binds.  Each candidate is scored as the better
     of that feasible instance and the best eigenbasis swap pair for its
     spectrum, so proposals that improve the spectral pair structure are
-    accepted even before a good A is found.  Equal scores are accepted
-    (plateau drift); the step size grows 1.5x on improvement up to 0.5
-    and halves after 10 rejected steps.
+    accepted even before a good A is found.  At dim 2 the pair is never
+    beaten in exact arithmetic, so the score is the pair value alone (see
+    _probe_scores); A still takes its steps, and the random contraction is
+    still a candidate when the winner is materialized.  Equal scores are
+    accepted (plateau drift); the step size grows 1.5x on improvement up
+    to 0.5 and halves after 10 rejected steps.
 
     The restarts advance in lockstep, scored as one stack, and restart r
     draws its proposals from stream (seed, r).  The first restart with the

@@ -70,9 +70,14 @@ class PeriodicFunction:
         if self.real_valued:
             self._check_real()
 
+    def _seam_size(self, ends):
+        # what the rounding at the seam scales with: the larger end value
+        return float(np.max(np.abs(ends)))
+
     def _check_seam(self):
         ends = np.asarray(self.rule(np.array([-np.pi, np.pi])))
-        if abs(complex(ends[0]) - complex(ends[1])) >= 1e-12:
+        tol = 1e-12 * max(1.0, self._seam_size(ends))
+        if abs(complex(ends[0]) - complex(ends[1])) >= tol:
             raise ValueError(
                 "rule is not periodic at the seam: f(-pi)=%r f(pi)=%r"
                 % (complex(ends[0]), complex(ends[1]))
@@ -169,6 +174,11 @@ class TrigPolynomial(PeriodicFunction):
         if abs(n) > self.degree:
             return 0j
         return complex(self.coeffs[n + self.degree])
+
+    def _seam_size(self, ends):
+        # e^{+-in pi} rounds by about n eps, so |n| + 1 weights |a_n|; the
+        # ends themselves may be tiny, as for sin x
+        return float(np.sum((np.abs(self.ns) + 1.0) * np.abs(self.coeffs)))
 
     def _l1_tail(self, N):
         mask = np.abs(self.ns) > N
@@ -427,6 +437,14 @@ def _disk_two(a, b):
 
 def _circumdisk(a, b, c):
     """Smallest disk through three points; falls back to best two-point disk."""
+    big = max(abs(a), abs(b), abs(c))
+    if big > 2.0 ** 300:
+        # the cubic terms below would overflow: find the center of the
+        # points scaled by a power of two, which is exact, and scale back
+        s = np.ldexp(1.0, -int(np.frexp(big)[1]))
+        center = _circumdisk(a * s, b * s, c * s)[0]
+        center = complex(center.real / s, center.imag / s)
+        return center, max(abs(a - center), abs(b - center), abs(c - center))
     d = 2.0 * ((a.real * (b.imag - c.imag))
                + (b.real * (c.imag - a.imag))
                + (c.real * (a.imag - b.imag)))
@@ -530,12 +548,15 @@ def _dyadic_l1(f, lo, hi, end0, end1, tol):
 
 
 def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
-    """Certified upper bound on sum |a_n|, or None when no tail is certifiable.
+    """sum |a_n|: with a closed tail, the head plus that tail; otherwise an
+    estimate, or None when the blocks do not decay.
 
-    Uses the closed tail when the function carries one.  Otherwise dyadic
-    blocks past the head are summed and the remainder is bounded by
-    geometric extrapolation of the block ratio; returns None when the
-    blocks do not decay.
+    With a closed tail the head's coefficients come from the coefficient
+    rule, or from quadrature to within 1e-10 each, by its error estimate.
+    Otherwise dyadic blocks past the head are summed and the remainder is
+    extrapolated geometrically from the block ratio: an estimate, not a
+    bound, since nothing proves that later blocks keep decaying at that
+    ratio (ROADMAP item 1).
     """
     if f.l1_tail_rule is not None:
         a = np.abs(_certified(f, _signed_orders(0, max(head, 0)), 1e-10))

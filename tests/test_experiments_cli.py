@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1129,3 +1130,85 @@ class TestMainReturns:
             experiments_cli.run(args)
         assert info.value.args == (code,)
         assert capsys.readouterr().err == err
+
+
+class TestOutputTargets:
+    """Where the output goes: through a symlink, or nowhere when stdout is
+    closed."""
+
+    def test_stdout_closed_at_start_exits_two(self, tmp_path):
+        # with fd 1 closed when Python starts, sys.stdout is None
+        proc = subprocess.run(
+            [sys.executable, "-m", "commbound.experiments_cli", "curve",
+             "sqrt", "--steps", "3", *SMALL_SQRT],
+            cwd=tmp_path, stderr=subprocess.PIPE, timeout=120, env=cli_env(),
+            preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 2
+        assert proc.stderr == b"commbound: [Errno 9] stdout is closed\n"
+
+    def test_out_writes_through_a_symlink(self, tmp_path):
+        args = ["curve", "sqrt", "--steps", "3", *SMALL_SQRT, "--out"]
+        assert main(args + [str(tmp_path / "plain.csv")]) == 0
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "target.csv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("data", "target.csv"))
+        assert main(args + [str(link)]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == os.path.join("data", "target.csv")
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert os.stat(target).st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path / "data")) == ["target.csv"]
+
+    def test_out_through_a_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to("target.csv")
+        assert main(["curve", "sqrt", "--steps", "3", *SMALL_SQRT, "--out",
+                     str(link)]) == 0
+        assert link.is_symlink()
+        assert (tmp_path / "target.csv").read_text().startswith("delta,")
+
+
+class TestCoefficientSize:
+    @pytest.mark.parametrize("text", [
+        '{"1": 1e308, "-1": 1e308}', '{"1": 8e307, "-1": 8e307}',
+    ], ids=["sum-overflows", "envelope-overflows"])
+    def test_overflowing_coefficients_exit_two_without_warning(
+            self, text, tmp_path, capsys):
+        # the first printed RuntimeWarnings and blamed the intercept; the
+        # second printed inf in the upper column and exited 0
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        for command in (["curve", "circle", "--steps", "3"],
+                        ["lower", "circle", "--steps", "3"],
+                        ["validate", "circle", "--samples", "2"]):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                rc = main(command + ["--function", str(path), "--out",
+                                     str(tmp_path / "out.txt")])
+            assert rc == 2 and seen == []
+            err = capsys.readouterr().err
+            assert err == ("commbound: %s: coefficients too large: 2 (65536 "
+                           "+ 1) sum |a_n| overflows a float\n" % path)
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"1": 5000}', '{"3": 2000}', '{"1": 5000, "-1": -5000}',
+        '{"1": 1e200}',
+    ], ids=["5000", "order-3", "sine", "1e200"])
+    def test_large_valid_coefficients_are_accepted(self, text, tmp_path,
+                                                   capsys):
+        # rejected before as "not periodic at the seam"
+        path = tmp_path / "large.json"
+        path.write_text(text)
+        for command in (["curve", "circle", "--steps", "3"],
+                        ["curve", "circle", "--format", "json"],
+                        ["lower", "circle", "--steps", "3"]):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                rc = main(command + ["--function", str(path), "--out",
+                                     str(tmp_path / "out.txt")])
+            assert rc == 0 and seen == []
+            assert capsys.readouterr().err == ""

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,35 @@ class TestEvaluate:
             cb.PeriodicFunction(
                 lambda x: np.exp(1j * np.asarray(x, dtype=float)), real_valued=True
             )
+
+
+class TestSeamTolerance:
+    """The seam check allows rounding in proportion to the function's
+    size: |n| + 1 times |a_n| summed for a trig polynomial, the larger end
+    value for a rule."""
+
+    @pytest.mark.parametrize("coeffs", [
+        {1: 5000.0}, {3: 2000.0}, {1: 1e200}, {65536: 1.0},
+        {1: 5000.0, -1: -5000.0},
+    ], ids=["5000", "order-3", "1e200", "order-65536", "sine"])
+    def test_large_trig_polynomials_are_accepted(self, coeffs):
+        g = cb.from_coefficients(coeffs)
+        # the ends differ by rounding alone, which passes the old 1e-12
+        ends = g.rule(np.array([-math.pi, math.pi]))
+        assert abs(ends[0] - ends[1]) >= 1e-12
+
+    @pytest.mark.parametrize("rule", [
+        lambda x: x, lambda x: 1e6 * x, lambda x: 5000.0 + 1e-6 * x,
+        lambda x: 1e200 * (1.0 + 1e-9 * x),
+    ], ids=["x", "1e6-x", "small-jump-on-5000", "1e200"])
+    def test_non_periodic_rules_are_rejected(self, rule):
+        with pytest.raises(ValueError, match="not periodic at the seam"):
+            cb.PeriodicFunction(lambda x: rule(np.asarray(x, dtype=float)))
+
+    def test_small_values_keep_the_absolute_floor(self):
+        with pytest.raises(ValueError, match="not periodic at the seam"):
+            cb.PeriodicFunction(lambda x: 1e-12 * np.asarray(x, dtype=float))
+        cb.PeriodicFunction(lambda x: 1e-13 * np.asarray(x, dtype=float))
 
 
 class TestFourierCoefficient:
@@ -473,6 +503,20 @@ class TestSmallestDisk:
         if seed % 2:
             pts = np.exp(1j * rng.uniform(-np.pi, np.pi, n)) * 2.0 + (0.3 - 0.1j)
         assert periodic_fn._smallest_disk(pts) == old_smallest_disk(pts)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e303])
+    def test_huge_clouds_scale_without_overflow(self, scale):
+        # |p|^2 (p - q) overflowed above about 1e102, and the radius came
+        # out NaN with RuntimeWarnings
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        center, radius = periodic_fn._smallest_disk(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big_center, big_radius = periodic_fn._smallest_disk(pts * scale)
+        assert abs(big_center / scale - center) <= 1e-14 * radius
+        assert abs(big_radius / scale - radius) <= 1e-14 * radius
+        assert np.all(np.abs(pts * scale - big_center) <= big_radius * (1.0 + 1e-13))
 
 
 class TestLockstepExtent:

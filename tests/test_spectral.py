@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import commbound as cb
+import frozen_probe
 from commbound import matrix_lab
 
 DIMS = range(2, 9)
@@ -366,6 +367,50 @@ class TestProbeScores:
         best, i, j = matrix_lab._pair_values(w, 0.25)
         assert best[0] == 0.5 and (i[0], j[0]) == (0, 1)
         assert best[1] == 0.0 and (i[1], j[1]) == (0, 0)
+
+
+class TestScoresAgainstFrozenCopy:
+    """At dim 2 the score is the swap-pair value alone; the frozen copy
+    also scores the random contraction, which can only add rounding."""
+
+    DELTAS = (1e-3, 0.04, 0.25, 1.0)
+
+    @staticmethod
+    def stack(dim, rows, seed):
+        rng = cb.stream(seed, dim)
+        shape = (rows, dim, dim)
+        H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        A = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / dim
+        eye = np.eye(dim)
+        # flat clipped spectra, below 0, above 1 and inside [0, 1]
+        H[0], H[1], H[2] = -0.5 * eye, 3.0 * eye, 0.3 * eye
+        H[3] = np.diag(np.linspace(-2.0, -1.0, dim))
+        H[4] = np.diag(np.linspace(1.5, 4.0, dim))
+        # [H, A] = 0: A zero, or diagonal in H's eigenbasis
+        A[5] = 0.0
+        H[6] = np.diag(np.linspace(0.1, 0.9, dim))
+        A[6] = np.diag(np.linspace(1.0, -1.0, dim))
+        return H, A
+
+    @pytest.mark.parametrize("dt", DELTAS)
+    def test_dim_two_scores_are_the_pair_values(self, dt):
+        H, A = self.stack(2, 4000, 31)
+        scores = matrix_lab._probe_scores(H, A, dt)
+        w, _ = matrix_lab._eigh_box(H)
+        assert scores.tobytes() == matrix_lab._pair_values(w, dt)[0].tobytes()
+        assert (scores[:5] == 0.0).all() and (scores[5:7] > 0.0).all()
+        excess = frozen_probe._probe_scores(H, A, dt) - scores
+        eps = np.finfo(float).eps
+        assert excess.min() >= 0.0 and excess.max() <= 8 * eps
+        assert (excess[:7] == 0.0).all()
+
+    @pytest.mark.parametrize("dt", DELTAS)
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_larger_dims_keep_the_frozen_scores(self, dim, dt):
+        H, A = self.stack(dim, 300, 32)
+        scores = matrix_lab._probe_scores(H, A, dt)
+        old = frozen_probe._probe_scores(H, A, dt)
+        assert scores.tobytes() == old.tobytes()
 
 
 def test_weighted_sums_close_the_tail_identity():

@@ -43,6 +43,7 @@ INVOCATIONS = [
     "validate sqrt",
     "probe",
     "probe --seed 1 --format json",
+    "probe --dim 3 --steps 2000 --seed 2",
     "curve circle",
     "curve circle --format json",
     "curve circle --function bump",
