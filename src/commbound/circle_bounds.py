@@ -16,7 +16,6 @@ from .periodic_fn import (
     PeriodicFunction,
     TrigPolynomial,
     chebyshev_radius,
-    coefficient_l1,
     derivative_fourier_norm,
     TWO_PI,
     _coefficients,
@@ -67,24 +66,23 @@ class BoundCurve:
     """
 
     def __init__(self, lines=None, arrays=None, clamp_above=False):
-        if arrays is not None:
-            m, b, dmax, prov_fn = arrays
-            self._m = np.asarray(m, dtype=float)
-            self._b = np.asarray(b, dtype=float)
-            self._dmax = np.asarray(dmax, dtype=float)
-            self._prov_fn = prov_fn
-        else:
+        if arrays is None:
             lines = list(lines)
             if not lines:
                 raise ValueError("a bound curve needs at least one line")
-            self._m = np.array([l.slope for l in lines], dtype=float)
-            self._b = np.array([l.intercept for l in lines], dtype=float)
-            self._dmax = np.array([l.delta_max for l in lines], dtype=float)
+            if len({l.delta_max for l in lines}) > 1:
+                raise ValueError("bound lines must share one domain")
             provs = [l.provenance for l in lines]
-            self._prov_fn = provs.__getitem__
+            arrays = ([l.slope for l in lines], [l.intercept for l in lines],
+                      lines[0].delta_max, provs.__getitem__)
+        m, b, delta_max, self._prov_fn = arrays
+        self._m = np.asarray(m, dtype=float)
+        self._b = np.asarray(b, dtype=float)
+        self.delta_max = float(delta_max)
         if self._m.size == 0:
             raise ValueError("a bound curve needs at least one line")
-        self.delta_max = float(np.max(self._dmax))
+        if not 0.0 < self.delta_max <= 2.0:
+            raise ValueError("delta_max must lie in (0, 2]")
         self.clamp_above = bool(clamp_above)
 
     @property
@@ -92,8 +90,11 @@ class BoundCurve:
         return int(self._m.size)
 
     def line(self, idx) -> BoundLine:
+        idx = int(idx)
+        if not 0 <= idx < self.size:
+            raise IndexError("line index %d outside 0..%d" % (idx, self.size - 1))
         return BoundLine(float(self._m[idx]), float(self._b[idx]),
-                         float(self._dmax[idx]), self._prov_fn(int(idx)))
+                         self.delta_max, self._prov_fn(idx))
 
     def lines(self):
         return [self.line(i) for i in range(self.size)]
@@ -102,7 +103,6 @@ class BoundCurve:
         """Values and indices, in index order along the last axis, of the
         lines to compare at deltas d of shape (..., 1): here all lines."""
         table = self._m * d + self._b
-        table[self._dmax < d] = np.inf
         return table, np.broadcast_to(np.arange(self.size), table.shape)
 
     def _min_over_lines(self, deltas):
@@ -152,11 +152,11 @@ class BoundCurve:
 
         Lines are processed in decreasing-slope order and dominated ones
         pruned by the standard convex-hull-of-lines sweep (the minimum of
-        lines is concave, so active slopes decrease left to right).  The
-        segmentation is only defined up to the smallest per-line domain.
+        lines is concave, so active slopes decrease left to right).  lo is
+        checked as evaluate checks a delta; hi is cut to the curve's domain.
         """
-        dom = float(np.min(self._dmax))
-        hi = dom if hi is None else min(float(hi), dom)
+        lo = float(self._check_domain(lo))
+        hi = self.delta_max if hi is None else min(float(hi), self.delta_max)
         if not lo < hi:
             raise ValueError("empty segmentation interval")
         idx = self._sweep_lines(lo)
@@ -227,24 +227,20 @@ def _corollary_tail(f, N):
     return None if tail is None else 2.0 * tail
 
 
-def constant_cap(f: PeriodicFunction) -> BoundLine:
-    """Flat bound min(2 sum |a_n|, 2 * chebyshev radius); provenance
-    records which branch won, with ties going to the oscillation branch."""
-    osc = 2.0 * chebyshev_radius(f)
-    l1 = coefficient_l1(f)
-    if l1 is not None and 2.0 * l1 < osc - 1e-12:
-        return BoundLine(0.0, 2.0 * l1, 2.0, "constant cap (l1)")
-    return BoundLine(0.0, osc, 2.0, "constant cap (oscillation)")
-
-
 def truncation_envelope(f: PeriodicFunction, N_max: int,
                         grid_size: int = 2 ** 16) -> BoundCurve:
-    """Envelope of the truncation bounds for N = 0..N_max plus the cap.
+    """Envelope of the truncation bounds for N = 0..N_max.
 
     For each N the slope is sum_{|n|<=N} |n a_n|.  The intercept is the
     tighter of the remainder oscillation and the coefficient-tail bound
     2 sum_{|n|>N} (|a_n| + |a_-n|); the losing branch's value is retained
     in the provenance string.
+
+    Line N = 0 is the flat range bound, so no cap min(2 radius(f), 2 l1) is
+    added: the radius is shift-invariant and the tail over |n| >= 1 is at
+    most l1 = sum |a_n|.  A cap's l1 branch wins only where 2 l1_est <
+    osc_est - 1e-12; as osc_est <= 2 radius(f) <= 2 l1_true, that is only
+    where the l1 estimate falls below the true sum, and gives no bound.
 
     Coefficients come from best-effort quadrature estimates, so slowly
     converging integrands still produce lines: the oscillation intercept
@@ -333,7 +329,6 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
             other = "" if b_tail is None else " [tail b=%.6g]" % b_tail
         prov = "truncation N=%d (%s)" % (N, branch) + other
         lines.append(BoundLine(m, b, 2.0, prov))
-    lines.append(constant_cap(f))
     return BoundCurve(lines)
 
 

@@ -129,9 +129,7 @@ class _PedersenEnvelope(BoundCurve):
         del s  # holding the series while the line arrays are built raises peak RSS
         m, b = np.r_[ms, m], np.r_[bs, b]
         self._n_max = N_max
-        # every line's domain is [0, 1]: one read-only value for all of them
-        super().__init__(arrays=(m, b, np.broadcast_to(1.0, m.shape),
-                                 self._provenance),
+        super().__init__(arrays=(m, b, 1.0, self._provenance),
                          clamp_above=clamp_above)
 
     def _provenance(self, i):
@@ -154,15 +152,15 @@ class _PedersenEnvelope(BoundCurve):
 class SqrtEnvelope(_PedersenEnvelope):
     """The sqrt envelope gamma0 on delta in [0, 1]: pedersen lines
     N = 1..N_max, tangents on a uniform a-grid over [1/4, 1] (endpoints
-    included), the cap 1 (the range extent of sqrt on [0, 1]) and on
-    [1/4, 1] the tangent at the exact minimizer a = delta, sqrt(delta).
+    included) and on [1/4, 1] the tangent at the exact minimizer a = delta,
+    sqrt(delta).  Pedersen line 1 is at most the range extent 1 of sqrt.
 
     Below 1/4 only the grid tangent at a = 1/4 can undercut the pedersen
-    lines, so evaluation adds that tangent, the cap and sqrt(delta) to the
-    pedersen candidates.  The value equals the minimum over all lines bit
-    for bit below 1/4; on [1/4, 1] it is never below it and at most 1 ulp
-    above, where a grid tangent rounds below sqrt(delta).  The other grid
-    tangents only shape `segments()`.  Queries beyond delta = 1 clamp.
+    lines, so evaluation adds that tangent and sqrt(delta) to the pedersen
+    candidates.  The value equals the minimum over all lines bit for bit
+    below 1/4; on [1/4, 1] it is never below it and at most 1 ulp above,
+    where a grid tangent rounds below sqrt(delta).  The other grid tangents
+    only shape `segments()`.  Queries beyond delta = 1 clamp.
     """
 
     def __init__(self, N_max=10 ** 5, a_grid=1024):
@@ -170,8 +168,7 @@ class SqrtEnvelope(_PedersenEnvelope):
             raise ValueError("a_grid must be at least 2")
         self._a = np.linspace(0.25, 1.0, int(a_grid))
         r = np.sqrt(self._a)
-        super().__init__(N_max, np.r_[0.5 / r, 0.0], np.r_[0.5 * r, 1.0],
-                         clamp_above=True)
+        super().__init__(N_max, 0.5 / r, 0.5 * r, clamp_above=True)
 
     def _provenance(self, i):
         j = i - self._n_max
@@ -179,16 +176,15 @@ class SqrtEnvelope(_PedersenEnvelope):
             return super()._provenance(i)
         if j < self._a.size:
             return "tangent a=%.12g" % self._a[j]
-        return "constant cap" if j == self._a.size else \
-            "tangent a=delta (exact minimizer)"
+        return "tangent a=delta (exact minimizer)"
 
     def _candidates(self, d):
         table, idx = super()._candidates(d)
-        # then the tangent at a = 1/4, the cap and, under the index past the
-        # stored lines, the tangent at a = delta
-        ends = [self._n_max, self.size - 1]
+        # then the tangent at a = 1/4 and, under the index past the stored
+        # lines, the tangent at a = delta
+        ends = [self._n_max]
         exact = np.where(d >= 0.25, np.sqrt(np.maximum(d, 0.25)), np.inf)
-        more = np.broadcast_to(ends + [self.size], d.shape[:-1] + (3,))
+        more = np.broadcast_to(ends + [self.size], d.shape[:-1] + (2,))
         return (np.concatenate([table, self._m[ends] * d + self._b[ends],
                                 exact], axis=-1),
                 np.concatenate([idx, more], axis=-1))

@@ -77,11 +77,27 @@ class TestBoundCurve:
         assert curve.evaluate_with_provenance(0.5)[1] == "shallow"
         assert curve.evaluate_with_provenance(1.9)[1] == "flat"
 
-    def test_restricted_domain_line_drops_out(self):
+    def test_mixed_domains_rejected(self):
         lines = [cb.BoundLine(0.0, 0.1, 0.5, "narrow"), cb.BoundLine(0.0, 0.3, 2.0, "wide")]
-        curve = cb.BoundCurve(lines=lines)
-        assert curve.evaluate(0.4) == 0.1
-        assert curve.evaluate(0.6) == 0.3
+        with pytest.raises(ValueError, match="one domain"):
+            cb.BoundCurve(lines=lines)
+        assert cb.BoundCurve(lines=lines[:1]).delta_max == 0.5
+
+    @pytest.mark.parametrize("delta_max", [5.0, 2.5, 0.0, -1.0, math.nan])
+    def test_array_domain_checked(self, delta_max):
+        with pytest.raises(ValueError, match="delta_max"):
+            cb.BoundCurve(arrays=([1.0], [0.0], delta_max, str))
+
+    def test_array_domain_is_one_number(self):
+        with pytest.raises(TypeError):
+            cb.BoundCurve(arrays=([1.0], [0.0], [5.0], str))
+
+    def test_line_index_outside_range_rejected(self):
+        curve = cb.BoundCurve(lines=self.lines())
+        for idx in (-1, 3, 100):
+            with pytest.raises(IndexError):
+                curve.line(idx)
+        assert curve.lines() == self.lines()
 
     def test_out_of_range_rejected(self):
         curve = cb.BoundCurve(lines=self.lines())
@@ -109,6 +125,16 @@ class TestBoundCurve:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cb.BoundCurve(lines=[])
+
+    @pytest.mark.parametrize("lo", [-0.5, -1e-300, math.nan])
+    def test_segments_reject_negative_or_nan_lo(self, lo):
+        curve = cb.BoundCurve(lines=self.lines())
+        with pytest.raises(ValueError, match="nonnegative"):
+            curve.segments(lo, 1.0)
+
+    def test_segments_accept_negative_zero_lo(self):
+        curve = cb.BoundCurve(lines=self.lines())
+        assert curve.segments(-0.0, 1.0) == curve.segments(0.0, 1.0)
 
     def test_segments_partition_and_match_evaluation(self):
         rng = np.random.default_rng(7)
@@ -167,22 +193,31 @@ class TestFolkAndSplit:
         assert abs(line.slope - 1.0) <= 1e-15
 
 
-class TestConstantCap:
-    def test_triangle_cap_is_oscillation(self, triangle):
-        line = cb.constant_cap(triangle)
-        assert line.slope == 0.0
-        assert abs(line.intercept - 2.0) <= 1e-12
-        assert "oscillation" in line.provenance
-
-    def test_cap_never_exceeds_coefficient_sum(self):
-        # the enclosing disc of the range sits inside the coefficient-sum
-        # disc, so the oscillation branch wins every comparison, with exact
-        # ties resolved in its favor
-        for coeffs in ({1: 1.0}, {3: 0.2, -4: 0.15}, {0: 0.5, 2: 0.25, -2: 0.25}):
-            p = cb.from_coefficients(coeffs)
-            line = cb.constant_cap(p)
-            assert "oscillation" in line.provenance
-            assert line.intercept <= 2.0 * cb.coefficient_l1(p) + 1e-12
+class TestLineZeroIsTheCap:
+    @pytest.mark.parametrize("make", [
+        cb.builtin_triangle,
+        cb.builtin_bump,
+        lambda: cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125}),
+        # the one input seen where the cap took its l1 branch
+        lambda: cb.from_coefficients({1: 1e6}),
+    ], ids=["triangle", "bump", "complex", "big"])
+    def test_flat_cap_never_wins(self, make):
+        # line N = 0 is the range bound: no flat cap min(2 radius, 2 l1)
+        # lies below it, and adding one changes no value and no provenance
+        f = make()
+        env = cb.truncation_envelope(f, 16)
+        l1 = cb.coefficient_l1(f)
+        cap = 2.0 * cb.chebyshev_radius(f)
+        if l1 is not None:
+            cap = min(cap, 2.0 * l1)
+        assert env.line(0).slope == 0.0
+        assert env.line(0).intercept <= cap
+        capped = cb.BoundCurve(env.lines() + [cb.BoundLine(0.0, cap, 2.0, "cap")])
+        deltas = np.linspace(0.0, 2.0, 4001)
+        got, want = env.evaluate_with_provenance(deltas), \
+            capped.evaluate_with_provenance(deltas)
+        assert same_bits(got[0], want[0])
+        assert got[1] == want[1]
 
 
 class TestTruncationEnvelope:
@@ -215,7 +250,8 @@ class TestTruncationEnvelope:
     def test_provenance_names_active_degree(self, triangle_envelope):
         val, prov = triangle_envelope.evaluate_with_provenance(0.02)
         assert prov.startswith("truncation N=")
-        # the fundamental-mode split meets the flat cap exactly at delta 2
+        # the fundamental-mode split meets the flat line N = 0 exactly at
+        # delta 2
         val, prov = triangle_envelope.evaluate_with_provenance(1.98)
         assert prov.startswith("truncation N=1")
         assert val < 2.0
@@ -231,6 +267,12 @@ class TestTruncationEnvelope:
         env1 = cb.truncation_envelope(shifted, 9, grid_size=8192)
         for d in np.linspace(0.0, 1.99, 40):
             assert abs(env0.evaluate(d) - env1.evaluate(d)) <= 1e-12
+
+    def test_segments_reject_negative_lo(self, triangle):
+        env = cb.truncation_envelope(triangle, 4, grid_size=4096)
+        with pytest.raises(ValueError, match="nonnegative"):
+            env.segments(-1.0)
+        assert env.segments(0.0)[0][0] == 0.0
 
     def test_negative_degree_rejected(self, triangle):
         with pytest.raises(ValueError):
@@ -287,13 +329,13 @@ class TestSharedRemainderTable:
         f = request.getfixturevalue(name)
         env = (request.getfixturevalue("triangle_envelope") if name == "triangle"
                else cb.truncation_envelope(f, 16))
-        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         assert got == per_degree_lines(f, 16)
 
     def test_complex_polynomial_lines_equal_per_degree_remainders(self):
         p = cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
         env = cb.truncation_envelope(p, 4, grid_size=4096)
-        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         assert got == per_degree_lines(p, 4, grid_size=4096)
 
     def test_all_complex_remainders_equal_per_degree_remainders(self):
@@ -309,7 +351,7 @@ class TestSharedRemainderTable:
                                 coefficient_rule=coefficient,
                                 l1_tail_rule=l1_tail)
         env = cb.truncation_envelope(f, 4, grid_size=4096)
-        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         assert got == per_degree_lines(f, 4, grid_size=4096)
         for N, (_, b, _) in enumerate(got):
             assert 0.0 < b <= 2.0 * l1_tail(N)
@@ -319,9 +361,9 @@ class TestSharedRemainderTable:
         # own order, so the remainder is exactly zero
         p = cb.from_coefficients({1: 0.5, -1: 0.5, 3: 0.2 + 0.1j, -3: 0.2 - 0.1j})
         env = cb.truncation_envelope(p, 5, grid_size=4096)
-        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         assert got == per_degree_lines(p, 5, grid_size=4096)
-        assert [l.intercept for l in env.lines()[3:-1]] == [0.0, 0.0, 0.0]
+        assert [l.intercept for l in env.lines()[3:]] == [0.0, 0.0, 0.0]
 
 
 class TestExpTable:
@@ -383,7 +425,7 @@ class TestSweepAgainstFrozenCopy:
             "bump-16", "degree60-60", "complex-4"])
     def test_lines_equal_frozen_copy(self, make, N_max):
         env = cb.truncation_envelope(make(), N_max)
-        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         want = frozen_envelope.truncation_lines(make(), N_max)
         assert line_bits(got) == line_bits(want)
 
@@ -399,7 +441,7 @@ class TestSweepAgainstFrozenCopy:
                                                   grid_size):
         assert circle_bounds._LOWER_BLOCK == 2 ** 14
         env = cb.truncation_envelope(make(), N_max, grid_size=grid_size)
-        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()[:-1]]
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         want = frozen_envelope.truncation_lines(make(), N_max, grid_size)
         assert line_bits(got) == line_bits(want)
 
@@ -458,9 +500,8 @@ class TestPairTermBuffers:
     @pytest.mark.parametrize("N_max", [16, 128])
     def test_envelope_peak_below_block_sized_sweep(self, make, N_max):
         # at grid size the sweep holds f, the twice-reduced angles and g_N
-        # (real here), 1.5 MB, and frees them before the cap samples its
-        # grid (peaks 2.5-3.2 MB); 2^16-point work arrays and a remainder
-        # row held through the cap peak at 6.4-6.6 MB
+        # (real here), 1.5 MB, and frees them before the refinement builds
+        # its grid (peaks 2.5-2.7 MB)
         f = make()
         tracemalloc.start()
         try:

@@ -220,9 +220,8 @@ class TestGammaEnvelope:
         assert {l.delta_max for l in gamma_small.lines()} == {1.0}
 
     def test_default_envelope_memory(self):
-        # the series tables are frozen without copies and the line domains
-        # are one broadcast value (4.0 MB); with a copy of each table and a
-        # 10^5-entry array of ones the peak is 5.6 MB
+        # the series tables are frozen without copies and the curve holds one
+        # domain, not one per line (4.0 MB)
         tracemalloc.start()
         try:
             cb.gamma0()
@@ -235,7 +234,9 @@ class TestGammaEnvelope:
 class BruteEnvelope:
     """Reference for gamma0 and pedersen_envelope: the brute-force minimum
     over every line, as a BoundCurve, and for gamma0 sqrt(delta) on [1/4, 1]
-    where it is strictly lower (the tangent at the exact minimizer)."""
+    where it is strictly lower (the tangent at the exact minimizer).  The
+    gamma0 reference keeps the cap 1 as its last line, so the tests against
+    it show that the cap never wins."""
 
     def __init__(self, N_max, a_grid=None):
         s = cb.sqrt_series(N_max)
@@ -249,8 +250,7 @@ class BruteEnvelope:
             b += [0.5 * np.sqrt(a), [1.0]]
             provs += ["tangent a=%.12g" % x for x in a] + ["constant cap"]
         m, b = np.concatenate(m), np.concatenate(b)
-        self.curve = cb.BoundCurve(arrays=(m, b, np.ones(m.size),
-                                           provs.__getitem__),
+        self.curve = cb.BoundCurve(arrays=(m, b, 1.0, provs.__getitem__),
                                    clamp_above=self.sqrt)
 
     def __call__(self, delta):
@@ -303,11 +303,12 @@ class TestClosedForm:
 
     def test_lines_are_the_brute_force_lines(self):
         for env, ref in envelopes(64, 16):
+            want = ref.curve.lines()[:-1] if ref.sqrt else ref.curve.lines()
             assert [(l.slope, l.intercept, l.delta_max, l.provenance)
                     for l in env.lines()] == [
                 (l.slope, l.intercept, l.delta_max, l.provenance)
-                for l in ref.curve.lines()]
-        assert cb.gamma0(64, 16).size == 64 + 16 + 1
+                for l in want]
+        assert cb.gamma0(64, 16).size == 64 + 16
 
     @pytest.mark.parametrize("N_max, a_grid", SIZES)
     def test_zero_and_negative_zero(self, N_max, a_grid):
@@ -328,6 +329,20 @@ class TestClosedForm:
             for call in (env.evaluate, env.evaluate_with_provenance):
                 with pytest.raises(ValueError, match="nonnegative"):
                     call(delta)
+
+    @pytest.mark.parametrize("lo", [-0.5, -1e-300, math.nan])
+    def test_segments_reject_negative_or_nan_lo(self, lo):
+        for env in (cb.gamma0(64, 16), cb.pedersen_envelope(64)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                env.segments(lo, 1.0)
+
+    def test_line_index_outside_range_rejected(self):
+        env = cb.gamma0(64, 16)
+        for idx in (-1, -env.size, env.size, env.size + 1):
+            with pytest.raises(IndexError):
+                env.line(idx)
+        assert env.line(0).provenance == "pedersen N=1"
+        assert env.line(env.size - 1).provenance == "tangent a=1"
 
     @pytest.mark.parametrize("N_max, a_grid", SIZES)
     def test_clamps_above_one(self, N_max, a_grid):

@@ -31,6 +31,8 @@ OUT = "out.txt"
 # coefficient files, written from closed forms
 COEFFICIENT_FILES = {
     "complex.json": {"1": 0.5, "-2": [0, 0.25], "3": 0.125},
+    # where a flat cap min(2 radius, 2 l1) once took its l1 branch
+    "big.json": {"1": 1e6},
     # a_n = (-1)^n / n^2 for 1 <= |n| <= 500
     "deg500.json": {str(s * n): (-1) ** n / n ** 2
                     for n in range(1, 501) for s in (1, -1)},
@@ -49,6 +51,7 @@ INVOCATIONS = [
     "curve circle --function bump",
     "curve circle --function bump --format json",
     "curve circle --steps 50 --function complex.json",
+    "curve circle --steps 50 --function big.json",
     "curve circle --steps 10 --function deg500.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
