@@ -19,6 +19,8 @@ from .periodic_fn import (
     derivative_fourier_norm,
     TWO_PI,
     _coefficients,
+    _cosine_pairs,
+    _cosine_term,
     _dyadic_l1,
     _golden_max,
     _grid,
@@ -81,6 +83,15 @@ class BoundCurve:
         self.delta_max = float(delta_max)
         if self._m.size == 0:
             raise ValueError("a bound curve needs at least one line")
+        if self._m.ndim != 1 or self._m.shape != self._b.shape:
+            raise ValueError("slopes and intercepts must be two 1-D arrays "
+                             "of one length")
+        # the checks of BoundLine, on every line at once; not any(< 0)
+        # would let NaN through
+        if not np.all(self._m >= 0.0):
+            raise ValueError("slope must be nonnegative")
+        if not np.all(self._b >= 0.0):
+            raise ValueError("intercept must be nonnegative")
         if not 0.0 < self.delta_max <= 2.0:
             raise ValueError("delta_max must lie in (0, 2]")
         self.clamp_above = bool(clamp_above)
@@ -279,17 +290,23 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
                 np.empty(B, dtype=np.complex128))
         rem = np.empty(B)
         # when every head is conjugate-symmetric only g_N's real part is
-        # read, so only that part is summed
+        # read, so only that part is summed: a real pair as its cosine
+        # term, a zero one not at all (see _cosine_pairs)
         real_sum = real_g[-1]
+        cos = _cosine_pairs(c)
         g = np.full(y.size, c[N_max].real if real_sum else c[N_max])
         blocks = [(y[s:s + B], np.real(fv[s:s + B]), g[s:s + B])
                   for s in range(0, y.size, B)]
         for N in range(N_max + 1):
-            if N:
+            if N and not cos[N - 1]:
                 for t, _, gb in blocks:
                     term = _pair_term(c[N_max + N], c[N_max - N], N, t,
                                       [w[:t.size] for w in work])
                     gb += term.real if real_sum else term
+            elif N and c[N_max + N] != 0.0:
+                for t, _, gb in blocks:
+                    gb += _cosine_term(c[N_max + N].real, N, t,
+                                       work[0][:t.size])
             if N in real:
                 # the bits of np.real(fv - g.real), for a complex fv too
                 yield (np.subtract(fb, gb.real, out=rem[:fb.size])
@@ -304,7 +321,7 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         top = real[-1]
         gv = _partial_sums(c[N_max - top:N_max + top + 1], _reduce_angle(t))
         return np.real(np.asarray(f.sample(t))
-                       - gv[np.asarray(real)[r], np.arange(t.size)].real)
+                       - gv[np.asarray(real)[r], np.arange(t.size)])
 
     peaks = _row_peaks(real_remainders())
     # the grid is built once the sweep has freed its arrays; the searches

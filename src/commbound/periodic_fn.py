@@ -23,6 +23,7 @@ _QUAD_K_START = 2 ** 14
 _QUAD_K_CAP = 2 ** 22
 _EXTENT_GRID = 2 ** 16
 _TERMS_PER_CHUNK = 2 ** 20
+_LADDER_ROWS = 4      # subgrids of a ladder level sampled per call
 
 
 class QuadratureError(RuntimeError):
@@ -122,22 +123,63 @@ def _pair_term(a_pos, a_neg, k, x, out=None):
     return np.add(np.multiply(a_pos, e, out=e), c, out=c)
 
 
+def _cosine_pairs(coeffs):
+    """Mask over the orders k = 1..d of coeffs (orders -d..d) whose pair
+    term a sum of real parts adds as 2 a_k cos(kx): in a real series
+    (every pair conjugate-symmetric), the pairs with a_k = a_{-k} real.
+
+    That is the real part of the complex term but for the sign of a zero:
+    np.cos(t) is the real part of np.exp(1j t) bit for bit (a test checks
+    it on the numpy in use), and with a real coefficient the other product
+    inside each complex multiply is an exact zero.  A zero term moves a sum
+    only from -0.0, which a sum is only while it is a_0 = -0.0, so then no
+    pair is in the mask.  At finite angles a zero pair in the mask, which
+    adds a zero, may be skipped."""
+    d = coeffs.size // 2
+    a0, pos = coeffs[d].real, coeffs[d + 1:]
+    real = np.all(coeffs[::-1] == np.conj(coeffs))
+    if not real or (a0 == 0.0 and np.signbit(a0)):
+        return np.zeros(d, dtype=bool)
+    return (pos == coeffs[:d][::-1]) & (pos.imag == 0.0)
+
+
+def _cosine_term(a, k, x, out=None):
+    """2 a cos(kx) for real a, with the rounding of 2 (a cos(kx)); a and k
+    broadcast against x as in _pair_term."""
+    t = np.multiply(k, x, out=out)
+    np.cos(t, out=t)
+    t *= a
+    t *= 2.0
+    return t
+
+
 def _partial_sums(coeffs, x):
     """Rows N = 0..d of the partial sums of coeffs (orders -d..d) at the
     1-D angles x: row N is a_0 plus the pair terms of orders 1..N, added
-    in ascending order, so each point's value depends on that point only."""
+    in ascending order, so each point's value depends on that point only.
+    When every pair is conjugate-symmetric the sums are real and only the
+    real parts are summed, the pairs of _cosine_pairs as cosine terms."""
     d = coeffs.size // 2
     k = np.arange(1, d + 1)[:, None]
-    terms = np.empty((d + 1, x.size), dtype=np.complex128)
-    terms[0] = coeffs[d]
-    terms[1:] = _pair_term(coeffs[d + 1:, None], coeffs[:d][::-1, None], k, x)
+    pos, neg = coeffs[d + 1:, None], coeffs[:d][::-1, None]
+    real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))
+    terms = np.empty((d + 1, x.size), dtype=float if real else np.complex128)
+    terms[0] = coeffs[d].real if real else coeffs[d]
+    cos = _cosine_pairs(coeffs)
+    if cos.all():   # the usual real series: no temporary table
+        _cosine_term(pos.real, k, x, out=terms[1:])
+    else:
+        terms[1:][cos] = _cosine_term(pos[cos].real, k[cos], x)
+        t = _pair_term(pos[~cos], neg[~cos], k[~cos], x)
+        terms[1:][~cos] = t.real if real else t
     return np.cumsum(terms, axis=0, out=terms)
 
 
 class TrigPolynomial(PeriodicFunction):
     """Finite Fourier sum of degree N, from a dict n -> a_n: at each point
     a_0 plus the pair terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed
-    in that order."""
+    in that order.  Conjugate-symmetric coefficients make a real function,
+    summed in real arithmetic by _partial_sums with the same bits."""
 
     def __init__(self, coefficients, name=""):
         items = {int(n): complex(a) for n, a in coefficients.items()}
@@ -155,11 +197,12 @@ class TrigPolynomial(PeriodicFunction):
             # each point's value is its own running sum, so chunks of at
             # most _TERMS_PER_CHUNK terms give the bits of one call
             x = np.asarray(x, dtype=float)
-            flat, out = x.ravel(), np.empty(x.size, dtype=np.complex128)
+            flat = x.ravel()
+            out = np.empty(x.size, dtype=float if _real else np.complex128)
             step = max(1, _TERMS_PER_CHUNK // (degree + 1))
             for s in range(0, x.size, step):
                 out[s:s + step] = _partial_sums(_c, flat[s:s + step])[-1]
-            return (out.real if _real else out).reshape(x.shape)
+            return out.reshape(x.shape)
 
         super().__init__(
             rule,
@@ -214,17 +257,21 @@ class _TrapezoidLadder:
         ns = np.arange(0 if self.real else -self.M, self.M + 1)
         r = ns % B
         fold = np.minimum(r, B - r) if self.real else r
-        for q in range(P):
-            v = f.sample(-np.pi + step * (start + q + P * np.arange(B)))
+        offsets = P * np.arange(B)
+        for q0 in range(0, P, _LADDER_ROWS):
+            # subgrids q0.. sampled and transformed as rows of one array
+            qs = np.arange(q0, min(q0 + _LADDER_ROWS, P))
+            v = f.sample(-np.pi + step * ((start + qs)[:, None] + offsets))
             if self.real:
-                bins = np.fft.rfft(np.real(v))[fold]
+                bins = np.fft.rfft(np.real(v), axis=-1)[:, fold]
                 bins = np.where(r > B // 2, np.conj(bins), bins)
             else:
-                bins = np.fft.fft(v)[fold]
-            # at the subgrid point j = q + P m,
-            # e^{-inx_j} = (-1)^n e^{-in step (start + q)} e^{-2pi i nm/B}
-            term = np.exp(-1j * (step * (start + q)) * ns) * bins
-            sums = sums + term if q else term
+                bins = np.fft.fft(v, axis=-1)[:, fold]
+            for q, row in zip(qs.tolist(), bins):
+                # at the subgrid point j = q + P m,
+                # e^{-inx_j} = (-1)^n e^{-in step (start + q)} e^{-2pi i nm/B}
+                term = np.exp(-1j * (step * (start + q)) * ns) * row
+                sums = sums + term if q else term
         sums *= np.where(ns % 2, -1.0, 1.0)
         self.total = self.total + sums if L else sums
         self.est.append(self.total / (_QUAD_K_START << L))
@@ -596,11 +643,18 @@ def builtin_bump() -> PeriodicFunction:
     """Half-disc bump sqrt(1 - 4x^2/pi^2) on [-pi/2, pi/2], zero elsewhere."""
 
     def rule(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        m = np.abs(x) <= np.pi / 2
-        out[m] = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * x[m] ** 2 / np.pi ** 2))
-        return out
+        # sqrt(fmax(0, 1 - 4 x^2 / pi^2)), written into one array: a
+        # temporary per step made eta_lower's 4 x 4096-point blocks page
+        # fault three times as often.  Off the support 4x^2/pi^2 rounds to
+        # at least 1, as rounding is monotone and fl(pi^2) =
+        # 4 fl((pi/2)^2), so the value there is +0.0; fmax maps NaN to 0
+        v = np.array(x, dtype=float)
+        np.square(v, out=v)
+        v *= 4.0
+        v /= np.pi ** 2
+        np.subtract(1.0, v, out=v)
+        np.fmax(v, 0.0, out=v)
+        return np.sqrt(v, out=v)
 
     return PeriodicFunction(rule, real_valued=True, name="bump")
 

@@ -92,6 +92,35 @@ class TestBoundCurve:
         with pytest.raises(TypeError):
             cb.BoundCurve(arrays=([1.0], [0.0], [5.0], str))
 
+    @pytest.mark.parametrize("m, b", [
+        ([1.0, 2.0], [0.0]),
+        ([1.0], [0.0, 0.5]),
+        ([[1.0, 2.0]], [[0.0, 0.5]]),
+        (1.0, 0.0),
+    ], ids=["short-b", "short-m", "two-d", "scalars"])
+    def test_array_lengths_checked(self, m, b):
+        with pytest.raises(ValueError, match="one length"):
+            cb.BoundCurve(arrays=(m, b, 2.0, str))
+
+    @pytest.mark.parametrize("m, b, what", [
+        ([1.0, -1.0], [0.0, 0.0], "slope"),
+        ([1.0, math.nan], [0.0, 0.0], "slope"),
+        ([-1.0], [math.nan], "slope"),
+        ([1.0, 0.0], [0.0, -1e-300], "intercept"),
+        ([1.0], [math.nan], "intercept"),
+    ])
+    def test_array_signs_checked_as_lines_are(self, m, b, what):
+        # the messages of BoundLine, which checks the slope first
+        with pytest.raises(ValueError, match="%s must be nonnegative" % what):
+            cb.BoundCurve(arrays=(m, b, 2.0, str))
+        with pytest.raises(ValueError, match="%s must be nonnegative" % what):
+            [cb.BoundLine(s, c) for s, c in zip(m, b)]
+
+    def test_valid_arrays_accepted(self):
+        curve = cb.BoundCurve(arrays=([2.0, 0.0, math.inf], [0.0, 1.0, -0.0],
+                                      2.0, str))
+        assert curve.size == 3 and curve.evaluate(0.25) == 0.5
+
     def test_line_index_outside_range_rejected(self):
         curve = cb.BoundCurve(lines=self.lines())
         for idx in (-1, 3, 100):
@@ -444,6 +473,36 @@ class TestSweepAgainstFrozenCopy:
         got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
         want = frozen_envelope.truncation_lines(make(), N_max, grid_size)
         assert line_bits(got) == line_bits(want)
+
+
+class TestCosineSweepAgainstFrozenCopy:
+    """Real heads summed as cosine terms, zero pairs skipped: the lines
+    against the frozen complex sweep, bit for bit."""
+
+    @pytest.mark.parametrize("coefficients, N_max", [
+        ({0: 0.3, **{s * n: (-1) ** n / n ** 2
+                     for n in range(1, 501) for s in (1, -1)}}, 24),
+        ({0: 0.25, 1: 0.5, -1: 0.5, 3: 0.2 + 0.05j, -3: 0.2 - 0.05j,
+          4: -0.125, -4: -0.125, 9: 0.0625, -9: 0.0625, 12: 0.0}, 14),
+        ({0: -0.0, 1: 0.0, 2: 1.0, -2: 1.0}, 3),
+        ({0: -0.0, 1: 0.0, -1: 0.0, 3: 0.5, -3: 0.5}, 4),
+        ({0: 0.0, 1: 0.0, -1: 0.0, 3: 0.5, -3: 0.5}, 4),
+    ], ids=["deg500", "sparse-mixed", "negzero", "negzero-zero-pair",
+            "zero-pair"])
+    def test_lines_equal_frozen_copy(self, coefficients, N_max):
+        env = cb.truncation_envelope(cb.from_coefficients(coefficients), N_max)
+        got = [(l.slope, l.intercept, l.provenance) for l in env.lines()]
+        want = frozen_envelope.truncation_lines(
+            cb.from_coefficients(coefficients), N_max)
+        assert line_bits(got) == line_bits(want)
+
+    def test_bump_heads_keep_the_complex_term(self, bump):
+        # quadrature coefficients are conjugate-symmetric with tiny
+        # imaginary parts, so no pair of the bump is a cosine term
+        ns = np.arange(-128, 129)
+        c = periodic_fn._coefficients(bump, ns, 1e-10)[0]
+        assert np.all(c[::-1] == np.conj(c))
+        assert not periodic_fn._cosine_pairs(c).any()
 
 
 class TestPairTermBuffers:

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import commbound as cb
+import frozen_envelope
+import frozen_periodic
 from commbound import periodic_fn
 from commbound.periodic_fn import QuadratureError
 
@@ -766,6 +768,221 @@ class TestFromCoefficients:
     def test_nonsymmetric_coefficients_give_complex_function(self):
         p = cb.from_coefficients({1: 1.0})
         assert not p.real_valued
+
+
+def nan_bits(a, b):
+    """a and b hold the same bits, but for the payload and sign of a NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def pair_angles():
+    # the reduced grid, which holds +0.0, then -0.0, the seam and random
+    # angles
+    x = periodic_fn._reduce_angle(periodic_fn._grid(2 ** 12))
+    rng = np.random.default_rng(5)
+    return np.concatenate((x, [-0.0, 0.0, -np.pi, np.pi],
+                           rng.uniform(-np.pi, np.pi, 1000)))
+
+
+def coefficient_vector(coefficients):
+    degree = max(abs(n) for n in coefficients)
+    c = np.zeros(2 * degree + 1, dtype=np.complex128)
+    for n, a in coefficients.items():
+        c[n + degree] = a
+    return c
+
+
+DEG500 = {s * n: (-1) ** n / n ** 2 for n in range(1, 501) for s in (1, -1)}
+
+# real, sparse, signed-zero, conjugate-symmetric complex and complex series
+COEFFICIENT_CASES = {
+    **{"triangle-%d" % N: {n: 4.0 / (np.pi ** 2 * n * n) if n % 2 else 0.0
+                           for n in range(-N, N + 1)} for N in (0, 1, 5, 16)},
+    "deg500": {0: 0.3, **DEG500},
+    "sparse": {1: 0.5, 3: 0.125},
+    "zero-pairs": {0: 0.25, 1: 0.5, -1: 0.5, 4: -0.125, -4: -0.125, 12: 0.0},
+    "negzero": {0: -0.0, 1: 0.0, 2: 1.0},
+    "negzero-all-zero": {0: -0.0, 1: 0.0, -1: 0.0},
+    "poszero": {0: 0.0, 1: -0.0, 2: 1.0},
+    "conjugate": {0: 0.2, 1: 0.3 - 0.1j, -1: 0.3 + 0.1j, 2: 0.5, -2: 0.5,
+                  3: 0.05j, -3: -0.05j},
+    "complex": {1: 0.5, -2: 0.25j, 3: 0.125},
+}
+
+
+class TestCosineTerm:
+    """A real pair term 2 a cos(kx) against the complex one's real part."""
+
+    def test_cos_is_the_real_part_of_exp(self):
+        # what the cosine term rests on, at the phases of the envelope's
+        # orders and of high-degree coefficient files
+        rng = np.random.default_rng(0)
+        kx = np.multiply.outer(np.arange(129), pair_angles()).ravel()
+        t = np.concatenate((rng.uniform(-60.0, 60.0, 2 ** 16),
+                            rng.uniform(-7000.0, 7000.0, 2 ** 16), kx))
+        e = np.exp(np.multiply(1j, t))
+        assert np.array_equal(np.cos(t).view(np.uint64),
+                              e.real.view(np.uint64))
+
+    @pytest.mark.parametrize("a", [0.5, -3.25e-3, 4.0 / np.pi ** 2, 1e300,
+                                   1.5e308, 3e-320])
+    def test_real_pair_equals_complex_term(self, a):
+        # equal bit for bit but for the sign of a zero, which a tiny a
+        # rounds to
+        x = pair_angles()
+        for k in range(129):
+            with np.errstate(over="ignore"):
+                got = periodic_fn._cosine_term(a, k, x)
+                want = periodic_fn._pair_term(complex(a), complex(a), k, x)
+            want = want.real
+            assert np.array_equal(got, want)
+            nz = want != 0.0
+            assert got[nz].tobytes() == want[nz].tobytes(), k
+            if k == 0 and a > 1e308:
+                assert np.all(np.isinf(got))
+
+    def test_zero_pair_adds_nothing_except_to_negative_zero(self):
+        x = pair_angles()
+        for k in range(129):
+            want = periodic_fn._pair_term(0j, 0j, k, x).real
+            assert np.all(want == 0.0)
+            for g in (1.0, 0.0, -2.5, 5e-324):
+                assert np.all((g + want).view(np.uint64)
+                              == np.float64(g).view(np.uint64))
+        # -0.0 plus a zero term is +0.0 at some points, where skipping it
+        # would keep -0.0
+        for b in (0j, -0j):
+            term = periodic_fn._pair_term(0j, b, 1, x).real
+            assert not np.signbit(-0.0 + term).all()
+
+    def test_complex_pairs_are_not_cosine_terms(self):
+        # the products of the imaginary parts round into the real part
+        x = pair_angles()
+        for a, b in ((0.3 - 0.1j, 0.3 + 0.1j), (0.5 + 0.25j, -0.125 + 1j)):
+            got = periodic_fn._cosine_term(a.real, 5, x)
+            want = periodic_fn._pair_term(a, b, 5, x).real
+            assert not np.array_equal(got, want)
+
+    def test_stacked_orders_equal_one_order_at_a_time(self):
+        # as _partial_sums passes them: a column of orders and coefficients
+        x = pair_angles()
+        k = np.arange(1, 129)[:, None]
+        a = np.random.default_rng(2).standard_normal(128)[:, None]
+        got = periodic_fn._cosine_term(a, k, x)
+        want = periodic_fn._pair_term(a + 0j, a + 0j, k, x).real
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for i in range(128):
+            row = periodic_fn._cosine_term(a[i, 0], i + 1, x)
+            assert np.array_equal(got[i].view(np.uint64), row.view(np.uint64))
+
+    def test_cosine_pairs_mask(self):
+        c = coefficient_vector({0: 0.3, 1: 0.5, -1: 0.5, 3: 0.2 + 0.1j,
+                                -3: 0.2 - 0.1j, 4: -0.25, -4: -0.25,
+                                5: complex(0.5, -0.0), -5: 0.5})
+        want = [True, True, False, True, True]
+        assert periodic_fn._cosine_pairs(c).tolist() == want
+        c[5] = 0.0
+        assert periodic_fn._cosine_pairs(c).tolist() == want
+        # a_0 = -0.0, or one pair that is not conjugate-symmetric
+        for i, a in ((5, -0.0), (5, 0.1j), (1, 0.25)):
+            d = c.copy()
+            d[i] = a
+            assert periodic_fn._cosine_pairs(d).tolist() == [False] * 5
+        assert periodic_fn._cosine_pairs(np.array([-0.0 + 0j])).size == 0
+
+
+class TestRealSumsAgainstFrozenCopy:
+    """Real series summed in real arithmetic against the frozen complex
+    direct sum, bit for bit (NaN only where the frozen sum has one)."""
+
+    @pytest.fixture(autouse=True)
+    def nan_angles(self):
+        with np.errstate(invalid="ignore"):
+            yield
+
+    @staticmethod
+    def angles():
+        # three chunks of the degree-500 rule, NaN, the infinities and
+        # angles that the rule reduces
+        return np.concatenate((pair_angles(), [np.nan, np.inf, -np.inf,
+                                               1e3, -7.5, 40.0]))
+
+    @pytest.mark.parametrize("name", list(COEFFICIENT_CASES))
+    def test_partial_sums(self, name):
+        c = coefficient_vector(COEFFICIENT_CASES[name])
+        x = pair_angles()[::3]
+        got = periodic_fn._partial_sums(c, x)
+        want = frozen_envelope._partial_sums(c, x)
+        real = bool(np.all(c[::-1] == np.conj(c)))
+        assert got.dtype == (float if real else np.complex128)
+        assert nan_bits(got, want.real if real else want)
+
+    @pytest.mark.parametrize("name", list(COEFFICIENT_CASES))
+    def test_rule(self, name):
+        coefficients = COEFFICIENT_CASES[name]
+        p = cb.from_coefficients(coefficients)
+        rule = frozen_periodic.trig_rule(coefficients)
+        x = self.angles()
+        assert x.size > periodic_fn._TERMS_PER_CHUNK // 501 * 2
+        assert nan_bits(p.sample(x), rule(periodic_fn._reduce_angle(x)))
+        assert nan_bits(p.rule(x.reshape(2, -1)), rule(x.reshape(2, -1)))
+        assert nan_bits(p.rule(0.5), rule(0.5))
+
+    def test_triangle_truncations(self, triangle):
+        x = self.angles()
+        for N in (0, 3, 16, 64):
+            p = cb.truncate(triangle, N)
+            rule = frozen_periodic.trig_rule(dict(zip(p.ns.tolist(),
+                                                      p.coeffs)))
+            assert nan_bits(p.rule(x), rule(x))
+
+    def test_negative_zero_keeps_its_sign_where_the_complex_sum_does(self):
+        # a_0 = -0.0 alone stays -0.0; a zero pair turns it into +0.0,
+        # where skipping the pair would keep -0.0
+        x = pair_angles()
+        assert np.signbit(cb.from_coefficients({0: -0.0}).rule(x)).all()
+        coefficients = COEFFICIENT_CASES["negzero-all-zero"]
+        got = cb.from_coefficients(coefficients).rule(x)
+        assert np.all(got == 0.0) and not np.signbit(got).all()
+        want = frozen_periodic.trig_rule(coefficients)(x)
+        assert nan_bits(got, want)
+
+
+class TestMaskFreeBump:
+    def test_equals_masked_rule_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        edge = np.pi / 2
+        near = [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 4.0),
+                np.nextafter(np.nextafter(edge, 4.0), 4.0)]
+        x = np.concatenate((
+            np.linspace(-4.0, 4.0, 2 ** 16), rng.uniform(-4.0, 4.0, 10 ** 5),
+            near, np.negative(near),
+            [np.pi, -np.pi, 0.0, -0.0, np.nan, np.inf, -np.inf]))
+        rule = cb.builtin_bump().rule
+        got, want = rule(x), frozen_periodic.bump_rule(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rule(np.array(0.5)).shape == ()
+        assert rule(0.5) == frozen_periodic.bump_rule(0.5)
+        assert not np.signbit(got).any()
+
+
+class TestBatchedLadder:
+    # level 2 has two subgrids and level 8 sixty-four: a partial batch and
+    # whole ones
+    @pytest.mark.parametrize("make", [cb.builtin_bump, complex_bump])
+    def test_levels_equal_one_subgrid_per_call(self, make):
+        f = make()
+        new = periodic_fn._TrapezoidLadder(f.real_valued)
+        old = periodic_fn._TrapezoidLadder(f.real_valued)
+        for _ in range(9):
+            new._add_level(f)
+            frozen_periodic.add_level(old, f)
+        for a, b in zip(new.est, old.est):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 hypothesis = pytest.importorskip("hypothesis")

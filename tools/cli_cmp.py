@@ -36,6 +36,16 @@ COEFFICIENT_FILES = {
     # a_n = (-1)^n / n^2 for 1 <= |n| <= 500
     "deg500.json": {str(s * n): (-1) ** n / n ** 2
                     for n in range(1, 501) for s in (1, -1)},
+    # the same with a_0 = 0.3
+    "deg500a0.json": {"0": 0.3, **{str(s * n): (-1) ** n / n ** 2
+                                   for n in range(1, 501) for s in (1, -1)}},
+    # real pairs, zero orders in between and at the top, and one
+    # conjugate-symmetric complex pair
+    "sparse.json": {"0": 0.25, "1": 0.5, "-1": 0.5, "3": [0.2, 0.05],
+                    "-3": [0.2, -0.05], "4": -0.125, "-4": -0.125,
+                    "9": 0.0625, "-9": 0.0625, "12": 0.0},
+    # a_0 = -0.0, the one start from which a zero term moves a real sum
+    "negzero.json": {"0": -0.0, "1": 0.0, "2": 1.0},
 }
 
 INVOCATIONS = [
@@ -53,6 +63,11 @@ INVOCATIONS = [
     "curve circle --steps 50 --function complex.json",
     "curve circle --steps 50 --function big.json",
     "curve circle --steps 10 --function deg500.json",
+    "curve circle --steps 10 --function deg500a0.json",
+    "curve circle --steps 50 --function sparse.json --format json",
+    "lower circle --function sparse.json",
+    "curve circle --steps 50 --function negzero.json",
+    "validate circle --samples 100 --function negzero.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
     "curve sqrt --steps 100000 --out -",
