@@ -56,15 +56,18 @@ class BoundLine:
             raise ValueError("delta_max must lie in (0, 2]")
 
     def value(self, delta):
-        return self.slope * np.asarray(delta, dtype=float) + self.intercept
+        """slope*delta + intercept, valued by a one-line BoundCurve, so
+        delta must lie in [0, delta_max]."""
+        return BoundCurve([self]).evaluate(delta)
 
 
 class BoundCurve:
     """Pointwise minimum of a family of bound lines.
 
-    Evaluation is an exact brute-force minimum over the stored lines;
-    breakpoint segmentation is derived separately for export and must
-    reproduce the same values.
+    Evaluation is the minimum over the lines that `_candidates` names, all
+    of them here, valued in `_min_over_lines` alone; breakpoint
+    segmentation is derived separately for export and must reproduce the
+    same values.
     """
 
     def __init__(self, lines=None, arrays=None, clamp_above=False):
@@ -101,6 +104,8 @@ class BoundCurve:
         return int(self._m.size)
 
     def line(self, idx) -> BoundLine:
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+            raise TypeError("line index must be an integer, not %r" % (idx,))
         idx = int(idx)
         if not 0 <= idx < self.size:
             raise IndexError("line index %d outside 0..%d" % (idx, self.size - 1))
@@ -111,13 +116,15 @@ class BoundCurve:
         return [self.line(i) for i in range(self.size)]
 
     def _candidates(self, d):
-        """Values and indices, in index order along the last axis, of the
-        lines to compare at deltas d of shape (..., 1): here all lines."""
-        table = self._m * d + self._b
-        return table, np.broadcast_to(np.arange(self.size), table.shape)
+        """Indices, in index order along the last axis, of the lines to
+        compare at deltas d of shape (..., 1): here all lines."""
+        return np.arange(self.size)
 
     def _min_over_lines(self, deltas):
-        table, idx = self._candidates(np.asarray(deltas, dtype=float)[..., None])
+        d = np.asarray(deltas, dtype=float)[..., None]
+        idx = self._candidates(d)
+        table = self._m[idx] * d + self._b[idx]
+        idx = np.broadcast_to(idx, table.shape)
         k = np.argmin(table, axis=-1)[..., None]  # ties go to the first line
         return (np.take_along_axis(table, k, -1)[..., 0],
                 np.take_along_axis(idx, k, -1)[..., 0])

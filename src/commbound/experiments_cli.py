@@ -14,6 +14,7 @@ caps and handler.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import itertools
 import json
@@ -518,7 +519,9 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         return _COMMANDS[cfg.command, cfg.target].handler(cfg)
     except (ValueError, OSError, QuadratureError) as err:
-        print("commbound: %s" % err, file=sys.stderr)
+        # stderr may be the closed pipe that err came from
+        with contextlib.suppress(OSError, ValueError):
+            print("commbound: %s" % err, file=sys.stderr)
         return 2
 
 
@@ -547,10 +550,8 @@ def run(argv=None):
             error = error or err
     if error is not None:
         if code != 2 and sys.stderr is not None:
-            try:
+            with contextlib.suppress(OSError, ValueError):
                 print("commbound: %s" % error, file=sys.stderr, flush=True)
-            except (OSError, ValueError):
-                pass
         code = code or 2
     os._exit(code)
 

@@ -77,18 +77,12 @@ def power_series_line(series: PowerSeries, N: int, h_osc: float) -> BoundLine:
 
 
 def pedersen_line(N: int) -> BoundLine:
-    """Line from the degree-N partial sum of the sqrt series.
-
-    Slope sum_{n<=N} n c_n; intercept 1 - sum_{n<=N} c_n, the value at 1 of
-    the nonnegative increasing remainder, which equals its oscillation on
-    [0, 1].
+    """Line N of pedersen_envelope(N), from the degree-N partial sum of the
+    sqrt series: slope sum_{n<=N} n c_n; intercept 1 - sum_{n<=N} c_n, the
+    value at 1 of the nonnegative increasing remainder, which equals its
+    oscillation on [0, 1].
     """
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    s = sqrt_series(N)
-    b = max(1.0 - s.partial(N), 0.0)
-    return BoundLine(s.weighted(N), b, 1.0, "pedersen N=%d" % N)
+    return _PedersenEnvelope(N).line(int(N) - 1)
 
 
 @dataclass(frozen=True)
@@ -114,10 +108,10 @@ class _PedersenEnvelope(BoundCurve):
     """The pedersen lines N = 1..N_max (index N - 1), then any lines stored
     after them, with the pedersen minimum in closed form: line N has slope
     N b_N and intercept b_N, so lines N and N + 1 cross exactly at
-    delta = 1/(N+1).  Only lines N - 1, N, N + 1 for N = floor(1/delta) are
-    compared (the neighbours absorb rounding), in index order with each
-    line's own arithmetic, so value and provenance equal the brute-force
-    minimum, ties included.
+    delta = 1/(N+1).  The candidates are lines N - 1, N, N + 1 for
+    N = floor(1/delta) (the neighbours absorb rounding), then the first
+    line stored after them (line N_max again if there is none), so value
+    and provenance equal the brute-force minimum, ties included.
     """
 
     def __init__(self, N_max, m=(), b=(), clamp_above=False):
@@ -139,8 +133,9 @@ class _PedersenEnvelope(BoundCurve):
         # abs: 1/-0.0 would select line 1 instead of N_max
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             n = np.clip(np.floor(1.0 / np.abs(d)), 1, self._n_max).astype(np.int64)
-        idx = np.clip(n + [-2, -1, 0], 0, self._n_max - 1)
-        return self._m[idx] * d + self._b[idx], idx
+        # the fourth slot clips to the first line after the pedersen lines
+        hi = [self._n_max - 1] * 3 + [min(self._n_max, self.size - 1)]
+        return np.clip(n + [-2, -1, 0, self._n_max], 0, hi)
 
     def _sweep_lines(self, lo):
         # pedersen lines past floor(1/lo) are active only left of lo; two
@@ -155,12 +150,13 @@ class SqrtEnvelope(_PedersenEnvelope):
     included) and on [1/4, 1] the tangent at the exact minimizer a = delta,
     sqrt(delta).  Pedersen line 1 is at most the range extent 1 of sqrt.
 
-    Below 1/4 only the grid tangent at a = 1/4 can undercut the pedersen
-    lines, so evaluation adds that tangent and sqrt(delta) to the pedersen
-    candidates.  The value equals the minimum over all lines bit for bit
-    below 1/4; on [1/4, 1] it is never below it and at most 1 ulp above,
-    where a grid tangent rounds below sqrt(delta).  The other grid tangents
-    only shape `segments()`.  Queries beyond delta = 1 clamp.
+    Below 1/4 only the grid tangent at a = 1/4, the fourth pedersen
+    candidate, can undercut the pedersen lines; sqrt(delta) then replaces
+    the minimum only where strictly below it, so ties go to the stored
+    line.  The value equals the minimum over all lines bit for bit below
+    1/4; on [1/4, 1] it is never below it and at most 1 ulp above, where a
+    grid tangent rounds below sqrt(delta).  The other grid tangents only
+    shape `segments()`.  Queries beyond delta = 1 clamp.
     """
 
     def __init__(self, N_max=10 ** 5, a_grid=1024):
@@ -178,16 +174,12 @@ class SqrtEnvelope(_PedersenEnvelope):
             return "tangent a=%.12g" % self._a[j]
         return "tangent a=delta (exact minimizer)"
 
-    def _candidates(self, d):
-        table, idx = super()._candidates(d)
-        # then the tangent at a = 1/4 and, under the index past the stored
-        # lines, the tangent at a = delta
-        ends = [self._n_max]
-        exact = np.where(d >= 0.25, np.sqrt(np.maximum(d, 0.25)), np.inf)
-        more = np.broadcast_to(ends + [self.size], d.shape[:-1] + (2,))
-        return (np.concatenate([table, self._m[ends] * d + self._b[ends],
-                                exact], axis=-1),
-                np.concatenate([idx, more], axis=-1))
+    def _min_over_lines(self, deltas):
+        vals, idx = super()._min_over_lines(deltas)
+        # the tangent at a = delta, under the index past the stored lines
+        exact = np.sqrt(np.maximum(deltas, 0.25))
+        win = (deltas >= 0.25) & (exact < vals)
+        return np.where(win, exact, vals), np.where(win, self.size, idx)
 
 
 def pedersen_envelope(N_max: int = 10 ** 5) -> BoundCurve:

@@ -1072,6 +1072,23 @@ class TestExitPath:
         assert proc.returncode == 2
         assert proc.stderr == b"commbound: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("args", [["curve", "sqrt", "--format", "json"],
+                                      ["validate", "sqrt", "--samples", "50"]])
+    def test_stdout_and_stderr_on_one_closed_pipe_exit_two(self, args,
+                                                           tmp_path):
+        # as `commbound ... 2>&1 | head -1`: main's own error line meets
+        # the closed pipe too, and must not turn exit 2 into 1
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "commbound.experiments_cli", *args,
+                 "--out", "-"], cwd=tmp_path, stdout=write_end,
+                stderr=write_end, timeout=120, env=cli_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+
 
 class HardExit(Exception):
     pass

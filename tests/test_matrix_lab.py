@@ -1,5 +1,6 @@
 """Tests for matrix generation, functional calculus, sweeps, and the probe."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -314,6 +315,26 @@ class TestInstancePair:
         a = cb.instance_pair("unitary", 3, seed=1, index=0)
         b = cb.instance_pair("unitary", 3, seed=1, index=1)
         assert np.any(a.x != b.x)
+
+    def test_validate_passes_and_refuses_each_check(self):
+        pairs = [cb.instance_pair("unitary", 5, 7, 3),
+                 cb.instance_pair("positive", 4, 7, 3, "uniform"),
+                 cb.instance_pair("positive", 4, 7, 3, "atoms")]
+        for p in pairs:
+            assert p.validate() is None
+        u, h = pairs[0], pairs[1]
+        skew = np.triu(np.ones((4, 4)), 1)
+        for bad, message in [
+            (dataclasses.replace(u, x=1.01 * u.x), "unitary role"),
+            (dataclasses.replace(h, x=h.x + 0.1 * skew), "not Hermitian"),
+            (dataclasses.replace(h, x=h.x + 0.5 * np.eye(4)), "spectrum"),
+            (dataclasses.replace(h, x=h.x - 0.5 * np.eye(4)), "spectrum"),
+            (dataclasses.replace(u, a=3.0 * u.a), "not a contraction"),
+            (dataclasses.replace(h, a=3.0 * h.a), "not a contraction"),
+            (dataclasses.replace(u, role="other"), "unknown role"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                bad.validate()
 
     def test_validation(self):
         for kwargs in (

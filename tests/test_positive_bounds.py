@@ -341,6 +341,13 @@ class TestClosedForm:
         for idx in (-1, -env.size, env.size, env.size + 1):
             with pytest.raises(IndexError):
                 env.line(idx)
+        # int() would truncate 1.7 to line 1 and read True as line 1
+        for idx in (1.7, 1.0, True, np.bool_(True), np.float64(1.0), "1",
+                    None):
+            with pytest.raises(TypeError, match="integer"):
+                env.line(idx)
+        assert env.line(np.int64(1)) == env.line(1)
+        assert env.line(1).provenance == "pedersen N=2"
         assert env.line(0).provenance == "pedersen N=1"
         assert env.line(env.size - 1).provenance == "tangent a=1"
 
@@ -366,6 +373,52 @@ class TestClosedForm:
             assert np.array_equal(vals, [env.evaluate(float(d)) for d in deltas])
             grid = deltas[:400].reshape(20, 20)
             assert np.array_equal(env.evaluate(grid), vals[:400].reshape(20, 20))
+
+
+EXACT = "tangent a=delta (exact minimizer)"
+
+
+def segment_deltas(curve):
+    """Every segment end of the curve with both neighbours, plus a uniform
+    grid of its domain."""
+    ends = np.array([x for a, b, _ in curve.segments() for x in (a, b)])
+    d = np.r_[ends, np.nextafter(ends, 0.0), np.nextafter(ends, 3.0),
+              np.linspace(0.0, curve.delta_max, 401)]
+    return np.unique(d[(d >= 0.0) & (d <= curve.delta_max)])
+
+
+def assert_valued_by_named_line(curve, deltas):
+    """Each value is, bit for bit, the arithmetic m*delta + b of the line its
+    provenance names, or sqrt(delta) for the exact minimizer."""
+    lines = {l.provenance: l for l in curve.lines()}
+    assert len(lines) == curve.size
+    vals, provs = curve.evaluate_with_provenance(deltas)
+    want = np.array([math.sqrt(d) if p == EXACT else
+                     np.float64(lines[p].slope) * d + lines[p].intercept
+                     for d, p in zip(deltas.tolist(), provs)])
+    assert vals.tobytes() == want.tobytes()
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("N_max, a_grid", SIZES + [(100000, 1024)])
+    def test_sqrt_values_come_from_the_named_line(self, N_max, a_grid):
+        deltas = breakpoint_deltas(N_max, 300 if N_max > 2000 else None)
+        for env, _ in envelopes(N_max, a_grid):
+            assert_valued_by_named_line(env, deltas)
+
+    @pytest.mark.parametrize("name", ["triangle", "bump", "complex"])
+    def test_circle_values_come_from_the_named_line(self, name, request):
+        f = (cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
+             if name == "complex" else request.getfixturevalue(name))
+        env = cb.truncation_envelope(f, 16)
+        assert_valued_by_named_line(env, segment_deltas(env))
+
+    def test_ties_go_to_the_stored_line(self):
+        # at 1/4 the a = 1/4 tangent and sqrt(delta) are both 0.5; at 1,
+        # pedersen line 1, the a = 1 tangent and sqrt(delta) are all 1
+        env = cb.gamma0()
+        assert env.evaluate_with_provenance(0.25) == (0.5, "tangent a=0.25")
+        assert env.evaluate_with_provenance(1.0) == (1.0, "pedersen N=1")
 
 
 def segment_tuples(segs):

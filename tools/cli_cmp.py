@@ -52,8 +52,14 @@ INVOCATIONS = [
     "curve sqrt",
     "curve sqrt --format json",
     "curve sqrt --pedersen-only --format json",
+    "curve sqrt --pedersen-only",
+    # deltas below 1/N_max, where the pedersen window clips to N_max
+    "curve sqrt --delta-min 1e-6 --n-max 1000 --steps 2000",
+    "curve sqrt --delta-min 1e-6 --n-max 1000 --steps 2000 --pedersen-only",
     "validate sqrt",
+    "validate sqrt --n-max 50 --samples 500",
     "probe",
+    "probe --delta 1e-6 --n-max 1000 --steps 2000",
     "probe --seed 1 --format json",
     "probe --dim 3 --steps 2000 --seed 2",
     "curve circle",
