@@ -8,9 +8,15 @@ coefficients use the composite trapezoid rule on uniform samples, which
 is spectrally accurate for periodic integrands.  Each grid level, from
 2^14 to 2^22 points, gives the trapezoid sums of every order |n| <= M at
 once (Trefethen and Weideman, SIAM Review 2014) from 2^14-point FFTs of
-interleaved subgrids, in O(2^14 + M) memory; each order is still accepted
-at the first level where its own K vs 2K Richardson difference is within
-the requested absolute error.
+interleaved subgrids, in O(2^14 + M) memory.  Each order is accepted at
+the first level where its error estimate is within the requested absolute
+error: the raw difference |T_2K - T_K| of the last two levels, or, from
+the fifth level on, the spread of Aitken extrapolations of the last levels
+where that is smaller, which catches the K^-3/2 convergence of square-root
+edges by 2^18 points instead of 2^22.  No error is reported below the
+sums' own rounding, log2(K) eps max|f| with max|f| over the level's
+samples.  The errors are estimates from the levels reached, not bounds:
+they assume the convergence seen so far goes on.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ _LADDER_ROWS = 4      # subgrids of a ladder level sampled per call
 
 
 class QuadratureError(RuntimeError):
-    """Raised when a coefficient quadrature cannot certify its error target."""
+    """Raised when a coefficient quadrature cannot meet its error target."""
 
 
 def _reduce_angle(x):
@@ -243,7 +249,9 @@ class _TrapezoidLadder:
     """
 
     def __init__(self, real):
-        self.real, self.M, self.est, self.total = real, 64, [], None
+        self.real, self.M, self.total = real, 64, None
+        # per level: the sums of every order, and max|f| over its samples
+        self.est, self.peak = [], []
         # memo of a_n at n + M: estimate, error, level K (0 until computed)
         self.value, self.error, self.K = (
             np.zeros(2 * self.M + 1, t) for t in (complex, float, np.int64))
@@ -258,10 +266,12 @@ class _TrapezoidLadder:
         r = ns % B
         fold = np.minimum(r, B - r) if self.real else r
         offsets = P * np.arange(B)
+        peak = self.peak[-1] if L else 0.0
         for q0 in range(0, P, _LADDER_ROWS):
             # subgrids q0.. sampled and transformed as rows of one array
             qs = np.arange(q0, min(q0 + _LADDER_ROWS, P))
             v = f.sample(-np.pi + step * ((start + qs)[:, None] + offsets))
+            peak = max(peak, float(np.max(np.abs(v))))
             if self.real:
                 bins = np.fft.rfft(np.real(v), axis=-1)[:, fold]
                 bins = np.where(r > B // 2, np.conj(bins), bins)
@@ -275,18 +285,19 @@ class _TrapezoidLadder:
         sums *= np.where(ns % 2, -1.0, 1.0)
         self.total = self.total + sums if L else sums
         self.est.append(self.total / (_QUAD_K_START << L))
+        self.peak.append(peak)
 
     def coefficients(self, f, ns, tol):
         """(estimate, error, K) arrays for the integer orders ns, each from
-        the first level K whose difference from the previous level is
-        within tol, else from the cap level.  A memo entry is reused when
-        its error meets tol, so a looser request keeps the finer value."""
+        the first level K whose error estimate (_accelerated) is within
+        tol, else from the cap level.  A memo entry is reused when its
+        error meets tol, so a looser request keeps the finer value."""
         top = int(np.max(np.abs(ns), initial=0))
         if top > self.M:
             pad = (1 << (top - 1).bit_length()) - self.M
             self.value, self.error, self.K = (
                 np.pad(a, pad) for a in (self.value, self.error, self.K))
-            self.M, self.est = self.M + pad, []
+            self.M, self.est, self.peak = self.M + pad, [], []
         i = ns + self.M
         todo = i[(self.K[i] == 0) | (self.error[i] > tol)]
         level = 0
@@ -295,15 +306,53 @@ class _TrapezoidLadder:
             while len(self.est) <= level:
                 self._add_level(f)
             j = np.abs(todo - self.M) if self.real else todo
-            new = self.est[level][j]
-            diff = np.abs(new - self.est[level - 1][j])
-            done = (diff <= tol) | ((_QUAD_K_START << level) >= _QUAD_K_CAP)
+            K = _QUAD_K_START << level
+            sums = [e[j] for e in self.est[max(level - 4, 0):level + 1]]
+            floor = np.log2(K) * np.finfo(float).eps * self.peak[level]
+            new, err = _accelerated(np.array(sums), floor)
+            done = (err <= tol) | (K >= _QUAD_K_CAP)
             new = np.where(self.real & (todo < self.M), np.conj(new), new)
             self.value[todo[done]] = new[done]
-            self.error[todo[done]] = diff[done]
-            self.K[todo[done]] = _QUAD_K_START << level
+            self.error[todo[done]] = err[done]
+            self.K[todo[done]] = K
             todo = todo[~done]
         return self.value[i], self.error[i], self.K[i]
+
+
+def _accelerated(T, floor):
+    """(value, error estimate) of each order from T, its trapezoid sums at
+    the last two to five levels, oldest first.
+
+    The raw value is the last sum T_l, with |T_l - T_{l-1}| as its error.
+    Aitken's delta-squared step X_l = T_l + d_l / (d_{l-1}/d_l - 1), with
+    d_l = T_l - T_{l-1}, removes the geometric part of the error whatever
+    its rate: K^-3/2 for the bump's square-root edges, K^-2 for a kink.
+    From five levels X_l replaces T_l where its error, the spread
+    max(|X_l - X_{l-1}|, |X_{l-1} - X_{l-2}|), is finite and smaller than
+    the raw one; one difference alone under-reports where the rate is
+    still settling.
+
+    No error is below floor, the rounding of the sums themselves, which a
+    difference of two sums that round alike does not show.  The caller
+    passes c log2(K) eps max|f| with c = 1: a level is, in exact
+    arithmetic, one K-point DFT, which a radix-2 FFT computes through
+    log2(K) stages that each round a bin by about eps of the stage's
+    inputs, at most K max|f| before the 1/K scaling.  Higham's worst case
+    (Accuracy and Stability of Numerical Algorithms, Thm 24.2) is about
+    3.3 times that, with every stage's roundings aligned.  On sums known
+    exactly (the even orders of the rule-free triangle, cos 3x, and
+    exp(i sin x) against its 2^14-point value) the ladder's rounding at
+    K = 2^14..2^22 reached at most 0.23 of this floor.
+    """
+    d = np.diff(T, axis=0)
+    value, error = T[-1], np.maximum(np.abs(d[-1]), floor)
+    if len(T) < 5:
+        return value, error
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X = T[2:] + d[1:] / (d[:-1] / d[1:] - 1.0)
+        spread = np.maximum(np.max(np.abs(np.diff(X, axis=0)), axis=0), floor)
+    use = np.isfinite(spread) & (spread < error)
+    return np.where(use, X[-1], value), np.where(use, spread, error)
 
 
 def _coefficients(f: PeriodicFunction, ns, tol: float) -> tuple:
@@ -340,8 +389,10 @@ def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> comp
     """Fourier coefficient a_n = (1/2pi) integral f(x) e^{-inx} dx.
 
     Uses the exact rule when the function carries one.  Otherwise the
-    trapezoid ladder is walked until the K vs 2K Richardson difference is
-    within tol; QuadratureError if the cap grid cannot certify it.
+    trapezoid ladder is walked until the error estimate is within tol: the
+    K vs 2K difference, or the spread of Aitken extrapolations where that
+    is smaller, never below the rounding floor log2(K) eps max|f|.
+    QuadratureError if no level up to the cap grid meets tol.
     """
     return complex(_certified(f, [int(n)], tol)[0])
 
@@ -349,12 +400,13 @@ def fourier_coefficient(f: PeriodicFunction, n: int, tol: float = 1e-10) -> comp
 def fourier_coefficient_estimate(
     f: PeriodicFunction, n: int, tol: float = 1e-10
 ) -> tuple:
-    """Best-effort coefficient with its certified error; never raises.
+    """Best-effort coefficient with its error estimate; never raises.
 
-    Returns (value, error_bound).  Functions with an exact rule report
-    error 0.  Otherwise the Richardson difference at the final grid is
-    the error bound, which may exceed tol when refinement hits the cap
-    grid (slowly converging integrands keep their best estimate).
+    Returns (value, error).  Functions with an exact rule report error 0.
+    Otherwise the error is fourier_coefficient's estimate at the level
+    where the order stopped: an estimate, not a bound, and at least the
+    rounding floor log2(K) eps max|f|.  It may exceed tol when refinement
+    reaches the cap grid; the order then keeps its best value.
     """
     est, diff = _coefficients(f, [int(n)], tol)
     return complex(est[0]), float(diff[0])
