@@ -161,53 +161,39 @@ class BoundCurve:
             return float(vals), provs[0]
         return vals, provs
 
-    def _sweep_lines(self, lo):
-        """Indices of the lines that may be active on [lo, ...]: all here."""
-        return np.arange(self.size)
-
     def segments(self, lo=0.0, hi=None):
         """Breakpoint segmentation [(start, end, BoundLine), ...] on [lo, hi].
 
-        Lines are processed in decreasing-slope order and dominated ones
-        pruned by the standard convex-hull-of-lines sweep (the minimum of
-        lines is concave, so active slopes decrease left to right).  lo is
-        checked as evaluate checks a delta; hi is cut to the curve's domain.
+        The minimum of lines is concave, so its active slopes decrease left
+        to right.  Lines are sorted by decreasing slope, keeping the least
+        intercept of each slope.  Each pass then takes the crossings x of
+        neighbouring lines, where a line's successor takes over, and the
+        starts max(lo, x); it drops every line whose successor takes over
+        no later than the line's own start.  Passes repeat until none
+        drops.  Each pass but the last drops at least one line, so n lines
+        need at most n passes; gamma0 takes 7, a truncation envelope 2.
+        lo is checked as evaluate checks a delta; hi is cut to the curve's
+        domain.
         """
         lo = float(self._check_domain(lo))
         hi = self.delta_max if hi is None else min(float(hi), self.delta_max)
         if not lo < hi:
             raise ValueError("empty segmentation interval")
-        idx = self._sweep_lines(lo)
-        order = idx[np.lexsort((self._b[idx], -self._m[idx]))]
-        kept = []          # active line indices, slopes decreasing
-        starts = []        # delta where kept[i] becomes active
-
-        def cross(i, j):
-            # delta where line i and line j meet; slopes differ
-            return (self._b[j] - self._b[i]) / (self._m[i] - self._m[j])
-
-        for idx in order:
-            idx = int(idx)
-            if kept and self._m[kept[-1]] == self._m[idx]:
-                continue  # same slope, intercept not smaller
-            while kept:
-                x = cross(kept[-1], idx)
-                if x <= starts[-1]:
-                    kept.pop()
-                    starts.pop()
-                else:
-                    break
-            start = lo if not kept else max(lo, cross(kept[-1], idx))
-            kept.append(idx)
-            starts.append(start)
-        out = []
-        for i, idx in enumerate(kept):
-            a = starts[i]
-            b = starts[i + 1] if i + 1 < len(kept) else hi
-            b = min(b, hi)
-            if a < b:
-                out.append((float(a), float(b), self.line(idx)))
-        return out
+        idx = np.lexsort((self._b, -self._m))
+        m = self._m[idx]
+        idx = idx[np.r_[True, m[1:] != m[:-1]]]
+        while True:
+            m, b = self._m[idx], self._b[idx]
+            x = (b[1:] - b[:-1]) / (m[:-1] - m[1:])
+            starts = np.r_[lo, np.maximum(lo, x)]
+            drop = x <= starts[:-1]
+            if not drop.any():
+                break
+            idx = idx[np.r_[~drop, True]]
+        ends = np.minimum(np.r_[starts[1:], hi], hi)
+        keep = starts < ends
+        return [(a, e, self.line(i)) for a, e, i in zip(
+            starts[keep].tolist(), ends[keep].tolist(), idx[keep].tolist())]
 
 
 def folk_line(g: TrigPolynomial) -> BoundLine:

@@ -42,8 +42,8 @@ _FORMATS = ("csv", "json")
 # degree N is stored densely over -N..N
 MAX_ORDER = 2 ** 16
 # largest --n-max and --a-grid: the circle envelope's time grows as n_max^2
-# (every search step sums all degrees at 2 n_max points), the sqrt side
-# keeps n_max + a_grid lines
+# (every search step sums all degrees at 2 n_max points); curve sqrt keeps
+# n_max + a_grid lines, validate sqrt and probe n_max + 1024
 MAX_CIRCLE_N = 128
 MAX_SQRT_LINES = 10 ** 6
 # largest --steps of curve and lower (delta grid points), --samples,
@@ -298,7 +298,7 @@ def cmd_validate(cfg) -> int:
     if not cfg.dims:
         raise ValueError("dims must be nonempty")
     if cfg.target == "sqrt":
-        curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
+        curve = positive_bounds.gamma0(cfg.n_max)
         f, fname, role, mode = np.sqrt, "sqrt", "positive", cfg.spectrum_mode
     else:
         f = _select_function(cfg.function)
@@ -343,7 +343,7 @@ def cmd_probe(cfg) -> int:
     if not 0.0 < cfg.delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     matrix_lab._check_dim(cfg.dim)
-    curve = positive_bounds.gamma0(cfg.n_max, cfg.a_grid)
+    curve = positive_bounds.gamma0(cfg.n_max)
     result = matrix_lab.probe_max_commutator(cfg.delta, cfg.dim, cfg.steps,
                                              cfg.seed, restarts=cfg.restarts)
     g0 = curve.evaluate(cfg.delta)
@@ -394,13 +394,13 @@ _OPTIONS = {
 _GROUPS = {"curve": "emit bound-curve data",
            "lower": "emit lower-bound data",
            "validate": "random-matrix validation sweep"}
-_SQRT_CAPS = dict(n_max=MAX_SQRT_LINES, a_grid=MAX_SQRT_LINES)
 _COMMANDS = {
     ("curve", "sqrt"): _Command(
         cmd_curve_sqrt, "gamma0 envelope for f(x)=sqrt(x)",
         dict(delta_min=1e-3, delta_max=1.0, steps=500, n_max=100000,
              a_grid=1024, pedersen_only=False, out="-", fmt="csv"),
-        dict(_SQRT_CAPS, steps=MAX_GRID_STEPS)),
+        dict(n_max=MAX_SQRT_LINES, a_grid=MAX_SQRT_LINES,
+             steps=MAX_GRID_STEPS)),
     ("curve", "circle"): _Command(
         cmd_curve_circle, "upper/lower curves for periodic f",
         dict(function="triangle", delta_min=0.0, delta_max=1.99, steps=500,
@@ -414,8 +414,8 @@ _COMMANDS = {
     ("validate", "sqrt"): _Command(
         cmd_validate, "validate gamma0 on random (H, A)",
         dict(samples=2000, dims="2-8", seed=0, spectrum_mode="both",
-             n_max=100000, a_grid=1024, out="-", fmt="json"),
-        dict(_SQRT_CAPS, samples=MAX_SAMPLES)),
+             n_max=100000, out="-", fmt="json"),
+        dict(n_max=MAX_SQRT_LINES, samples=MAX_SAMPLES)),
     ("validate", "circle"): _Command(
         cmd_validate, "validate the truncation envelope on random (V, A)",
         dict(function="triangle", samples=1000, dims="2-8", seed=0, n_max=16,
@@ -424,8 +424,9 @@ _COMMANDS = {
     ("probe", None): _Command(
         cmd_probe, "hill-climb probe of the sqrt modulus",
         dict(delta=0.25, dim=2, steps=20000, restarts=64, seed=0,
-             n_max=100000, a_grid=1024, out="-", fmt="csv"),
-        dict(_SQRT_CAPS, restarts=MAX_RESTARTS, steps=MAX_PROBE_STEPS)),
+             n_max=100000, out="-", fmt="csv"),
+        dict(n_max=MAX_SQRT_LINES, restarts=MAX_RESTARTS,
+             steps=MAX_PROBE_STEPS)),
 }
 
 

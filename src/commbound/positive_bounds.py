@@ -96,12 +96,19 @@ class TangentParam:
             raise ValueError("tangent parameter must lie in [1/4, 1]")
 
 
+def _tangent(a):
+    """Slope 1/(2 sqrt(a)) and intercept sqrt(a)/2 of the tangent to sqrt
+    at a, a float or an array; np.sqrt rounds correctly, as math.sqrt does."""
+    r = np.sqrt(a)
+    return 0.5 / r, 0.5 * r
+
+
 def tangent_line(a) -> BoundLine:
     """Tangent bound delta/(2 sqrt(a)) + sqrt(a)/2; equals sqrt(a) at delta=a."""
     if not isinstance(a, TangentParam):
         a = TangentParam(float(a))
-    r = math.sqrt(a.a)
-    return BoundLine(0.5 / r, 0.5 * r, 1.0, "tangent a=%.12g" % a.a)
+    m, b = _tangent(a.a)
+    return BoundLine(float(m), float(b), 1.0, "tangent a=%.12g" % a.a)
 
 
 class _PedersenEnvelope(BoundCurve):
@@ -137,12 +144,6 @@ class _PedersenEnvelope(BoundCurve):
         hi = [self._n_max - 1] * 3 + [min(self._n_max, self.size - 1)]
         return np.clip(n + [-2, -1, 0, self._n_max], 0, hi)
 
-    def _sweep_lines(self, lo):
-        # pedersen lines past floor(1/lo) are active only left of lo; two
-        # more absorb rounding
-        k = self._n_max if lo <= 0.0 else int(min(self._n_max, 1.0 / lo + 2))
-        return np.r_[0:k, self._n_max:self.size]
-
 
 class SqrtEnvelope(_PedersenEnvelope):
     """The sqrt envelope gamma0 on delta in [0, 1]: pedersen lines
@@ -163,8 +164,7 @@ class SqrtEnvelope(_PedersenEnvelope):
         if int(a_grid) < 2:
             raise ValueError("a_grid must be at least 2")
         self._a = np.linspace(0.25, 1.0, int(a_grid))
-        r = np.sqrt(self._a)
-        super().__init__(N_max, 0.5 / r, 0.5 * r, clamp_above=True)
+        super().__init__(N_max, *_tangent(self._a), clamp_above=True)
 
     def _provenance(self, i):
         j = i - self._n_max

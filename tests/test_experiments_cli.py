@@ -305,8 +305,7 @@ class TestValidate:
         out = tmp_path / "report.json"
         rc = main([
             "validate", "sqrt", "--samples", "12", "--dims", "2-4",
-            "--seed", "3", "--n-max", "300", "--a-grid", "64",
-            "--out", str(out),
+            "--seed", "3", "--n-max", "300", "--out", str(out),
         ])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -347,7 +346,7 @@ class TestValidate:
         out = tmp_path / "report.json"
         rc = main([
             "validate", "sqrt", "--samples", "5", "--dims", "2-3",
-            "--n-max", "200", "--a-grid", "64", "--out", str(out),
+            "--n-max", "200", "--out", str(out),
         ])
         assert rc == 1
         doc = json.loads(out.read_text())
@@ -359,7 +358,7 @@ class TestValidate:
         out = tmp_path / "report.json"
         rc = main([
             "validate", "sqrt", "--samples", "6", "--dims", "2,5",
-            "--n-max", "200", "--a-grid", "64", "--out", str(out),
+            "--n-max", "200", "--out", str(out),
         ])
         assert rc == 0
         doc = json.loads(out.read_text())
@@ -405,7 +404,7 @@ class TestProbeCommand:
         rc = main([
             "probe", "--delta", "0.25", "--dim", "2", "--steps", "300",
             "--restarts", "2", "--seed", "3", "--n-max", "200",
-            "--a-grid", "64", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         header, rows = read_rows(out)
@@ -452,9 +451,7 @@ class TestSizeCaps:
         (["curve", "sqrt", "--n-max"], SQRT),
         (["curve", "sqrt", "--a-grid"], SQRT),
         (["validate", "sqrt", "--n-max"], SQRT),
-        (["validate", "sqrt", "--a-grid"], SQRT),
         (["probe", "--n-max"], SQRT),
-        (["probe", "--a-grid"], SQRT),
         (["curve", "circle", "--n-max"], CIRCLE),
         (["validate", "circle", "--n-max"], CIRCLE),
         (["curve", "sqrt", "--steps"], GRID),
@@ -560,7 +557,6 @@ class TestParserSurface:
             ("--function", "function", None, None, S),
             ("--steps", "steps", int, None, S)],
         ("validate", "sqrt"): OUTPUT + [
-            ("--a-grid", "a_grid", int, None, S),
             ("--dims", "dims", None, None, S),
             ("--n-max", "n_max", int, None, S),
             ("--samples", "samples", int, None, S),
@@ -574,7 +570,6 @@ class TestParserSurface:
             ("--samples", "samples", int, None, S),
             ("--seed", "seed", int, None, S)],
         ("probe", None): OUTPUT + [
-            ("--a-grid", "a_grid", int, None, S),
             ("--delta", "delta", float, None, S),
             ("--dim", "dim", int, None, S),
             ("--n-max", "n_max", int, None, S),
@@ -617,6 +612,43 @@ class TestParserSurface:
                        else name.upper())
             assert "%s %s %s" % (experiments_cli._flag(name), metavar,
                                  opt["help"]) in screen, name
+
+
+class TestAGridOnlyOnCurveSqrt:
+    """--a-grid shapes only the JSON segments of curve sqrt; validate sqrt
+    and probe, on which it had no effect, refuse it."""
+
+    @pytest.mark.parametrize("command", [["validate", "sqrt"], ["probe"]])
+    def test_flag_exits_two(self, command, capsys, monkeypatch):
+        refuse_work(monkeypatch, "parse")
+        with pytest.raises(SystemExit) as done:
+            main(command + ["--a-grid", "64"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --a-grid 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["validate", "sqrt"], ["probe"]])
+    def test_config_key_exits_two(self, command, tmp_path, capsys,
+                                  monkeypatch):
+        refuse_work(monkeypatch, "config check")
+        cfgf = tmp_path / "cfg.json"
+        cfgf.write_text(json.dumps({"a_grid": 64}))
+        assert main(command + ["--config", str(cfgf)]) == 2
+        assert capsys.readouterr().err == (
+            "commbound: unknown config keys for %s: a_grid\n"
+            % " ".join(command))
+
+    def test_curve_sqrt_segments_follow_the_grid(self, tmp_path):
+        tangents = []
+        for a_grid in ("3", "64"):
+            out = tmp_path / ("%s.json" % a_grid)
+            assert main(["curve", "sqrt", "--format", "json", "--n-max",
+                         "200", "--a-grid", a_grid, "--delta-min", "0.2",
+                         "--out", str(out)]) == 0
+            tangents.append({s["provenance"] for s in
+                             json.loads(out.read_text())["segments"]
+                             if s["provenance"].startswith("tangent")})
+        assert tangents[0] == {"tangent a=0.25", "tangent a=0.625"}
+        assert len(tangents[1]) > 3
 
 
 class TestConfigPrecedence:
@@ -734,7 +766,7 @@ class TestConfigPrecedence:
 class TestDeterminism:
     def test_validate_runs_are_byte_identical(self, tmp_path):
         args = ["validate", "sqrt", "--samples", "30", "--dims", "2-4",
-                "--seed", "42", "--n-max", "300", "--a-grid", "64"]
+                "--seed", "42", "--n-max", "300"]
         outs = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
@@ -762,7 +794,7 @@ class TestCsvBlocks:
          "--delta-max", "1.999"],
         ["lower", "circle", "--steps", "50", "--function", "triangle"],
         ["validate", "sqrt", "--samples", "20", "--n-max", "200",
-         "--a-grid", "64", "--format", "csv"],
+         "--format", "csv"],
     ]
 
     @pytest.mark.parametrize("argv", ARGV)
@@ -841,7 +873,7 @@ class TestJsonBlocks:
 
     REPORTS = [
         ["validate", "sqrt", "--samples", "20", "--dims", "2,5",
-         "--n-max", "200", "--a-grid", "64"],
+         "--n-max", "200"],
         ["validate", "circle", "--samples", "12", "--dims", "2-4",
          "--n-max", "4"],
         ["curve", "sqrt", "--format", "json", "--n-max", "300",
@@ -850,7 +882,7 @@ class TestJsonBlocks:
         ["lower", "circle", "--format", "json", "--steps", "30",
          "--function", "triangle"],
         ["probe", "--format", "json", "--steps", "200", "--restarts", "4",
-         "--n-max", "200", "--a-grid", "64"],
+         "--n-max", "200"],
     ]
 
     @pytest.mark.parametrize("argv", REPORTS)
@@ -945,7 +977,9 @@ class TestOutFileMode:
         assert os.stat(out).st_mode & 0o777 == mode
 
 
-SMALL_SQRT = ["--n-max", "200", "--a-grid", "64"]
+# validate sqrt and probe take no --a-grid
+SMALL_GAMMA0 = ["--n-max", "200"]
+SMALL_SQRT = SMALL_GAMMA0 + ["--a-grid", "64"]
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(experiments_cli.__file__)))
 
 
@@ -984,7 +1018,7 @@ class TestExitPath:
 
     def test_success_writes_the_file_and_the_summary_line(self, tmp_path):
         proc = cli_process(["validate", "sqrt", "--samples", "20", "--dims",
-                            "2-3", *SMALL_SQRT, "--out", "r.json"], tmp_path)
+                            "2-3", *SMALL_GAMMA0, "--out", "r.json"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == b""
         doc = json.loads((tmp_path / "r.json").read_text())
@@ -996,7 +1030,7 @@ class TestExitPath:
 
     def test_violation_exits_one_with_a_replay_payload(self, tmp_path):
         proc = cli_process(["validate", "sqrt", "--samples", "20", "--dims",
-                            "2-3", *SMALL_SQRT, "--out", "r.json"], tmp_path,
+                            "2-3", *SMALL_GAMMA0, "--out", "r.json"], tmp_path,
                            head=("-c", tiny_curve_script()))
         assert proc.returncode == 1
         assert proc.stdout == b""
@@ -1117,7 +1151,7 @@ class TestMainReturns:
         assert main(["curve", "sqrt", "--steps", "1"]) == 2
 
         fake_violation(monkeypatch)
-        assert main(["validate", "sqrt", "--samples", "2", *SMALL_SQRT,
+        assert main(["validate", "sqrt", "--samples", "2", *SMALL_GAMMA0,
                      "--out", str(tmp_path / "r.json")]) == 1
 
     @pytest.mark.parametrize("args, code, err", [
@@ -1126,7 +1160,7 @@ class TestMainReturns:
         # main's own line already names the failure
         (["curve", "sqrt", "--steps", "1"], 2,
          "commbound: steps must be at least 2\n"),
-        (["validate", "sqrt", "--samples", "2", *SMALL_SQRT], 1,
+        (["validate", "sqrt", "--samples", "2", *SMALL_GAMMA0], 1,
          "validate sqrt: BOUND VIOLATION (bound violated)\n"
          "commbound: [Errno 32] Broken pipe\n"),
     ])

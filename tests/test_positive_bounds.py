@@ -134,6 +134,14 @@ class TestLines:
             line = cb.tangent_line(a)
             assert abs(line.value(a) - math.sqrt(a)) <= 1e-15
 
+    def test_tangent_line_is_the_stored_grid_line(self):
+        env = cb.gamma0(64, 16)
+        for j, a in enumerate(np.linspace(0.25, 1.0, 16)):
+            want, got = cb.tangent_line(a), env.line(64 + j)
+            assert got == want
+            assert (got.slope.hex(), got.intercept.hex()) == \
+                (want.slope.hex(), want.intercept.hex())
+
     def test_tangent_anchor_validation(self):
         for a in (0.2, 1.01, -1.0):
             with pytest.raises(ValueError):
@@ -419,31 +427,6 @@ class TestOnePath:
         env = cb.gamma0()
         assert env.evaluate_with_provenance(0.25) == (0.5, "tangent a=0.25")
         assert env.evaluate_with_provenance(1.0) == (1.0, "pedersen N=1")
-
-
-def segment_tuples(segs):
-    return [(a, b, l.slope, l.intercept, l.provenance) for a, b, l in segs]
-
-
-class TestPrunedSegments:
-    WINDOWS = [(1e-3, 1.0), (0.3, 0.9), (1e-5, 0.5), (0.0, 1.0)]
-
-    @pytest.mark.parametrize("lo, hi", WINDOWS)
-    def test_default_envelope_equals_full_sweep(self, lo, hi):
-        env, ref = envelopes(100000, 1024)[0]
-        assert segment_tuples(env.segments(lo, hi)) == \
-            segment_tuples(ref.curve.segments(lo, hi))
-
-    @pytest.mark.parametrize("N_max, a_grid", SIZES)
-    def test_small_n_max_equals_full_sweep(self, N_max, a_grid):
-        # includes windows where floor(1/lo) + 2 exceeds N_max
-        windows = self.WINDOWS + [(0.5 / N_max, 1.0), (0.9 / N_max, 1.0),
-                                  (2.0 / N_max, 1.0), (5e-324, 1.0)]
-        for env, ref in envelopes(N_max, a_grid):
-            for lo, hi in windows:
-                if lo < hi:
-                    assert segment_tuples(env.segments(lo, hi)) == \
-                        segment_tuples(ref.curve.segments(lo, hi)), (lo, hi)
 
 
 class TestReflection:

@@ -5,19 +5,21 @@
 Runs a fixed list of `commbound` invocations in fresh interpreters, once
 with this checkout's src/ on the import path and once with OTHER's, both in
 one scratch directory that holds the coefficient files they read.  For each
-invocation it compares stdout, the file written by --out, stderr and the
-exit code, and prints one line: `same` or `DIFF` with the parts that
-differ, and the peak RSS and minor page faults of the run with this
-checkout and with OTHER (ru_maxrss and ru_minflt of the child).  Exits 1 on
-any difference.  An invocation that names its own --out (`-` for stdout)
-keeps it; the others write to a file.  The two violation reports run with
-every bound curve replaced by the constant 1e-9, so they exit 1 with a
-replay payload; they end through experiments_cli.run where the checkout
-has it, and through sys.exit(main(...)) where it does not.
+invocation it compares stdout, the file written by --out and stderr, by
+their SHA-256 digests, and the exit code, and prints one line: `same` or
+`DIFF` with the parts that differ, and the peak RSS and minor page faults
+of the run with this checkout and with OTHER (ru_maxrss and ru_minflt of
+the child).  Exits 1 on any difference.  An invocation that names its own
+--out (`-` for stdout) keeps it; the others write to a file.  The two
+violation reports run with every bound curve replaced by the constant
+1e-9, so they exit 1 with a replay payload; they end through
+experiments_cli.run where the checkout has it, and through
+sys.exit(main(...)) where it does not.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -53,6 +55,10 @@ INVOCATIONS = [
     "curve sqrt --format json",
     "curve sqrt --pedersen-only --format json",
     "curve sqrt --pedersen-only",
+    # segments over 10^5 Pedersen lines, and the junction near 1/4
+    "curve sqrt --format json --delta-min 1e-5",
+    "curve sqrt --pedersen-only --format json --delta-min 1e-6 --n-max 1000",
+    "curve sqrt --format json --a-grid 3 --delta-min 0.2",
     # deltas below 1/N_max, where the pedersen window clips to N_max
     "curve sqrt --delta-min 1e-6 --n-max 1000 --steps 2000",
     "curve sqrt --delta-min 1e-6 --n-max 1000 --steps 2000 --pedersen-only",
@@ -76,6 +82,7 @@ INVOCATIONS = [
     "validate circle --samples 100 --function negzero.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
+    "curve circle --n-max 128 --format json",
     "curve sqrt --steps 100000 --out -",
     "lower circle",
     "lower circle --function triangle",
@@ -105,7 +112,8 @@ sys.exit(experiments_cli.main(sys.argv[1:]))
 
 def run(checkout, args, tiny, workdir):
     """((stdout, out file, stderr, exit code), peak RSS MB, minor faults)
-    of one invocation; stdout and stderr go through files in workdir."""
+    of one invocation, each output as its digest; stdout and stderr go
+    through files in workdir."""
     out, streams = workdir / OUT, (workdir / "stdout", workdir / "stderr")
     if out.exists():
         out.unlink()
@@ -123,10 +131,21 @@ def run(checkout, args, tiny, workdir):
             cwd=workdir, env=env, stdin=subprocess.DEVNULL, stdout=so,
             stderr=se)
         _, status, ru = os.wait4(proc.pid, 0)
-    written = out.read_bytes() if out.exists() else None
-    stdout, stderr = (p.read_bytes() for p in streams)
+    written = digest(out) if out.exists() else None
+    stdout, stderr = map(digest, streams)
     return ((stdout, written, stderr, os.waitstatus_to_exitcode(status)),
             ru.ru_maxrss / 1024.0, ru.ru_minflt)
+
+
+def digest(path):
+    """SHA-256 of a file, read in blocks.  A child's ru_maxrss counts the
+    peak RSS of this process, which it shares until exec, so holding a
+    long output here would raise every later reading."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(2 ** 20):
+            h.update(block)
+    return h.digest()
 
 
 def main(argv):
