@@ -38,9 +38,21 @@ _LOWER_BLOCK = 2 ** 14   # samples or deltas per block of eta_lower's passes
                          # and of the truncation envelope's remainder sweep
 
 
+def _check_line(slope, intercept, delta_max):
+    """The checks of a line; a curve passes its least slope and intercept."""
+    # not (x >= 0) refuses NaN and passes -0.0
+    if not slope >= 0.0:
+        raise ValueError("slope must be nonnegative")
+    if not intercept >= 0.0:
+        raise ValueError("intercept must be nonnegative")
+    if not 0.0 < delta_max <= 2.0:
+        raise ValueError("delta_max must lie in (0, 2]")
+
+
 @dataclass(frozen=True)
 class BoundLine:
-    """Affine bound delta -> slope*delta + intercept on [0, delta_max]."""
+    """Affine bound delta -> slope*delta + intercept on [0, delta_max]; a
+    BoundCurve stores its lines as arrays, and line(i) builds one of these."""
 
     slope: float
     intercept: float
@@ -48,12 +60,7 @@ class BoundLine:
     provenance: str = ""
 
     def __post_init__(self):
-        if not (self.slope >= 0.0):
-            raise ValueError("slope must be nonnegative")
-        if not (self.intercept >= 0.0):
-            raise ValueError("intercept must be nonnegative")
-        if not (0.0 < self.delta_max <= 2.0):
-            raise ValueError("delta_max must lie in (0, 2]")
+        _check_line(self.slope, self.intercept, self.delta_max)
 
     def value(self, delta):
         """slope*delta + intercept, valued by a one-line BoundCurve, so
@@ -89,14 +96,7 @@ class BoundCurve:
         if self._m.ndim != 1 or self._m.shape != self._b.shape:
             raise ValueError("slopes and intercepts must be two 1-D arrays "
                              "of one length")
-        # the checks of BoundLine, on every line at once; not any(< 0)
-        # would let NaN through
-        if not np.all(self._m >= 0.0):
-            raise ValueError("slope must be nonnegative")
-        if not np.all(self._b >= 0.0):
-            raise ValueError("intercept must be nonnegative")
-        if not 0.0 < self.delta_max <= 2.0:
-            raise ValueError("delta_max must lie in (0, 2]")
+        _check_line(self._m.min(), self._b.min(), self.delta_max)  # min keeps NaN
         self.clamp_above = bool(clamp_above)
 
     @property
@@ -162,18 +162,19 @@ class BoundCurve:
         return vals, provs
 
     def segments(self, lo=0.0, hi=None):
-        """Breakpoint segmentation [(start, end, BoundLine), ...] on [lo, hi].
+        """Breakpoint segmentation of [lo, hi]: rows (start, end, slope,
+        intercept, provenance) of the active lines, read from the stored
+        arrays; no BoundLine is built.
 
         The minimum of lines is concave, so its active slopes decrease left
         to right.  Lines are sorted by decreasing slope, keeping the least
-        intercept of each slope.  Each pass then takes the crossings x of
+        intercept of each slope.  Each pass takes the crossings x of
         neighbouring lines, where a line's successor takes over, and the
-        starts max(lo, x); it drops every line whose successor takes over
-        no later than the line's own start.  Passes repeat until none
-        drops.  Each pass but the last drops at least one line, so n lines
-        need at most n passes; gamma0 takes 7, a truncation envelope 2.
-        lo is checked as evaluate checks a delta; hi is cut to the curve's
-        domain.
+        starts max(lo, x), and drops every line whose successor takes over
+        no later than its own start, until none drops.  Each pass but the
+        last drops a line, so n lines need at most n passes; gamma0 takes
+        7, a truncation envelope 2.  lo is checked as evaluate checks a
+        delta; hi is cut to the curve's domain.
         """
         lo = float(self._check_domain(lo))
         hi = self.delta_max if hi is None else min(float(hi), self.delta_max)
@@ -192,8 +193,10 @@ class BoundCurve:
             idx = idx[np.r_[~drop, True]]
         ends = np.minimum(np.r_[starts[1:], hi], hi)
         keep = starts < ends
-        return [(a, e, self.line(i)) for a, e, i in zip(
-            starts[keep].tolist(), ends[keep].tolist(), idx[keep].tolist())]
+        idx = idx[keep]
+        return list(zip(starts[keep].tolist(), ends[keep].tolist(),
+                        self._m[idx].tolist(), self._b[idx].tolist(),
+                        map(self._prov_fn, idx.tolist())))
 
 
 def folk_line(g: TrigPolynomial) -> BoundLine:

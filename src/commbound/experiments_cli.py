@@ -141,11 +141,8 @@ def _segments_json(curve, lo, hi, label):
     return _json_chunks({
         "schema_version": _SCHEMA_VERSION,
         "curve": label,
-        "segments": (
-            {"delta_start": a, "delta_end": b, "m": line.slope,
-             "b": line.intercept, "provenance": line.provenance}
-            for a, b, line in segs
-        ),
+        "segments": (dict(zip(("delta_start", "delta_end", "m", "b",
+                               "provenance"), row)) for row in segs),
     }, "segments")
 
 

@@ -264,7 +264,8 @@ def _per_spectrum(f, lam):
 
 def unitary_calculus(f, V) -> np.ndarray:
     """f[V] for unitary V: eigendecompose, apply f to the eigenvalue
-    phases in (-pi, pi], reassemble.  V may be a stack (..., n, n); every
+    phases in [-pi, pi], reassemble; f sees pi and -pi as one point, as
+    f.sample reduces both to -pi.  V may be a stack (..., n, n); every
     check applies to each matrix.
 
     V is normal, so it is diagonalized in two Hermitian steps: the real
@@ -292,9 +293,7 @@ def unitary_calculus(f, V) -> np.ndarray:
                 qs[k][:, s:e] = qc @ rot
     lam = np.diagonal(_adjoint(q) @ V @ q, axis1=-2, axis2=-1).copy()
     _check_residual(V, q, lam, "unitary")
-    theta = np.angle(lam)
-    theta[theta == -np.pi] = np.pi
-    return _reassemble(q, _per_spectrum(f.sample, theta))
+    return _reassemble(q, _per_spectrum(f.sample, np.angle(lam)))
 
 
 def hermitian_calculus(f, H) -> np.ndarray:

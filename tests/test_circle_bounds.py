@@ -42,6 +42,10 @@ class TestBoundLine:
         with pytest.raises(ValueError):
             cb.BoundLine(-0.1, 0.0)
 
+    def test_zero_and_negative_zero_accepted(self):
+        for m, b in [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0)]:
+            assert cb.BoundLine(m, b).value(1.0) == 0.0
+
     def test_negative_intercept_rejected(self):
         with pytest.raises(ValueError):
             cb.BoundLine(1.0, -1e-9)
@@ -155,6 +159,18 @@ class TestBoundCurve:
         with pytest.raises(ValueError):
             cb.BoundCurve(lines=[])
 
+    def test_empty_arrays_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^a bound curve needs at least one line$"):
+            cb.BoundCurve(arrays=([], [], 1.0, str))
+
+    @pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (0.7, 0.2), (2.0, None),
+                                        (0.0, 0.0)])
+    def test_segments_reject_an_empty_interval(self, lo, hi):
+        curve = cb.BoundCurve(lines=self.lines())
+        with pytest.raises(ValueError, match="^empty segmentation interval$"):
+            curve.segments(lo, hi)
+
     @pytest.mark.parametrize("lo", [-0.5, -1e-300, math.nan])
     def test_segments_reject_negative_or_nan_lo(self, lo):
         curve = cb.BoundCurve(lines=self.lines())
@@ -174,14 +190,16 @@ class TestBoundCurve:
         curve = cb.BoundCurve(lines=lines)
         segs = curve.segments(0.0, 2.0)
         assert segs[0][0] == 0.0 and segs[-1][1] == 2.0
-        for (a0, b0, _), (a1, _, _) in zip(segs, segs[1:]):
+        for (a0, b0, *_), (a1, *_) in zip(segs, segs[1:]):
             assert b0 == a1
         # active slopes of a lower envelope only ever decrease
-        slopes = [s[2].slope for s in segs]
+        slopes = [s[2] for s in segs]
         assert all(x > y for x, y in zip(slopes, slopes[1:]))
-        for lo, hi, line in segs:
+        for lo, hi, m, b, prov in segs:
+            assert (m, b) == (lines[int(prov[1:])].slope,
+                              lines[int(prov[1:])].intercept)
             for d in np.linspace(lo, hi, 9):
-                assert abs(line.value(d) - curve.evaluate(d)) <= 1e-12
+                assert abs(m * d + b - curve.evaluate(d)) <= 1e-12
 
 
 class TestArrayProvenance:

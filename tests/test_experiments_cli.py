@@ -109,8 +109,12 @@ class TestCurveSqrt:
         doc = json.loads(out.read_text())
         assert doc["schema_version"] == 1
         segs = doc["segments"]
+        keys = ("delta_start", "delta_end", "m", "b", "provenance")
         for seg in segs:
-            assert set(seg) >= {"delta_start", "delta_end", "m", "b", "provenance"}
+            assert set(seg) >= set(keys)
+        # each object is a row of the curve's segments, its floats exact
+        assert [tuple(seg[k] for k in keys) for seg in segs] == \
+            cb.gamma0(200, 64).segments(1e-3, 1.0)
         # contiguous cover of the requested grid
         for a, b in zip(segs, segs[1:]):
             assert a["delta_end"] == b["delta_start"]
@@ -1140,6 +1144,27 @@ def fake_violation(monkeypatch):
         raise cb.ViolationError("bound violated", {"seed": 0})
 
     monkeypatch.setattr(experiments_cli.matrix_lab, "sample_sweep", boom)
+
+
+class TestRefusedValues:
+    """Values that pass their type but not their command's check exit 2
+    with one line, before any work."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["validate", "sqrt", "--samples", "0"], None,
+         "samples must be at least 1"),
+        (["probe", "--delta", "0"], None, "delta must lie in (0, 1]"),
+        (["probe", "--delta", "1.5"], None, "delta must lie in (0, 1]"),
+        (["curve", "circle"], "[1, 2]", "config file must hold a JSON object"),
+    ])
+    def test_exit_two(self, argv, config, message, tmp_path, monkeypatch,
+                      capsys):
+        refuse_work(monkeypatch, "value check")
+        if config is not None:
+            (tmp_path / "c.json").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "c.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "commbound: %s\n" % message)
 
 
 class TestMainReturns:

@@ -36,6 +36,28 @@ def cos_function():
     return cb.from_coefficients({1: 0.5, -1: 0.5})
 
 
+class TestRefusedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cb.hermitian_calculus(np.sqrt, np.zeros((2, 3))),
+         "square matrix required"),
+        (lambda: cb.commutator(np.eye(2), np.eye(3)), "dimension mismatch"),
+        (lambda: cb.block_pair(np.eye(2), np.eye(3)), "dimension mismatch"),
+        (lambda: cb.sample_sweep(np.sqrt, "positive", 0, [2], 0,
+                                 cb.gamma0(64)), "count must be at least 1"),
+        (lambda: cb.sample_sweep(np.sqrt, "positive", 3, [], 0,
+                                 cb.gamma0(64)), "dims must be nonempty"),
+        (lambda: cb.probe_max_commutator(0.25, 2, 0, 0),
+         "iters and restarts must be positive"),
+        (lambda: cb.probe_max_commutator(0.25, 2, 10, 0, restarts=0),
+         "iters and restarts must be positive"),
+    ], ids=["hermitian-non-square", "commutator-shapes", "block-pair-shapes",
+            "sweep-count-0", "sweep-no-dims", "probe-iters-0",
+            "probe-restarts-0"])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            call()
+
+
 class TestOpNorm:
     def test_diagonal(self):
         assert cb.op_norm(np.diag([3.0, -7.0, 2.0])) == 7.0
@@ -194,6 +216,19 @@ class TestUnitaryCalculus:
         V = U @ np.diag(np.exp(1j * theta)) @ U.conj().T
         want = U @ np.diag(triangle.sample(theta)) @ U.conj().T
         assert cb.op_norm(cb.unitary_calculus(triangle, V) - want) <= 1e-9
+
+    def test_phases_pi_and_minus_pi_are_one_point(self):
+        # np.angle gives pi for -1 + 0j and -pi for -1 - 0j; the rule sees
+        # both as -pi
+        seen = []
+        f = cb.PeriodicFunction(lambda x: seen.append(x.copy()) or np.cos(x))
+        seen.clear()   # the seam check's call
+        V = np.diag([-1.0 + 0j, complex(-1.0, -0.0), 1j])
+        assert sorted(np.angle(np.diagonal(V)).tolist()) == [-np.pi, np.pi / 2,
+                                                             np.pi]
+        cb.unitary_calculus(f, V)
+        assert sorted(np.concatenate(seen).tolist()) == [-np.pi, -np.pi,
+                                                         np.pi / 2]
 
     def test_rejects_nonunitary(self, triangle):
         with pytest.raises(ValueError):

@@ -128,6 +128,17 @@ class TestFourierCoefficient:
         with pytest.raises(QuadratureError):
             cb.fourier_coefficient(f, 1, tol=1e-16)
 
+    def test_tail_estimate_is_none_when_an_order_misses_its_target(self):
+        f = cb.PeriodicFunction(raw_triangle_rule, real_valued=True, name="raw")
+        assert periodic_fn._dyadic_l1(f, 1, 1, 2, 3, 1e-16) is None
+
+    def test_range_extent_refusals(self, triangle):
+        with pytest.raises(ValueError, match="^grid_size must be at least 1024$"):
+            cb.range_extent(triangle, 512)
+        with pytest.raises(ValueError, match="^range_extent requires a "
+                                             "real-valued function$"):
+            cb.range_extent(cb.from_coefficients({1: 0.5j}))
+
     def test_polynomial_coefficients_are_exact(self):
         p = cb.from_coefficients({0: 0.25, 2: 0.5 - 0.125j, -2: 0.5 + 0.125j})
         assert cb.fourier_coefficient(p, 2) == 0.5 - 0.125j
@@ -587,6 +598,14 @@ def old_smallest_disk(pts):
 
 
 class TestSmallestDisk:
+    def test_no_point_and_one_point(self):
+        assert periodic_fn._smallest_disk([]) == (0j, 0.0)
+        assert periodic_fn._smallest_disk([1.5 - 2j]) == (1.5 - 2j, 0.0)
+
+    def test_collinear_points_take_the_widest_pair(self):
+        center, radius = periodic_fn._circumdisk(0.5 + 0.5j, 2 + 2j, 1 + 1j)
+        assert (center, radius) == periodic_fn._disk_two(0.5 + 0.5j, 2 + 2j)
+
     @pytest.mark.parametrize("N", [0, 1, 2])
     def test_polynomial_remainders_match_the_loop(self, N):
         # Welzl (1991); the remainders f - g_N of a complex polynomial

@@ -16,6 +16,24 @@ def exact_tail(N):
     return Fraction(math.comb(2 * N, N), 4 ** N)
 
 
+class TestRefusedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cb.PowerSeries(np.zeros(3), np.zeros(2), np.zeros(3)),
+         "coefficient and sum arrays must align"),
+        (lambda: cb.power_series_line(cb.sqrt_series(4), 5, 0.1),
+         "N outside the stored series range"),
+        (lambda: cb.power_series_line(cb.sqrt_series(4), -1, 0.1),
+         "N outside the stored series range"),
+        (lambda: cb.gamma0(64, 1), "a_grid must be at least 2"),
+        (lambda: cb.reflect_instance(np.zeros((2, 3))),
+         "square matrix required"),
+    ], ids=["misaligned-series", "past-the-order", "negative-order",
+            "a-grid-1", "reflect-non-square"])
+    def test_message(self, call, message):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            call()
+
+
 class TestSqrtSeries:
     def test_leading_coefficients_are_dyadic(self):
         s = cb.sqrt_series(6)
@@ -220,7 +238,7 @@ class TestGammaEnvelope:
     def test_segments_cover_domain(self, gamma_small):
         segs = gamma_small.segments(0.0, 1.0)
         assert segs[0][0] == 0.0 and segs[-1][1] == 1.0
-        slopes = [s[2].slope for s in segs]
+        slopes = [s[2] for s in segs]
         assert all(x > y for x, y in zip(slopes, slopes[1:]))
 
     def test_every_line_domain_is_the_unit_interval(self, gamma_small):
@@ -389,7 +407,7 @@ EXACT = "tangent a=delta (exact minimizer)"
 def segment_deltas(curve):
     """Every segment end of the curve with both neighbours, plus a uniform
     grid of its domain."""
-    ends = np.array([x for a, b, _ in curve.segments() for x in (a, b)])
+    ends = np.array([x for a, b, *_ in curve.segments() for x in (a, b)])
     d = np.r_[ends, np.nextafter(ends, 0.0), np.nextafter(ends, 3.0),
               np.linspace(0.0, curve.delta_max, 401)]
     return np.unique(d[(d >= 0.0) & (d <= curve.delta_max)])

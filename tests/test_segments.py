@@ -1,5 +1,5 @@
-"""BoundCurve.segments against the frozen stack sweep, bit for bit: start
-and end as hex, and each segment's slope, intercept and provenance."""
+"""BoundCurve.segments against the frozen stack sweep, bit for bit: the
+rows (start, end, slope, intercept, provenance) with the floats as hex."""
 
 import functools
 
@@ -10,14 +10,18 @@ import commbound as cb
 from frozen_segments import segments as frozen_segments
 
 
-def segment_bits(segs):
-    return [(a.hex(), e.hex(), l.slope.hex(), l.intercept.hex(), l.provenance)
-            for a, e, l in segs]
+def segment_bits(rows):
+    assert all(tuple(map(type, row)) == (float,) * 4 + (str,) for row in rows)
+    return [(a.hex(), e.hex(), m.hex(), b.hex(), p) for a, e, m, b, p in rows]
 
 
 def assert_frozen(curve, lo=0.0, hi=None):
+    """segments(lo, hi) equals the frozen sweep's (start, end, BoundLine)
+    triples, converted into rows."""
     got = curve.segments(lo, hi)
-    assert segment_bits(got) == segment_bits(frozen_segments(curve, lo, hi))
+    assert segment_bits(got) == segment_bits(
+        [(a, e, l.slope, l.intercept, l.provenance)
+         for a, e, l in frozen_segments(curve, lo, hi)])
     return got
 
 
@@ -52,7 +56,7 @@ def test_pedersen_envelope():
 
 def test_gamma0_small_grid():
     segs = assert_frozen(curve_of("gamma0", 64, 3))
-    assert segs[-2][2].provenance == "tangent a=0.625"
+    assert segs[-2][4] == "tangent a=0.625"
 
 
 @pytest.mark.parametrize("N_max, a_grid", [(1, 2), (2, 2), (3, 5), (64, 16),
@@ -80,27 +84,37 @@ def test_equal_slopes_keep_the_least_intercept():
     curve = lines_curve((1.0, 0.5), (1.0, 0.25), (0.0, 0.75), (1.0, 0.25),
                         (2.0, 0.0), (0.0, 0.75))
     segs = assert_frozen(curve)
-    assert [l.provenance for _, _, l in segs] == ["line 4", "line 1", "line 2"]
+    assert [row[4] for row in segs] == ["line 4", "line 1", "line 2"]
     assert_frozen(curve, -0.0)
 
 
 def test_line_overtaken_exactly_at_its_start():
     # line 1 takes over from line 0 at 0.5, where line 2 takes over from it
     segs = assert_frozen(lines_curve((2.0, 0.0), (1.0, 0.5), (0.0, 1.0)))
-    assert [(a, e, l.provenance) for a, e, l in segs] == [
+    assert [(a, e, p) for a, e, _, _, p in segs] == [
         (0.0, 0.5, "line 0"), (0.5, 1.0, "line 2")]
 
 
 def test_every_line_but_the_last_active_only_left_of_lo():
     curve = lines_curve((3.0, 0.0), (2.0, 0.1), (1.0, 0.3), (0.0, 0.6))
-    assert [(a, e, l.provenance) for a, e, l in assert_frozen(curve, 0.5)] \
+    assert [(a, e, p) for a, e, _, _, p in assert_frozen(curve, 0.5)] \
         == [(0.5, 1.0, "line 3")]
     assert len(assert_frozen(curve)) == 4
 
 
 def test_single_line():
     assert assert_frozen(lines_curve((0.5, 0.25)), 0.125, 0.75) == [
-        (0.125, 0.75, cb.BoundLine(0.5, 0.25, 1.0, "line 0"))]
+        (0.125, 0.75, 0.5, 0.25, "line 0")]
+
+
+def test_rows_build_no_bound_line(monkeypatch):
+    curve = curve_of("gamma0", 64, 3)
+
+    def refuse(self):
+        raise AssertionError("segments() built a BoundLine")
+
+    monkeypatch.setattr(cb.BoundLine, "__post_init__", refuse)
+    assert len(curve.segments(1e-3, 1.0)) == 58
 
 
 def test_family_that_drops_one_line_per_pass():

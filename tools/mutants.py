@@ -1,0 +1,179 @@
+"""Replay the mutation checks: every mutant in MUTANTS must fail its tests.
+
+    python tools/mutants.py [NAME ...]
+
+A mutant is one exact text replacement in one file of src/commbound, and
+the tests that must catch it.  For each mutant (all of them, or those
+named), src/ and tests/ are copied into a temporary directory, the old
+text, which must occur exactly once in its file, is replaced by the new
+text, and pytest runs only the mutant's tests there, in a fresh
+interpreter.  The mutant is killed when pytest reports a failed test (exit
+code 1) and survives when every test passes; any other pytest exit, such as
+a collection error or a test id that names nothing, is an error.  Before
+the mutants, the same tests run once on an unmutated copy and must pass.
+
+Prints one line per mutant and exits 1 if a mutant survives, errs or has
+lost its old text, else 0.  Mutants whose code a change rewrites must be
+restated in the table with it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+Mutant = namedtuple("Mutant", "name file old new tests")
+
+CB = "tests/test_circle_bounds.py::"
+PB = "tests/test_positive_bounds.py::"
+PF = "tests/test_periodic_fn.py::"
+CLI = "tests/test_experiments_cli.py::"
+
+MUTANTS = [
+    # bound lines and curves (circle_bounds.py)
+    Mutant("check-line-slope-strict", "circle_bounds.py",
+           "if not slope >= 0.0:", "if not slope > 0.0:",
+           [CB + "TestBoundLine::test_zero_and_negative_zero_accepted",
+            CB + "TestBoundCurve::test_valid_arrays_accepted"]),
+    Mutant("check-line-intercept-strict", "circle_bounds.py",
+           "if not intercept >= 0.0:", "if not intercept > 0.0:",
+           [CB + "TestBoundLine::test_zero_and_negative_zero_accepted",
+            CB + "TestBoundCurve::test_valid_arrays_accepted"]),
+    Mutant("curve-arrays-sign-check-dropped", "circle_bounds.py",
+           "_check_line(self._m.min(), self._b.min(), self.delta_max)",
+           "_check_line(0.0, 0.0, self.delta_max)",
+           [CB + "TestBoundCurve"]),
+    Mutant("curve-arrays-shape-check-dropped", "circle_bounds.py",
+           "if self._m.ndim != 1 or self._m.shape != self._b.shape:",
+           "if False:",
+           [CB + "TestBoundCurve"]),
+    Mutant("segment-rows-swap-slope-and-intercept", "circle_bounds.py",
+           "self._m[idx].tolist(), self._b[idx].tolist(),",
+           "self._b[idx].tolist(), self._m[idx].tolist(),",
+           ["tests/test_segments.py"]),
+    Mutant("line-0-intercept-raised-1e-9", "circle_bounds.py",
+           "lines.append(BoundLine(m, b, 2.0, prov))",
+           "lines.append(BoundLine(m, b * (1.0 + 1e-9) if N == 0 else b, "
+           "2.0, prov))",
+           [CB + "TestLineZeroIsTheCap"]),
+    Mutant("sweep-skips-small-pairs", "circle_bounds.py",
+           "elif N and c[N_max + N] != 0.0:",
+           "elif N and abs(c[N_max + N]) > 1e-2:",
+           [CB + "TestCosineSweepAgainstFrozenCopy"]),
+    # the JSON export (experiments_cli.py)
+    Mutant("json-segments-swap-m-and-b", "experiments_cli.py",
+           '"delta_end", "m", "b",', '"delta_end", "b", "m",',
+           [CLI + "TestCurveSqrt::test_json_format_lists_segments"]),
+    # the sqrt envelope (positive_bounds.py)
+    Mutant("exact-minimizer-wins-ties", "positive_bounds.py",
+           "(exact < vals)", "(exact <= vals)",
+           [PB + "TestOnePath::test_ties_go_to_the_stored_line"]),
+    Mutant("no-fourth-candidate", "positive_bounds.py",
+           "return np.clip(n + [-2, -1, 0, self._n_max], 0, hi)",
+           "return np.clip(n + [-2, -1, 0], 0, hi[:3])",
+           [PB + "TestClosedForm", PB + "TestOnePath"]),
+    # real series and the bump (periodic_fn.py)
+    Mutant("cosine-term-without-factor-2", "periodic_fn.py",
+           "    t *= a\n    t *= 2.0\n", "    t *= a\n",
+           [PF + "TestCosineTerm"]),
+    Mutant("cosine-table-zeroes-negative-rows", "periodic_fn.py",
+           "_cosine_term(pos.real, k, x, out=terms[1:])",
+           "_cosine_term(np.maximum(pos.real, 0.0), k, x, out=terms[1:])",
+           [PF + "TestRealSumsAgainstFrozenCopy"]),
+    Mutant("no-negative-zero-guard", "periodic_fn.py",
+           "if not real or (a0 == 0.0 and np.signbit(a0)):", "if not real:",
+           [PF + "TestRealSumsAgainstFrozenCopy",
+            CB + "TestCosineSweepAgainstFrozenCopy"]),
+    Mutant("no-real-series-check", "periodic_fn.py",
+           "real = np.all(coeffs[::-1] == np.conj(coeffs))", "real = True",
+           [PF + "TestCosineTerm", PF + "TestRealSumsAgainstFrozenCopy"]),
+    Mutant("complex-pairs-in-the-mask", "periodic_fn.py",
+           "return (pos == coeffs[:d][::-1]) & (pos.imag == 0.0)",
+           "return pos.real == coeffs[:d][::-1].real",
+           [PF + "TestCosineTerm", PF + "TestRealSumsAgainstFrozenCopy"]),
+    Mutant("maximum-for-fmax-in-the-bump", "periodic_fn.py",
+           "np.fmax(v, 0.0, out=v)", "np.maximum(v, 0.0, out=v)",
+           [PF + "TestMaskFreeBump"]),
+    # the trapezoid ladder (periodic_fn.py)
+    Mutant("aitken-single-difference", "periodic_fn.py",
+           "spread = np.maximum(np.max(np.abs(np.diff(X, axis=0)), axis=0), "
+           "floor)",
+           "spread = np.maximum(np.abs(X[-1] - X[-2]), floor)",
+           [PF + "TestErrorEstimatesCoverTrueErrors"]),
+    Mutant("no-rounding-floor", "periodic_fn.py",
+           "floor = np.log2(K) * np.finfo(float).eps * self.peak[level]",
+           "floor = 0.0",
+           [PF + "TestFourierCoefficient::test_unreachable_target_raises"]),
+]
+
+
+def copy_tree(dest):
+    for part in ("src", "tests"):
+        shutil.copytree(HERE / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def pytest(root, tests):
+    """pytest's exit code on the test ids, run in root, and the last lines
+    of its output."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=root, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, text=True)
+    return done.returncode, "\n".join(done.stdout.splitlines()[-5:])
+
+
+def run_mutant(m):
+    """(outcome, seconds, pytest's last lines) of one mutant in a fresh
+    copy."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        path = root / "src" / "commbound" / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return "old text found %d times" % text.count(m.old), 0.0, ""
+        path.write_text(text.replace(m.old, m.new))
+        code, tail = pytest(root, m.tests)
+    outcome = {0: "SURVIVED", 1: "killed"}.get(code, "pytest error %d" % code)
+    return outcome, time.perf_counter() - start, tail
+
+
+def main(names):
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants: %s" % ", ".join(sorted(unknown)))
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    tests = sorted({t for m in mutants for t in m.tests})
+    with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
+        copy_tree(Path(tmp))
+        code, tail = pytest(Path(tmp), tests)
+    if code != 0:
+        print("the unmutated tests fail (pytest exit %d):\n%s" % (code, tail))
+        return 1
+    print("the unmutated tests pass (%d test ids)" % len(tests))
+    bad = 0
+    for m in mutants:
+        outcome, seconds, tail = run_mutant(m)
+        bad += outcome != "killed"
+        print("%-8s %5.1f s  %s (%s)" % (outcome, seconds, m.name, m.file))
+        if outcome.startswith("pytest error"):
+            print(tail)
+    print("%d of %d mutants killed" % (len(mutants) - bad, len(mutants)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
