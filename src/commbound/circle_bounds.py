@@ -33,6 +33,16 @@ from .periodic_fn import (
     _smallest_disk,
 )
 
+__all__ = [
+    "BoundCurve",
+    "BoundLine",
+    "continuity_bound",
+    "eta_lower",
+    "folk_line",
+    "split_line",
+    "truncation_envelope",
+]
+
 _LOWER_CHUNK = 2 ** 19   # offsets x points per block of the complex scan
 _LOWER_BLOCK = 2 ** 14   # samples or deltas per block of eta_lower's passes
                          # and of the truncation envelope's remainder sweep

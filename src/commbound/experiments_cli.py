@@ -309,8 +309,10 @@ def cmd_validate(cfg) -> int:
                   "target": cfg.target, "status": "violation",
                   "violation": err.payload}
         _atomic_write(cfg.out, _json_chunks(report))
-        print("validate %s: BOUND VIOLATION (%s)" % (cfg.target, err),
-              file=sys.stderr)
+        # a closed stderr must not turn the violation into exit 2
+        with contextlib.suppress(OSError, ValueError):
+            print("validate %s: BOUND VIOLATION (%s)" % (cfg.target, err),
+                  file=sys.stderr)
         return 1
     margins = [r.margin for r in records]
     k = int(np.argmin(margins))

@@ -15,6 +15,28 @@ from typing import Optional
 
 import numpy as np
 
+__all__ = [
+    "DecompositionError",
+    "InstancePair",
+    "ProbeResult",
+    "SampleRecord",
+    "ViolationError",
+    "block_offdiag",
+    "block_pair",
+    "commutator",
+    "haar_unitary",
+    "hermitian_calculus",
+    "instance_pair",
+    "lower_bound_instance",
+    "op_norm",
+    "probe_max_commutator",
+    "random_contraction",
+    "random_positive_contraction",
+    "sample_sweep",
+    "stream",
+    "unitary_calculus",
+]
+
 _DIM_MIN = 2
 _DIM_MAX = 64
 _SQRT2 = math.sqrt(2.0)

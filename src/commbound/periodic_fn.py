@@ -23,6 +23,22 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = [
+    "PeriodicFunction",
+    "TrigPolynomial",
+    "QuadratureError",
+    "builtin_bump",
+    "builtin_triangle",
+    "chebyshev_radius",
+    "coefficient_l1",
+    "derivative_fourier_norm",
+    "fourier_coefficient",
+    "fourier_coefficient_estimate",
+    "from_coefficients",
+    "range_extent",
+    "truncate",
+]
+
 TWO_PI = 2.0 * np.pi
 
 _QUAD_K_START = 2 ** 14

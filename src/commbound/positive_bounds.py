@@ -16,6 +16,20 @@ import numpy as np
 
 from .circle_bounds import BoundCurve, BoundLine
 
+__all__ = [
+    "PowerSeries",
+    "SqrtEnvelope",
+    "TangentParam",
+    "gamma0",
+    "pedersen_envelope",
+    "pedersen_line",
+    "power_series_line",
+    "reflect_function",
+    "reflect_instance",
+    "sqrt_series",
+    "tangent_line",
+]
+
 
 def _frozen(a):
     a = np.asarray(a, dtype=float)

@@ -1,9 +1,12 @@
 """The package runs on numpy alone: a fresh interpreter never loads numba
-or scipy and computes the same curves as this process."""
+or scipy and computes the same curves as this process.  Its public surface
+is the union of its layer modules' __all__ lists."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import commbound as cb
 
@@ -51,3 +54,51 @@ class TestNumpyBackendEndToEnd:
         g = cb.gamma0(500, 128)
         want = "%r %r" % (g.evaluate(0.1), g.evaluate(0.7))
         assert out.stdout.strip() == want
+
+
+LAYERS = (cb.periodic_fn, cb.circle_bounds, cb.positive_bounds, cb.matrix_lab)
+
+PUBLIC = """
+    BoundCurve BoundLine DecompositionError InstancePair PeriodicFunction
+    PowerSeries ProbeResult QuadratureError SampleRecord SqrtEnvelope
+    TangentParam TrigPolynomial ViolationError __version__ block_offdiag
+    block_pair builtin_bump builtin_triangle chebyshev_radius
+    coefficient_l1 commutator continuity_bound derivative_fourier_norm
+    eta_lower folk_line fourier_coefficient fourier_coefficient_estimate
+    from_coefficients gamma0 haar_unitary hermitian_calculus instance_pair
+    lower_bound_instance op_norm pedersen_envelope pedersen_line
+    power_series_line probe_max_commutator random_contraction
+    random_positive_contraction range_extent reflect_function
+    reflect_instance sample_sweep split_line sqrt_series stream
+    tangent_line truncate truncation_envelope unitary_calculus
+""".split()
+
+
+class TestPublicSurface:
+    def test_package_names(self):
+        assert len(PUBLIC) == 51
+        assert sorted(cb.__all__) == PUBLIC
+
+    @pytest.mark.parametrize("module", LAYERS, ids=lambda m: m.__name__)
+    def test_each_listed_name_is_defined_in_its_module(self, module):
+        assert module.__all__
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name
+
+    def test_no_name_in_two_modules(self):
+        names = [n for m in LAYERS for n in m.__all__]
+        assert len(names) == len(set(names))
+        assert sorted(names + ["__version__"]) == PUBLIC
+
+    def test_package_names_are_the_modules_objects(self):
+        for module in LAYERS:
+            for name in module.__all__:
+                assert getattr(cb, name) is getattr(module, name), name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from commbound import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(cb.__all__)
+        for name, value in namespace.items():
+            assert value is getattr(cb, name)

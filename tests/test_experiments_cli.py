@@ -1207,6 +1207,41 @@ class TestMainReturns:
         assert info.value.args == (code,)
         assert capsys.readouterr().err == err
 
+    def test_violation_on_a_closed_stderr_exits_one(self, tmp_path,
+                                                    monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        fake_violation(monkeypatch)
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        out = tmp_path / "r.json"
+        assert main(["validate", "sqrt", "--samples", "2", *SMALL_GAMMA0,
+                     "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "violation"
+        assert doc["violation"] == {"seed": 0}
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "circle", "--n-max", "4"],
+        ["validate", "circle", "--samples", "2", "--n-max", "4"],
+    ])
+    def test_quadrature_error_exits_two_with_one_line(self, argv, tmp_path,
+                                                      monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise cb.QuadratureError("coefficient target not met")
+
+        refuse_work(monkeypatch, "envelope")
+        monkeypatch.setattr(cb.circle_bounds, "truncation_envelope", fail)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "commbound: coefficient target not met\n")
+        assert not out.exists()
+
 
 class TestOutputTargets:
     """Where the output goes: through a symlink, or nowhere when stdout is

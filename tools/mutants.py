@@ -68,10 +68,20 @@ MUTANTS = [
            "elif N and c[N_max + N] != 0.0:",
            "elif N and abs(c[N_max + N]) > 1e-2:",
            [CB + "TestCosineSweepAgainstFrozenCopy"]),
-    # the JSON export (experiments_cli.py)
+    # the command line (experiments_cli.py)
     Mutant("json-segments-swap-m-and-b", "experiments_cli.py",
            '"delta_end", "m", "b",', '"delta_end", "b", "m",',
            [CLI + "TestCurveSqrt::test_json_format_lists_segments"]),
+    Mutant("violation-line-unsuppressed", "experiments_cli.py",
+           "with contextlib.suppress(OSError, ValueError):\n"
+           '            print("validate',
+           'if True:\n            print("validate',
+           [CLI + "TestMainReturns::"
+            "test_violation_on_a_closed_stderr_exits_one"]),
+    # the public surface (matrix_lab.py)
+    Mutant("stream-left-out-of-all", "matrix_lab.py",
+           '    "stream",\n', "",
+           ["tests/test_backends.py::TestPublicSurface"]),
     # the sqrt envelope (positive_bounds.py)
     Mutant("exact-minimizer-wins-ties", "positive_bounds.py",
            "(exact < vals)", "(exact <= vals)",
