@@ -216,7 +216,7 @@ def folk_line(g: TrigPolynomial) -> BoundLine:
 
 def _remainder(f: PeriodicFunction, g: TrigPolynomial) -> PeriodicFunction:
     def rule(x):
-        return np.asarray(f.sample(x)) - np.asarray(g.sample(x))
+        return f.sample(x) - g.sample(x)
 
     return PeriodicFunction(rule, real_valued=f.real_valued and g.real_valued,
                             name="%s remainder" % (f.name or "f"))
@@ -288,7 +288,7 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         # block-sized arrays, so a yielded block is overwritten when the
         # next one is asked for; f, y and g_N are freed when the sweep ends
         xs = _reduce_angle(_grid(grid_size))
-        fv = np.asarray(f.sample(xs))
+        fv = f.sample(xs)
         y = _reduce_angle(xs)
         del xs
         B = min(_LOWER_BLOCK, y.size)
@@ -326,7 +326,7 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         t = _reduce_angle(t)
         top = real[-1]
         gv = _partial_sums(c[N_max - top:N_max + top + 1], _reduce_angle(t))
-        return np.real(np.asarray(f.sample(t))
+        return np.real(f.sample(t)
                        - gv[np.asarray(real)[r], np.arange(t.size)])
 
     peaks = _row_peaks(real_remainders())
@@ -419,7 +419,7 @@ def _lower_table(f: PeriodicFunction, grid_size: int):
     table = f._pair_cache.get(grid_size)
     if table is None:
         x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
-        vals = _sample(f, x)
+        vals = f.sample(x)
         if np.iscomplexobj(vals):
             # a complex window's diameter does not split into two halves
             ranges = np.maximum.accumulate(
@@ -429,14 +429,6 @@ def _lower_table(f: PeriodicFunction, grid_size: int):
         table = (x, vals, ranges)
         f._pair_cache[grid_size] = table
     return table
-
-
-def _sample(f, t):
-    """f on an array of angles of any shape, through one flat call.  Real
-    values stay real: |a - b| on a + 0j is |a - b| on reals."""
-    v = np.asarray(f.sample(t.ravel()))
-    return v.astype(np.complex128 if np.iscomplexobj(v) else float,
-                    copy=False).reshape(t.shape)
 
 
 def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
@@ -476,14 +468,14 @@ def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):
         rows = max(1, _LOWER_BLOCK // G)
         for s in range(0, w.size, rows):
             j = slice(s, s + rows)
-            diffs = np.abs(_sample(f, x + w[j, None]) - vals)
+            diffs = np.abs(f.sample(x + w[j, None]) - vals)
             i0[j] = np.argmax(diffs, axis=1)
             best[j] = np.maximum(best[j], diffs[np.arange(len(diffs)), i0[j]])
         for s in range(0, w.size, _LOWER_BLOCK):
             j = slice(s, s + _LOWER_BLOCK)
             t = x[i0[j]]
             best[j] = np.maximum(best[j], _golden_max(
-                lambda t, w=w[j]: np.abs(_sample(f, t + w) - _sample(f, t)),
+                lambda t, w=w[j]: np.abs(f.sample(t + w) - f.sample(t)),
                 t - h, t + h))
         out[pos] = best
     return float(out[0]) if scalar else out.reshape(deltas.shape)

@@ -192,11 +192,6 @@ def _complex(re, im, scale):
     return (re + 1j * im) / scale
 
 
-def _ginibre(rng, n):
-    return _complex(rng.standard_normal((n, n)), rng.standard_normal((n, n)),
-                    _SQRT2)
-
-
 def _spectrum(rng, lam, spectrum_mode):
     # fill lam; random() draws the same doubles as uniform(0, 1) and
     # writes them in place
@@ -278,17 +273,11 @@ def _check_residual(M, q, lam, kind):
         raise DecompositionError("%s diagonalization residual %.3e" % (kind, worst))
 
 
-def _per_spectrum(f, lam):
-    # one flat call on every eigenvalue of the stack: f acts elementwise,
-    # so a stacked result replays bit for bit through the unstacked one
-    return np.asarray(f(lam.ravel()), dtype=np.complex128).reshape(lam.shape)
-
-
 def unitary_calculus(f, V) -> np.ndarray:
-    """f[V] for unitary V: eigendecompose, apply f to the eigenvalue
-    phases in [-pi, pi], reassemble; f sees pi and -pi as one point, as
-    f.sample reduces both to -pi.  V may be a stack (..., n, n); every
-    check applies to each matrix.
+    """f[V] for unitary V: eigendecompose, sample f on the stacked
+    eigenvalue phases in [-pi, pi] in one call, reassemble; f sees pi and
+    -pi as one point, as f.sample reduces both to -pi.  V may be a stack
+    (..., n, n); every check applies to each matrix.
 
     V is normal, so it is diagonalized in two Hermitian steps: the real
     part fixes the basis up to clusters (tolerance 1e-8), and within each
@@ -315,7 +304,7 @@ def unitary_calculus(f, V) -> np.ndarray:
                 qs[k][:, s:e] = qc @ rot
     lam = np.diagonal(_adjoint(q) @ V @ q, axis1=-2, axis2=-1).copy()
     _check_residual(V, q, lam, "unitary")
-    return _reassemble(q, _per_spectrum(f.sample, np.angle(lam)))
+    return _reassemble(q, f.sample(np.angle(lam)))
 
 
 def hermitian_calculus(f, H) -> np.ndarray:
@@ -331,7 +320,10 @@ def hermitian_calculus(f, H) -> np.ndarray:
     if np.any(w[..., 0] < -1e-10) or np.any(w[..., -1] > 1.0 + 1e-10):
         raise ValueError("spectrum outside [0, 1]")
     _check_residual(H, q, w, "Hermitian")
-    return _reassemble(q, _per_spectrum(f, np.clip(w, 0.0, 1.0)))
+    # one flat call on every eigenvalue of the stack: f acts elementwise,
+    # so a stacked result replays bit for bit through the unstacked one
+    lam = np.clip(w, 0.0, 1.0)
+    return _reassemble(q, np.asarray(f(lam.ravel())).reshape(lam.shape))
 
 
 def block_offdiag(M1, M2) -> np.ndarray:
@@ -458,34 +450,34 @@ def sample_sweep(f, role: str, count: int, dims, seed: int, curve,
             measured[block] = _norms(commutator(calculus(f, x), a))
     # fp guard: delta may poke past the curve domain by rounding only
     bounds = curve.evaluate(np.minimum(deltas, curve.delta_max))
-    records = []
-    for i in range(count):
-        delta = float(deltas[i])
-        meas = float(measured[i])
-        bound = float(bounds[i])
-        margin = bound - meas
+    margins = bounds - measured
+    bad = np.flatnonzero(margins < -1e-8)
+    if bad.size:
+        i = int(bad[0])
         dim = int(index_dims[i])
-        if margin < -1e-8:
-            pair = instance_pair(role, dim, seed, i, modes[i])
-            payload = {
-                "seed": int(seed),
-                "index": i,
-                "dim": dim,
-                "role": role,
-                "spectrum_mode": modes[i],
-                "delta": delta,
-                "measured": meas,
-                "bound": bound,
-                "margin": margin,
-                "x": _matrix_entries(pair.x),
-                "a": _matrix_entries(pair.a),
-            }
-            raise ViolationError(
-                "bound violated at seed=%d index=%d: measured %.12e > bound %.12e"
-                % (seed, i, meas, bound), payload)
-        records.append(SampleRecord(seed=seed, dim=dim, delta=delta,
-                                    measured=meas, bound=bound, margin=margin))
-    return records
+        meas, bound = float(measured[i]), float(bounds[i])
+        pair = instance_pair(role, dim, seed, i, modes[i])
+        payload = {
+            "seed": int(seed),
+            "index": i,
+            "dim": dim,
+            "role": role,
+            "spectrum_mode": modes[i],
+            "delta": float(deltas[i]),
+            "measured": meas,
+            "bound": bound,
+            "margin": float(margins[i]),
+            "x": _matrix_entries(pair.x),
+            "a": _matrix_entries(pair.a),
+        }
+        raise ViolationError(
+            "bound violated at seed=%d index=%d: measured %.12e > bound %.12e"
+            % (seed, i, meas, bound), payload)
+    return [SampleRecord(seed=seed, dim=dim, delta=delta, measured=meas,
+                         bound=bound, margin=margin)
+            for dim, delta, meas, bound, margin in zip(
+                index_dims.tolist(), deltas.tolist(), measured.tolist(),
+                bounds.tolist(), margins.tolist())]
 
 
 def _eigh_box(H):
@@ -616,21 +608,20 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
         raise ValueError("iters and restarts must be positive")
     steps_per = max(1, iters // restarts)
     rngs = [stream(seed, r) for r in range(restarts)]
-    shape = (restarts, dim, dim)
-    hraw = np.empty(shape, dtype=np.complex128)
-    araw = np.empty(shape, dtype=np.complex128)
+    # real and imaginary Gaussian parts of each restart's start, then of
+    # its proposal, for H (k = 0) and for A (k = 1): a start fills all
+    # four in one standard_normal call, a step the slot which picks, H's
+    # (0), A's (1) or both, which lie next to each other (2)
+    draws = np.empty((restarts, 2, 2, dim, dim))
     for r, rng in enumerate(rngs):
-        hraw[r] = _ginibre(rng, dim) * _SQRT2
-        araw[r] = _ginibre(rng, dim) / math.sqrt(dim)
+        rng.standard_normal(out=draws[r])
+    g = _complex(draws[:, :, 0], draws[:, :, 1], _SQRT2)
+    hraw = g[:, 0] * _SQRT2
+    araw = g[:, 1] / math.sqrt(dim)
     v = _probe_scores(hraw, araw, dt)
     sigma = np.full(restarts, 0.5)
     stall = np.zeros(restarts, dtype=np.int64)
     which = np.zeros(restarts, dtype=np.int64)
-    # real and imaginary Gaussian parts of each restart's proposal for H
-    # (k = 0) and for A (k = 1), in the order _ginibre draws them: which
-    # picks the slot one standard_normal call fills, H's (0), A's (1) or
-    # both, which lie next to each other (2)
-    draws = np.zeros((restarts, 2, 2, dim, dim))
     slots = [(rng, (draws[r, 0], draws[r, 1], draws[r]))
              for r, rng in enumerate(rngs)]
     for _ in range(steps_per):

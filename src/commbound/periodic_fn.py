@@ -113,8 +113,12 @@ class PeriodicFunction:
             raise ValueError("real_valued is set but the rule returns complex values")
 
     def sample(self, x):
-        """Evaluate on an array of angles, reduced mod 2pi into [-pi, pi)."""
-        return np.asarray(self.rule(_reduce_angle(x)))
+        """f on an array of angles, reduced mod 2pi into [-pi, pi): an
+        array of x's shape, complex128 when the rule gives complex values
+        and float64 otherwise, whatever dtype the rule returns."""
+        v = np.asarray(self.rule(_reduce_angle(x)))
+        return v.astype(np.complex128 if np.iscomplexobj(v) else float,
+                        copy=False)
 
     def __call__(self, x):
         return complex(self.sample(np.array([float(x)]))[0])

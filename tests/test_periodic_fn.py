@@ -235,6 +235,52 @@ class TestErrorEstimatesCoverTrueErrors:
             assert abs(p.coefficient(n) - bump_coefficient(n)) <= 1e-10, n
 
 
+class TestSampleDtype:
+    """sample returns float64 or complex128 whatever dtype the rule gives,
+    so a float32 or complex64 rule is its float64 or complex128 cast to
+    every layer: the ladder's error estimates hold, and each output has the
+    bits of the cast rule's."""
+
+    @pytest.mark.parametrize("dtype, want", [
+        (np.float32, np.float64), (np.int64, np.float64),
+        (np.bool_, np.float64), (np.complex64, np.complex128)])
+    def test_sample_is_float64_or_complex128(self, dtype, want):
+        f = cb.PeriodicFunction(lambda x: np.ones(x.shape, dtype=dtype))
+        v = f.sample(np.zeros((2, 3)))
+        assert v.dtype == want and v.shape == (2, 3)
+
+    @pytest.mark.parametrize("rule, real, n, exact", [
+        (lambda x: np.cos(3 * x).astype(np.float32), True, 3, 0.5),
+        (lambda x: np.exp(2j * x).astype(np.complex64), False, 2, 1.0)],
+        ids=["float32-cos3x", "complex64-exp2ix"])
+    def test_narrow_rule_error_covers_true_error(self, rule, real, n, exact):
+        f = cb.PeriodicFunction(rule, real_valued=real)
+        value, error = cb.fourier_coefficient_estimate(f, n, 1e-10)
+        assert abs(value - exact) <= error <= 1e-10
+
+    @pytest.mark.parametrize("rule, real", [
+        (lambda x: np.exp(np.cos(x)).astype(np.float32), True),
+        (lambda x: np.exp(1j * np.sin(x) + np.cos(2 * x)).astype(np.complex64),
+         False)], ids=["float32", "complex64"])
+    def test_narrow_rule_gives_the_bits_of_its_cast(self, rule, real):
+        wide = np.float64 if real else np.complex128
+        g32 = cb.PeriodicFunction(rule, real_valued=real)
+        g64 = cb.PeriodicFunction(lambda x: rule(x).astype(wide),
+                                  real_valued=real)
+        deltas = np.linspace(0.0, 1.99, 500)
+        V = np.stack([cb.haar_unitary(4, seed=s) for s in range(6)])
+        out = []
+        for g in (g32, g64):
+            lines = cb.truncation_envelope(g, 4, grid_size=4096).lines()
+            out.append((
+                [(l.slope.hex(), l.intercept.hex(), l.provenance)
+                 for l in lines],
+                cb.eta_lower(g, deltas, grid_size=500).tobytes(),
+                cb.chebyshev_radius(g).hex(),
+                cb.unitary_calculus(g, V).tobytes()))
+        assert out[0] == out[1]
+
+
 def level_sums(f, n):
     """Per-order grid doubling with direct trapezoid sums, the algorithm the
     FFT ladder replaced: yields (K, sum) for K = 2^14, 2^15, ..., 2^22,

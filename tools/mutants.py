@@ -36,6 +36,7 @@ CB = "tests/test_circle_bounds.py::"
 PB = "tests/test_positive_bounds.py::"
 PF = "tests/test_periodic_fn.py::"
 CLI = "tests/test_experiments_cli.py::"
+ML = "tests/test_matrix_lab.py::"
 
 MUTANTS = [
     # bound lines and curves (circle_bounds.py)
@@ -78,6 +79,15 @@ MUTANTS = [
            'if True:\n            print("validate',
            [CLI + "TestMainReturns::"
             "test_violation_on_a_closed_stderr_exits_one"]),
+    # validation sweeps and the probe (matrix_lab.py)
+    Mutant("violation-at-the-largest-index", "matrix_lab.py",
+           "i = int(bad[0])", "i = int(bad[-1])",
+           ["tests/test_spectral.py::TestSweepReplay::"
+            "test_violation_raises_at_smallest_index"]),
+    Mutant("probe-start-swaps-h-and-a", "matrix_lab.py",
+           "hraw = g[:, 0] * _SQRT2\n    araw = g[:, 1] / math.sqrt(dim)",
+           "hraw = g[:, 1] * _SQRT2\n    araw = g[:, 0] / math.sqrt(dim)",
+           [ML + "TestProbeAgainstFrozenCopy"]),
     # the public surface (matrix_lab.py)
     Mutant("stream-left-out-of-all", "matrix_lab.py",
            '    "stream",\n', "",
@@ -90,6 +100,12 @@ MUTANTS = [
            "return np.clip(n + [-2, -1, 0, self._n_max], 0, hi)",
            "return np.clip(n + [-2, -1, 0], 0, hi[:3])",
            [PB + "TestClosedForm", PB + "TestOnePath"]),
+    # the sampling contract (periodic_fn.py)
+    Mutant("sample-without-the-cast", "periodic_fn.py",
+           "return v.astype(np.complex128 if np.iscomplexobj(v) else float,\n"
+           "                        copy=False)",
+           "return v",
+           [PF + "TestSampleDtype::test_narrow_rule_error_covers_true_error"]),
     # real series and the bump (periodic_fn.py)
     Mutant("cosine-term-without-factor-2", "periodic_fn.py",
            "    t *= a\n    t *= 2.0\n", "    t *= a\n",
