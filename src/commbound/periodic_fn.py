@@ -21,6 +21,8 @@ they assume the convergence seen so far goes on.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 __all__ = [
@@ -549,92 +551,69 @@ def range_extent(f: PeriodicFunction, grid_size: int = _EXTENT_GRID):
     return _extent(f, x, np.real(f.sample(x)))
 
 
-def _disk_two(a, b):
-    c = 0.5 * (a + b)
-    return c, abs(a - b) * 0.5
-
-
-def _circumdisk(a, b, c):
-    """Smallest disk through three points; falls back to best two-point disk."""
-    big = max(abs(a), abs(b), abs(c))
-    if big > 2.0 ** 300:
-        # the cubic terms below would overflow: find the center of the
-        # points scaled by a power of two, which is exact, and scale back
-        s = np.ldexp(1.0, -int(np.frexp(big)[1]))
-        center = _circumdisk(a * s, b * s, c * s)[0]
-        center = complex(center.real / s, center.imag / s)
-        return center, max(abs(a - center), abs(b - center), abs(c - center))
-    d = 2.0 * ((a.real * (b.imag - c.imag))
-               + (b.real * (c.imag - a.imag))
-               + (c.real * (a.imag - b.imag)))
-    if abs(d) < 1e-30:
-        cands = [_disk_two(a, b), _disk_two(a, c), _disk_two(b, c)]
-        center, r = max(cands, key=lambda t: t[1])
-        return center, r
-    ux = ((abs(a) ** 2) * (b.imag - c.imag)
-          + (abs(b) ** 2) * (c.imag - a.imag)
-          + (abs(c) ** 2) * (a.imag - b.imag)) / d
-    uy = ((abs(a) ** 2) * (c.real - b.real)
-          + (abs(b) ** 2) * (a.real - c.real)
-          + (abs(c) ** 2) * (b.real - a.real)) / d
-    center = complex(ux, uy)
-    return center, max(abs(a - center), abs(b - center), abs(c - center))
-
-
-def _first_outside(pts, center, radius):
-    bad = np.abs(pts - center) > radius * (1.0 + 1e-13) + 1e-15
-    idx = np.nonzero(bad)[0]
-    return int(idx[0]) if idx.size else -1
+def _least_disk(s):
+    """(center, reach, points) of the least disk of 1 to 4 points s: of the
+    pair midpoints and the circumcenters of the triples that are not
+    exactly collinear, the center whose largest distance to s is least, and
+    the points that define it."""
+    cands = [(0.5 * (a + b), [a, b])
+             for a, b in combinations(s, 2)] or [(s[0], s)]
+    for a, b, c in combinations(s, 3):
+        u, v = b - a, c - a
+        d = 2.0 * (u.real * v.imag - u.imag * v.real)
+        if d:
+            uu, vv = u.real ** 2 + u.imag ** 2, v.real ** 2 + v.imag ** 2
+            cands.append((a + complex((v.imag * uu - u.imag * vv) / d,
+                                      (u.real * vv - v.real * uu) / d),
+                          [a, b, c]))
+    reach = [max(abs(p - c) for p in s) for c, _ in cands]
+    k = reach.index(min(reach))
+    return cands[k][0], reach[k], cands[k][1]
 
 
 def _smallest_disk(pts):
-    """Smallest enclosing disk of complex points, incremental construction.
+    """(center, radius) of the least disk enclosing complex points, by
+    farthest-point pivoting (Gartner, ESA 1999): find the least disk of a
+    support of at most three points, add the sample farthest from its
+    center, and repeat until that sample lies within the support's reach
+    or the reach stops growing.
 
-    Points are pre-shuffled with a fixed seed so the incremental passes run
-    in expected linear time; the result does not depend on the shuffle.
+    The points are scaled by 2^-e, with 2^e above every coordinate, which
+    is exact, so the result scales with the points bit for bit.  The
+    center returned is the one, of every support's, whose reach over all
+    points is least, and the radius is that reach, max |p - center|.  A
+    NaN or infinite point gives a NaN radius.
     """
-    pts = np.asarray(pts, dtype=np.complex128)
-    if pts.size == 0:
+    parts = np.asarray(pts, dtype=np.complex128).ravel().view(float)
+    if parts.size == 0:
         return 0j, 0.0
-    if pts.size == 1:
-        return complex(pts[0]), 0.0
-    order = np.random.default_rng(0).permutation(pts.size)
-    p = pts[order]
-    center, radius = _disk_two(p[0], p[1])
-    i = 2
+    top = np.max(np.abs(parts))
+    if not np.isfinite(top):
+        return complex(np.nan, np.nan), np.nan
+    e = int(np.frexp(top)[1])
+    q = np.ldexp(parts, -e).view(np.complex128)
+    support, best, last = [complex(q[0])], (0j, np.inf), -1.0
     while True:
-        k = _first_outside(p[i:], center, radius)
-        if k < 0:
-            return center, float(radius)
-        i += k
-        q1 = p[i]
-        # rebuild with q1 on the boundary
-        center, radius = _disk_two(p[0], q1)
-        j = 1
-        while True:
-            k2 = _first_outside(p[j:i], center, radius)
-            if k2 < 0:
-                break
-            j += k2
-            q2 = p[j]
-            center, radius = _disk_two(q1, q2)
-            t = 0
-            while True:
-                k3 = _first_outside(p[t:j], center, radius)
-                if k3 < 0:
-                    break
-                t += k3
-                center, radius = _circumdisk(q1, q2, p[t])
-                t += 1
-            j += 1
-        i += 1
+        center, r, support = _least_disk(support)
+        d = np.abs(q - center)
+        k = int(np.argmax(d))
+        if d[k] < best[1]:
+            best = center, float(d[k])
+        if d[k] <= r or r <= last:
+            break
+        last = r
+        support.append(complex(q[k]))
+    center, reach = best
+    x, y = np.ldexp([center.real, center.imag], e)
+    return complex(x, y), float(np.ldexp(reach, e))
 
 
 def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> float:
     """min over constants of sup |f - c|, to grid tolerance.
 
-    Real case: half the oscillation (max - min)/2.  Complex case: radius of
-    the smallest disk enclosing the sampled range.
+    Real case: half the oscillation (max - min)/2.  Complex case: the
+    reach max |f(x) - c| over the samples from the center c of their
+    smallest enclosing disk, which scales with f bit for bit.
     """
     x = _grid(grid_size)
     v = f.sample(x)

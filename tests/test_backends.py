@@ -56,6 +56,34 @@ class TestNumpyBackendEndToEnd:
         assert out.stdout.strip() == want
 
 
+class TestNumpyRandomUnloaded:
+    """The complex disk draws no shuffle, so complex circle runs never
+    import numpy.random (about 5 MB of peak RSS); validate and probe draw
+    from Philox and still do."""
+
+    def test_complex_chebyshev_radius(self):
+        out = run_snippet(
+            "import sys, commbound as cb\n"
+            "f = cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})\n"
+            "assert cb.chebyshev_radius(f) > 0.0\n"
+            "print('numpy.random' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_complex_curve_circle(self, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text('{"1": 0.5, "-2": [0, 0.25], "3": 0.125}')
+        out = run_snippet(
+            "import sys\n"
+            "from commbound.experiments_cli import main\n"
+            "assert main(['curve', 'circle', '--steps', '50', '--function', "
+            "%r, '--out', %r]) == 0\n"
+            "print('numpy.random' in sys.modules)"
+            % (str(path), str(tmp_path / "curve.csv")))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
 LAYERS = (cb.periodic_fn, cb.circle_bounds, cb.positive_bounds, cb.matrix_lab)
 
 PUBLIC = """

@@ -1,5 +1,7 @@
 """Tests for unitary-commutator bound lines, envelopes, and the lower bound."""
 
+import csv
+import json
 import math
 import tracemalloc
 
@@ -803,3 +805,49 @@ class TestContinuityBound:
             cb.continuity_bound(triangle_envelope, -0.1)
         with pytest.raises(ValueError):
             cb.continuity_bound(triangle_envelope, 2.1)
+
+
+def scaled_poly(k):
+    """Item 3's complex polynomial times 2^k, which is exact."""
+    s = 2.0 ** k
+    return {1: 0.5 * s, -2: 0.25j * s, 3: 0.125 * s}
+
+
+class TestScaleByPowersOfTwo:
+    """f times 2^k scales every certificate of the complex polynomial by
+    exactly 2^k: the disk has no absolute tolerance, and its points are
+    scaled by a power of two before any arithmetic."""
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        f = cb.from_coefficients(scaled_poly(0))
+        curve = cb.truncation_envelope(f, 8)
+        return (curve._m, curve._b, cb.chebyshev_radius(f),
+                cb.eta_lower(f, np.linspace(0.0, 1.99, 500)))
+
+    @pytest.mark.parametrize("k", [-60, -50, -30, 0, 30, 60])
+    def test_certificates_scale_bit_for_bit(self, k, unscaled):
+        f = cb.from_coefficients(scaled_poly(k))
+        curve = cb.truncation_envelope(f, 8)
+        m, b, radius, lower = unscaled
+        s = 2.0 ** k
+        assert same_bits(curve._m, m * s)
+        assert same_bits(curve._b, b * s)
+        assert cb.chebyshev_radius(f) == radius * s
+        assert same_bits(cb.eta_lower(f, np.linspace(0.0, 1.99, 500)),
+                         lower * s)
+
+    @pytest.mark.parametrize("k", [-60, -50, -30, 0, 30, 60])
+    def test_curve_rows_keep_upper_above_lower(self, k, tmp_path):
+        from commbound.experiments_cli import main
+
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps({str(n): [a.real, a.imag]
+                                    for n, a in scaled_poly(k).items()}))
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "circle", "--function", str(path),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 500
+        bad = [r for r in rows if float(r["upper"]) < float(r["lower"])]
+        assert not bad, (len(bad), bad[0])

@@ -1,6 +1,9 @@
 """Tests for periodic function evaluation and Fourier analysis."""
 
+import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import commbound as cb
+import frozen_disk
 import frozen_envelope
 import frozen_periodic
 from commbound import periodic_fn
@@ -614,63 +618,129 @@ class TestReduceAngle:
         assert x.tolist() == [0.5, 3.5, 7.0]
 
 
-def old_smallest_disk(pts):
-    """periodic_fn._smallest_disk with its innermost pass as the Python loop
-    it replaced."""
-    pts = np.asarray(pts, dtype=np.complex128)
-    p = pts[np.random.default_rng(0).permutation(pts.size)]
-    center, radius = periodic_fn._disk_two(p[0], p[1])
-    i = 2
-    while True:
-        k = periodic_fn._first_outside(p[i:], center, radius)
-        if k < 0:
-            return center, float(radius)
-        i += k
-        q1 = p[i]
-        center, radius = periodic_fn._disk_two(p[0], q1)
-        j = 1
-        while True:
-            k2 = periodic_fn._first_outside(p[j:i], center, radius)
-            if k2 < 0:
-                break
-            j += k2
-            q2 = p[j]
-            center, radius = periodic_fn._disk_two(q1, q2)
-            for t in range(j):
-                if abs(p[t] - center) > radius * (1.0 + 1e-13) + 1e-15:
-                    center, radius = periodic_fn._circumdisk(q1, q2, p[t])
-            j += 1
-        i += 1
+EPS = np.finfo(float).eps
+
+
+def reach(pts, center):
+    return float(np.max(np.abs(np.asarray(pts, dtype=complex) - center)))
+
+
+def brute_force_radius(pts):
+    """The least reach over every pair midpoint and the circumcenter of
+    every triple that is not exactly collinear."""
+    p = np.asarray(pts, dtype=complex)
+    i, j = np.triu_indices(p.size, 1)
+    centers = [0.5 * (p[i] + p[j])]
+    a, b, c = p[np.array(list(itertools.combinations(range(p.size), 3)))].T
+    u, v = b - a, c - a
+    d = 2.0 * (u.real * v.imag - u.imag * v.real)
+    ok = d != 0.0
+    u, v, a, d = u[ok], v[ok], a[ok], d[ok]
+    uu, vv = np.abs(u) ** 2, np.abs(v) ** 2
+    circum = np.empty_like(a)
+    with np.errstate(over="ignore"):
+        # a nearly collinear triple's center may overflow to inf, which
+        # is never the least reach
+        circum.real = a.real + (v.imag * uu - u.imag * vv) / d
+        circum.imag = a.imag + (u.real * vv - v.real * uu) / d
+    centers = np.concatenate(centers + [circum])
+    return float(np.min(np.max(np.abs(p[None, :] - centers[:, None]), axis=1)))
+
+
+def small_set(seed):
+    """A set of 3 to 25 points: random, cocircular, collinear, with repeats
+    or on a dyadic grid, by seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 26))
+    kind = seed % 5
+    if kind == 0:
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == 1:
+        return 1.5 * np.exp(1j * rng.uniform(-np.pi, np.pi, n)) + (0.25 - 2j)
+    if kind == 2:
+        return (0.3 - 0.7j) + (2.0 + 1.0j) * rng.standard_normal(n)
+    if kind == 3:
+        base = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        return base[rng.integers(0, 3, n)]
+    return (rng.integers(-8, 9, n) + 1j * rng.integers(-8, 9, n)) / 16.0
 
 
 class TestSmallestDisk:
+    """Farthest-point pivoting, measured against the incremental
+    construction it replaced (tests/frozen_disk.py) and against brute
+    force: its radius is its center's reach over every point, no larger
+    than the frozen center's reach up to 4 eps, and within 4 eps of the
+    least reach over all pair midpoints and circumcenters."""
+
     def test_no_point_and_one_point(self):
         assert periodic_fn._smallest_disk([]) == (0j, 0.0)
         assert periodic_fn._smallest_disk([1.5 - 2j]) == (1.5 - 2j, 0.0)
 
-    def test_collinear_points_take_the_widest_pair(self):
-        center, radius = periodic_fn._circumdisk(0.5 + 0.5j, 2 + 2j, 1 + 1j)
-        assert (center, radius) == periodic_fn._disk_two(0.5 + 0.5j, 2 + 2j)
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_collinear_points_take_the_widest_pair(self, order):
+        pts = np.array([0.5 + 0.5j, 2 + 2j, 1 + 1j])[list(order)]
+        assert periodic_fn._smallest_disk(pts) == (
+            1.25 + 1.25j, float(np.abs(0.75 + 0.75j)))
 
     @pytest.mark.parametrize("N", [0, 1, 2])
-    def test_polynomial_remainders_match_the_loop(self, N):
-        # Welzl (1991); the remainders f - g_N of a complex polynomial
+    def test_polynomial_remainders_reach_no_further_than_the_loop(self, N):
+        # the remainders f - g_N of a complex polynomial
         f = cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125})
         g = cb.truncate(f, N)
         vals = f.sample(periodic_fn._grid(2 ** 16)) - g.sample(
             periodic_fn._grid(2 ** 16))
-        got = periodic_fn._smallest_disk(vals)
-        assert got == old_smallest_disk(vals)
-        assert got[1] > 0.0
+        center, radius = periodic_fn._smallest_disk(vals)
+        assert radius == reach(vals, center)
+        assert radius <= reach(vals, frozen_disk.smallest_disk(vals)[0]) * (
+            1.0 + 4.0 * EPS)
+        assert radius > 0.0
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_clouds_match_the_loop(self, seed):
+    def test_random_clouds_reach_no_further_than_the_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 3000))
         pts = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if seed % 2:
             pts = np.exp(1j * rng.uniform(-np.pi, np.pi, n)) * 2.0 + (0.3 - 0.1j)
-        assert periodic_fn._smallest_disk(pts) == old_smallest_disk(pts)
+        center, radius = periodic_fn._smallest_disk(pts)
+        assert radius == reach(pts, center)
+        assert radius <= reach(pts, frozen_disk.smallest_disk(pts)[0]) * (
+            1.0 + 4.0 * EPS)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_small_sets_match_brute_force(self, seed):
+        pts = small_set(seed)
+        center, radius = periodic_fn._smallest_disk(pts)
+        assert radius == reach(pts, center)
+        want = brute_force_radius(pts)
+        assert abs(radius - want) <= 4.0 * EPS * want
+
+    def test_polygon_radius_is_the_circle_radius(self):
+        # the kept best center: the last support's center reaches
+        # 3.0000000000000315 here
+        pts = 3.0 * np.exp(1j * periodic_fn._grid(2 ** 16)) + (1.0 - 2.0j)
+        center, radius = periodic_fn._smallest_disk(pts)
+        assert radius == reach(pts, center)
+        assert radius <= 3.0 * (1.0 + 4.0 * EPS)
+
+    def test_non_finite_points_give_a_nan_radius(self):
+        # in a fresh interpreter under a timeout, so that a loop that
+        # never ends fails the test; the real analogue, last, is NaN too
+        code = (
+            "import numpy as np, commbound as cb\n"
+            "from commbound.periodic_fn import _smallest_disk\n"
+            "f = cb.PeriodicFunction(lambda x: np.where(\n"
+            "    abs(x - 1) < 1e-3, np.nan, 1.0) * np.exp(1j * x))\n"
+            "print(cb.chebyshev_radius(f))\n"
+            "for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan),\n"
+            "            complex(1, -np.inf)):\n"
+            "    print(_smallest_disk([1.0, 2j, bad, -1.0])[1])\n"
+            "print(cb.chebyshev_radius(cb.PeriodicFunction(\n"
+            "    lambda x: np.where(abs(x - 1) < 1e-3, np.nan, np.cos(x)))))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["nan"] * 7
 
     @pytest.mark.parametrize("scale", [1e100, 1e200, 1e303])
     def test_huge_clouds_scale_without_overflow(self, scale):

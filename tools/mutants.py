@@ -128,6 +128,17 @@ MUTANTS = [
     Mutant("maximum-for-fmax-in-the-bump", "periodic_fn.py",
            "np.fmax(v, 0.0, out=v)", "np.maximum(v, 0.0, out=v)",
            [PF + "TestMaskFreeBump"]),
+    # the complex disk (periodic_fn.py)
+    Mutant("disk-returns-the-support-reach", "periodic_fn.py",
+           "best = center, float(d[k])", "best = center, r",
+           [PF + "TestSmallestDisk"]),
+    Mutant("disk-keeps-the-last-center", "periodic_fn.py",
+           "if d[k] < best[1]:", "if True:",
+           [PF + "TestSmallestDisk::test_polygon_radius_is_the_circle_radius"]),
+    Mutant("disk-without-the-power-of-two-scaling", "periodic_fn.py",
+           "e = int(np.frexp(top)[1])", "e = 0",
+           [PF + "TestSmallestDisk::test_huge_clouds_scale_without_overflow",
+            CB + "TestScaleByPowersOfTwo"]),
     # the trapezoid ladder (periodic_fn.py)
     Mutant("aitken-single-difference", "periodic_fn.py",
            "spread = np.maximum(np.max(np.abs(np.diff(X, axis=0)), axis=0), "
