@@ -101,17 +101,25 @@ class BoundCurve:
         self._m = np.asarray(m, dtype=float)
         self._b = np.asarray(b, dtype=float)
         self.delta_max = float(delta_max)
-        if self._m.size == 0:
-            raise ValueError("a bound curve needs at least one line")
         if self._m.ndim != 1 or self._m.shape != self._b.shape:
             raise ValueError("slopes and intercepts must be two 1-D arrays "
                              "of one length")
-        _check_line(self._m.min(), self._b.min(), self.delta_max)  # min keeps NaN
+        if self.size == 0:
+            raise ValueError("a bound curve needs at least one line")
+        # min keeps NaN; initial=inf passes an empty table, whose lines a
+        # subclass values in _line_values
+        _check_line(self._m.min(initial=np.inf), self._b.min(initial=np.inf),
+                    self.delta_max)
         self.clamp_above = bool(clamp_above)
 
     @property
     def size(self):
         return int(self._m.size)
+
+    def _line_values(self, idx):
+        """Slopes and intercepts of the lines at the integer index or
+        array idx; every method reads line values through here."""
+        return self._m[idx], self._b[idx]
 
     def line(self, idx) -> BoundLine:
         if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
@@ -119,11 +127,19 @@ class BoundCurve:
         idx = int(idx)
         if not 0 <= idx < self.size:
             raise IndexError("line index %d outside 0..%d" % (idx, self.size - 1))
-        return BoundLine(float(self._m[idx]), float(self._b[idx]),
-                         self.delta_max, self._prov_fn(idx))
+        m, b = self._line_values(idx)
+        return BoundLine(float(m), float(b), self.delta_max, self._prov_fn(idx))
 
     def lines(self):
-        return [self.line(i) for i in range(self.size)]
+        idx = np.arange(self.size)
+        m, b = self._line_values(idx)
+        return [BoundLine(mi, bi, self.delta_max, self._prov_fn(i))
+                for i, mi, bi in zip(idx.tolist(), m.tolist(), b.tolist())]
+
+    def _lines_from(self, lo):
+        """Indices, ascending, of every line that can be least at some
+        delta >= lo: here all."""
+        return np.arange(self.size)
 
     def _candidates(self, d):
         """Indices, in index order along the last axis, of the lines to
@@ -133,7 +149,8 @@ class BoundCurve:
     def _min_over_lines(self, deltas):
         d = np.asarray(deltas, dtype=float)[..., None]
         idx = self._candidates(d)
-        table = self._m[idx] * d + self._b[idx]
+        m, b = self._line_values(idx)
+        table = m * d + b
         idx = np.broadcast_to(idx, table.shape)
         k = np.argmin(table, axis=-1)[..., None]  # ties go to the first line
         return (np.take_along_axis(table, k, -1)[..., 0],
@@ -173,11 +190,12 @@ class BoundCurve:
 
     def segments(self, lo=0.0, hi=None):
         """Breakpoint segmentation of [lo, hi]: rows (start, end, slope,
-        intercept, provenance) of the active lines, read from the stored
-        arrays; no BoundLine is built.
+        intercept, provenance) of the active lines, read through
+        _line_values; no BoundLine is built.
 
         The minimum of lines is concave, so its active slopes decrease left
-        to right.  Lines are sorted by decreasing slope, keeping the least
+        to right.  The lines _lines_from(lo) names, all that can be active
+        past lo, are sorted by decreasing slope, keeping the least
         intercept of each slope.  Each pass takes the crossings x of
         neighbouring lines, where a line's successor takes over, and the
         starts max(lo, x), and drops every line whose successor takes over
@@ -190,23 +208,25 @@ class BoundCurve:
         hi = self.delta_max if hi is None else min(float(hi), self.delta_max)
         if not lo < hi:
             raise ValueError("empty segmentation interval")
-        idx = np.lexsort((self._b, -self._m))
-        m = self._m[idx]
-        idx = idx[np.r_[True, m[1:] != m[:-1]]]
+        idx = self._lines_from(lo)
+        slopes, intercepts = self._line_values(idx)
+        k = np.lexsort((intercepts, -slopes))
+        m = slopes[k]
+        k = k[np.r_[True, m[1:] != m[:-1]]]
         while True:
-            m, b = self._m[idx], self._b[idx]
+            m, b = slopes[k], intercepts[k]
             x = (b[1:] - b[:-1]) / (m[:-1] - m[1:])
             starts = np.r_[lo, np.maximum(lo, x)]
             drop = x <= starts[:-1]
             if not drop.any():
                 break
-            idx = idx[np.r_[~drop, True]]
+            k = k[np.r_[~drop, True]]
         ends = np.minimum(np.r_[starts[1:], hi], hi)
         keep = starts < ends
-        idx = idx[keep]
+        k = k[keep]
         return list(zip(starts[keep].tolist(), ends[keep].tolist(),
-                        self._m[idx].tolist(), self._b[idx].tolist(),
-                        map(self._prov_fn, idx.tolist())))
+                        slopes[k].tolist(), intercepts[k].tolist(),
+                        map(self._prov_fn, idx[k].tolist())))
 
 
 def folk_line(g: TrigPolynomial) -> BoundLine:

@@ -171,15 +171,15 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_stream_key(seed, index)))
 
 
-def _restart(rng, seed, index):
+def _restart(rng, state, seed, index):
     """Put rng, a generator on a Philox bit generator, in the state that
-    stream(seed, index) starts from: key set, counter 0, buffer empty."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": _stream_key(seed, index)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+    stream(seed, index) starts from: key set, counter 0, buffer empty.
+    state is a Philox state dict with an empty buffer, as a new stream's
+    bit_generator.state, reused: only its key and counter are rewritten."""
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    key[0], key[1] = int(seed) % 2 ** 64, int(index) % 2 ** 64
+    counter[:] = 0
+    rng.bit_generator.state = state
 
 
 def _as_rng(seed_or_rng):
@@ -192,19 +192,21 @@ def _complex(re, im, scale):
     return (re + 1j * im) / scale
 
 
-def _spectrum(rng, lam, spectrum_mode):
-    # fill lam; random() draws the same doubles as uniform(0, 1) and
-    # writes them in place
-    if spectrum_mode == "uniform":
-        rng.random(out=lam)
-    elif spectrum_mode == "atoms":
-        n = lam.shape[-1]
-        kind = rng.integers(0, 3, n)
-        unif = rng.uniform(0.0, 1.0, n)
-        lam[...] = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, unif))
-    else:
+def _spectrum(rng, lam, kind, spectrum_mode):
+    # draw one spectrum: for `atoms` first which entries are the atoms 0
+    # and 1 (kind 0 and 1; kind 2, as left for `uniform`, is a uniform
+    # draw), then in both modes the uniform draws, which random() writes
+    # into lam as the same doubles as uniform(0, 1); _atoms sets the atoms
+    if spectrum_mode == "atoms":
+        kind[...] = rng.integers(0, 3, lam.shape[-1])
+    elif spectrum_mode != "uniform":
         raise ValueError("spectrum_mode must be 'uniform' or 'atoms'")
-    return lam
+    rng.random(out=lam)
+
+
+def _atoms(lam, kind):
+    # a stack of spectra with the atoms of kind set, once per stack
+    return np.where(kind == 2, lam, kind)
 
 
 def _haar(re, im):
@@ -259,7 +261,9 @@ def random_positive_contraction(n: int, seed, spectrum_mode: str = "uniform") ->
     _check_dim(n)
     rng = _as_rng(seed)
     u = _haar(*rng.standard_normal((2, 1, n, n)))
-    return _positive(u, _spectrum(rng, np.empty((1, n)), spectrum_mode))[0]
+    lam, kind = np.empty((1, n)), np.full((1, n), 2)
+    _spectrum(rng, lam[0], kind[0], spectrum_mode)
+    return _positive(u, _atoms(lam, kind))[0]
 
 
 def _reassemble(q, lam):
@@ -378,18 +382,21 @@ def _instances(role, dim, seed, indices, modes):
     _check_dim(dim)
     raw = np.empty((len(indices), 4, dim, dim))
     lam = np.empty((len(indices), dim))
-    # one generator, built for the first index and restarted for the others
+    kind = np.full(lam.shape, 2)
+    # one generator, built for the first index and restarted for the
+    # others through one state dict
     rng = stream(seed, indices[0])
+    state = rng.bit_generator.state
     for j, (i, mode) in enumerate(zip(indices, modes)):
         if j:
-            _restart(rng, seed, i)
+            _restart(rng, state, seed, i)
         rng.standard_normal(out=raw[j, :2])
         if role == "positive":
-            _spectrum(rng, lam[j], mode)
+            _spectrum(rng, lam[j], kind[j], mode)
         rng.standard_normal(out=raw[j, 2:])
     x = _haar(raw[:, 0], raw[:, 1])
     if role == "positive":
-        x = _positive(x, lam)
+        x = _positive(x, _atoms(lam, kind))
     return x, _contraction(raw[:, 2], raw[:, 3])
 
 
@@ -538,10 +545,13 @@ def _probe_scores(hraw, araw, delta_target):
     They could only add rounding, a few ulps in about one evaluation in
     eight of a default climb.  At dims 3 and up only the random
     contraction can exceed sqrt(dt), so both are scored."""
+    if hraw.shape[-1] == 2:
+        # eigvalsh gives eigh's eigenvalues bit for bit at dim 2, not at
+        # dims 3 to 8, and the pair needs no eigenvectors
+        w = np.linalg.eigvalsh((hraw + _adjoint(hraw)) / 2.0)
+        return _pair_values(np.clip(w, 0.0, 1.0), delta_target)[0]
     w, q = _eigh_box(hraw)
     pair = _pair_values(w, delta_target)[0]
-    if hraw.shape[-1] == 2:
-        return pair
     a, ok = _bind_contraction(w, q, araw, delta_target)
     rand = np.where(ok, _norms(commutator(_reassemble(q, np.sqrt(w)), a)), 0.0)
     return np.maximum(rand, pair)
@@ -635,15 +645,14 @@ def probe_max_commutator(delta_target: float, dim: int, iters: int, seed: int,
         vc = _probe_scores(hc, ac, dt)
         up = vc > v
         acc = vc >= v
-        stall[up] = 0
-        sigma[up] = np.minimum(sigma[up] * 1.5, 0.5)
+        sigma = np.where(up, np.minimum(sigma * 1.5, 0.5), sigma)
         v = np.where(acc, vc, v)
         hraw = np.where(acc[:, None, None], hc, hraw)
         araw = np.where(acc[:, None, None], ac, araw)
-        stall[~acc] += 1
+        stall = np.where(up, 0, np.where(acc, stall, stall + 1))
         slow = ~acc & (stall >= 10)
-        sigma[slow] = np.maximum(sigma[slow] * 0.5, 1e-300)
-        stall[slow] = 0
+        sigma = np.where(slow, np.maximum(sigma * 0.5, 1e-300), sigma)
+        stall = np.where(slow, 0, stall)
     best = int(np.argmax(v))
     h, a = _materialize_best(hraw[best], araw[best], dt)
     delta = op_norm(commutator(h, a))

@@ -9,6 +9,7 @@ at points a in [1/4, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,11 +91,101 @@ def power_series_line(series: PowerSeries, N: int, h_osc: float) -> BoundLine:
     return BoundLine(m, float(h_osc), 1.0, "power series N=%d" % N)
 
 
+def _step_up(x, k):
+    """x stepped up k doubles toward +inf; k is a count, or an array of
+    counts or of booleans, one per entry of x."""
+    k = np.asarray(k, dtype=np.int64)
+    for i in range(int(k.max(initial=0))):
+        x = np.where(k > i, np.nextafter(x, np.inf), x)
+    return x
+
+
+def _split(v):
+    # Veltkamp's split: v = hi + lo exactly, each half of 26 bits or fewer
+    t = 134217729.0 * v
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _excess(x, y, c):
+    """x*y - c with the sign of the exact difference, for positive doubles
+    x, y whose product neither overflows nor underflows and a double c
+    within a factor 2 of fl(x*y) (or equal to it).  Dekker's product
+    gives x*y - fl(x*y) exactly, fl(x*y) - c is exact (Sterbenz), and
+    their sum is rounded once, which keeps its sign."""
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    return (p - c) + (((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+
+
+# b_N = C(2N, N) / 4^N = Gamma(N + 1/2) / (sqrt(pi) Gamma(N + 1)) =
+# (pi N)^(-1/2) (1 - 1/(8N) + 1/(128N^2) + 5/(1024N^3) - 21/(32768N^4)
+# - 399/(262144N^5) + 869/(4194304N^6) + ...): the seven dyadic
+# coefficients, highest order first, for Horner in 1/N
+_SERIES = (869 / 4194304, -399 / 262144, -21 / 32768, 5 / 1024, 1 / 128,
+           -1 / 8, 1.0)
+_SERIES_FROM = 64
+_SERIES_ULPS = 3
+
+
+def _ceil_ratio(num, den):
+    """The least double >= num/den, for positive integers num and den."""
+    q = num / den   # int / int rounds correctly
+    p, d = q.as_integer_ratio()
+    return q if p * den >= num * d else math.nextafter(q, math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_head():
+    """Slopes N b_N and intercepts b_N for N < _SERIES_FROM (entry 0
+    unused), each the exact rational rounded up."""
+    head = np.zeros((2, _SERIES_FROM))
+    for N in range(1, _SERIES_FROM):
+        num, den = math.comb(2 * N, N), 4 ** N
+        head[:, N] = _ceil_ratio(N * num, den), _ceil_ratio(num, den)
+    return _frozen(head)
+
+
+def _pedersen_lines(N):
+    """Slopes and intercepts of the Pedersen lines N (an integer array,
+    every entry >= 1), from N alone, each at or above its exact value
+    N b_N or b_N.
+
+    Below N = 64 both are the exact rationals rounded up, less than 1 ulp
+    above.  From N = 64 on, b_N is the seven-term series above, valued by
+    Horner and one division by sqrt(pi N), then stepped up _SERIES_ULPS =
+    3 doubles.  Each step adds more than u = 2^-53 relative, and the valued
+    series lies less than 2.92u below b_N: so at every N in [64, 10^6]
+    against a 160-bit recurrence (-2.92u at N = 64, where the first term
+    left out is largest; it shrinks as N^-7), and past 10^6 the series'
+    five roundings bound it by about 1.9u.  The slope is N times that
+    stepped b_N, stepped up one double where the product rounded down,
+    which Dekker's exact product tells.  So an intercept lies at most 6
+    ulps and a slope at most 12 ulps above its exact value (5.44 and 7.74
+    at most over N <= 10^6).
+    """
+    N = np.asarray(N)
+    n = N.astype(float)
+    x, p = 1.0 / n, 0.0
+    for c in _SERIES:
+        p = p * x + c
+    b = p / np.sqrt(np.pi * n)
+    b = _step_up(b, _SERIES_ULPS)
+    m = n * b
+    m = _step_up(m, _excess(n, b, m) > 0.0)
+    small = N < _SERIES_FROM
+    head = _exact_head()[:, np.where(small, N, 0)]
+    return np.where(small, head[0], m), np.where(small, head[1], b)
+
+
 def pedersen_line(N: int) -> BoundLine:
-    """Line N of pedersen_envelope(N), from the degree-N partial sum of the
-    sqrt series: slope sum_{n<=N} n c_n; intercept 1 - sum_{n<=N} c_n, the
-    value at 1 of the nonnegative increasing remainder, which equals its
-    oscillation on [0, 1].
+    """Line N of pedersen_envelope(N): slope N b_N and intercept b_N =
+    C(2N, N) / 4^N, each rounded up (see _pedersen_lines).  Through the
+    degree-N partial sum of the series for 1 - sqrt(1-x), the slope is
+    sum_{n<=N} n c_n and the intercept 1 - sum_{n<=N} c_n, the value at 1
+    of the nonnegative increasing remainder, which equals its oscillation
+    on [0, 1].
     """
     return _PedersenEnvelope(N).line(int(N) - 1)
 
@@ -111,10 +202,18 @@ class TangentParam:
 
 
 def _tangent(a):
-    """Slope 1/(2 sqrt(a)) and intercept sqrt(a)/2 of the tangent to sqrt
-    at a, a float or an array; np.sqrt rounds correctly, as math.sqrt does."""
+    """Slope and intercept of the tangent to sqrt at a, a float or an
+    array in [1/4, 1], rounded up: the slope at or above 1/(2 sqrt(a)),
+    the intercept at or above sqrt(a)/2, each stepped up one double only
+    where inexact.  np.sqrt rounds correctly, as math.sqrt does, so the
+    root r is within one double of sqrt(a), on the side of the exact sign
+    of r*r - a."""
     r = np.sqrt(a)
-    return 0.5 / r, 0.5 * r
+    e = _excess(r, r, a)
+    b = 0.5 * _step_up(r, e < 0.0)
+    r = np.where(e > 0.0, np.nextafter(r, 0.0), r)
+    m = 0.5 / r
+    return _step_up(m, _excess(m, r, 0.5) < 0.0), b
 
 
 def tangent_line(a) -> BoundLine:
@@ -126,26 +225,47 @@ def tangent_line(a) -> BoundLine:
 
 
 class _PedersenEnvelope(BoundCurve):
-    """The pedersen lines N = 1..N_max (index N - 1), then any lines stored
-    after them, with the pedersen minimum in closed form: line N has slope
-    N b_N and intercept b_N, so lines N and N + 1 cross exactly at
-    delta = 1/(N+1).  The candidates are lines N - 1, N, N + 1 for
-    N = floor(1/delta) (the neighbours absorb rounding), then the first
-    line stored after them (line N_max again if there is none), so value
-    and provenance equal the brute-force minimum, ties included.
+    """The pedersen lines N = 1..N_max (index N - 1), valued from N by
+    _pedersen_lines when read, then any lines stored after them, with the
+    pedersen minimum in closed form: line N has slope N b_N and intercept
+    b_N, so lines N and N + 1 cross exactly at delta = 1/(N+1).  The
+    candidates are lines N - 1, N, N + 1 for N = floor(1/delta) (the
+    neighbours absorb rounding), then the first line stored after them
+    (line N_max again if there is none), so value and provenance equal the
+    brute-force minimum, ties included.
     """
 
     def __init__(self, N_max, m=(), b=(), clamp_above=False):
         N_max = int(N_max)
         if N_max < 1:
             raise ValueError("N_max must be at least 1")
-        s = sqrt_series(N_max)
-        ms, bs = s.weighted_sums[1:], np.maximum(1.0 - s.partial_sums[1:], 0.0)
-        del s  # holding the series while the line arrays are built raises peak RSS
-        m, b = np.r_[ms, m], np.r_[bs, b]
         self._n_max = N_max
         super().__init__(arrays=(m, b, 1.0, self._provenance),
                          clamp_above=clamp_above)
+
+    @property
+    def size(self):
+        return self._n_max + int(self._m.size)
+
+    def _line_values(self, idx):
+        idx = np.asarray(idx)
+        # each line once: a block of deltas shares few candidates
+        N, at = np.unique(np.minimum(idx, self._n_max - 1) + 1,
+                          return_inverse=True)
+        m, b = (v[at].reshape(idx.shape) for v in _pedersen_lines(N))
+        if self._m.size:
+            stored = idx >= self._n_max
+            j = np.where(stored, idx - self._n_max, 0)
+            m = np.where(stored, self._m[j], m)
+            b = np.where(stored, self._b[j], b)
+        return m, b
+
+    def _lines_from(self, lo):
+        # pedersen line N is the least of them only on [1/(N+1), 1/N]; two
+        # more lines absorb the rounding of the crossings
+        top = (self._n_max if lo * self._n_max <= 1.0
+               else min(self._n_max, int(1.0 / lo) + 2))
+        return np.r_[0:top, self._n_max:self.size]
 
     def _provenance(self, i):
         return "pedersen N=%d" % (i + 1)
@@ -169,9 +289,11 @@ class SqrtEnvelope(_PedersenEnvelope):
     candidate, can undercut the pedersen lines; sqrt(delta) then replaces
     the minimum only where strictly below it, so ties go to the stored
     line.  The value equals the minimum over all lines bit for bit below
-    1/4; on [1/4, 1] it is never below it and at most 1 ulp above, where a
-    grid tangent rounds below sqrt(delta).  The other grid tangents only
-    shape `segments()`.  Queries beyond delta = 1 clamp.
+    1/4.  On [1/4, 1] it is never below it; it can be above it, by at most
+    1 ulp, only where a grid tangent, though rounded up, values below
+    sqrt(delta) through the two roundings of m*delta + b, which no delta
+    of the tests' grids showed.  The other grid tangents only shape
+    `segments()`.  Queries beyond delta = 1 clamp.
     """
 
     def __init__(self, N_max=10 ** 5, a_grid=1024):

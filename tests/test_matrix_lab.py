@@ -123,14 +123,16 @@ class TestStreams:
                                              (-1, -2)])
     def test_restart_draws_like_a_new_stream(self, seed, index):
         rng = cb.stream(9, 9)
-        rng.standard_normal(5)
-        rng.integers(0, 3, 7)   # leaves a part-used buffer and 32-bit word
-        cb.matrix_lab._restart(rng, seed, index)
-        want = cb.stream(seed, index)
-        for draw in (lambda g: g.standard_normal((2, 3, 3)),
-                     lambda g: g.integers(0, 3, 5),
-                     lambda g: g.uniform(0.0, 1.0, 4)):
-            assert draw(rng).tobytes() == draw(want).tobytes()
+        state = rng.bit_generator.state
+        for _ in range(2):   # the state dict is reused
+            rng.standard_normal(5)
+            rng.integers(0, 3, 7)   # leaves a part-used buffer and 32-bit word
+            cb.matrix_lab._restart(rng, state, seed, index)
+            want = cb.stream(seed, index)
+            for draw in (lambda g: g.standard_normal((2, 3, 3)),
+                         lambda g: g.integers(0, 3, 5),
+                         lambda g: g.uniform(0.0, 1.0, 4)):
+                assert draw(rng).tobytes() == draw(want).tobytes()
 
 
 class TestGenerators:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import commbound as cb
+from commbound import positive_bounds as pb
+from commbound.experiments_cli import MAX_SQRT_LINES
 
 
 def exact_tail(N):
@@ -172,6 +174,100 @@ class TestLines:
             cb.TangentParam(0.1)
 
 
+def exact_brackets(Ns, bits=256):
+    """{N: (lo, hi)} with lo <= b_N <= hi as Fractions, for each N in Ns:
+    b_N itself up to N = 64, else from the integer recurrence V_N =
+    floor(V_{N-1} (2N - 1) / (2N)), V_0 = 2^bits.  Each floor loses less
+    than 1 and the factor (2N - 1) / (2N) < 1 shrinks the earlier loss, so
+    0 <= b_N 2^bits - V_N < N."""
+    out = {N: (exact_tail(N),) * 2 for N in Ns if N <= 64}
+    want = set(Ns) - set(out)
+    v = 1 << bits
+    for N in range(1, max(want, default=0) + 1):
+        v = v * (2 * N - 1) // (2 * N)
+        if N in want:
+            out[N] = (Fraction(v, 1 << bits), Fraction(v + N, 1 << bits))
+    return out
+
+
+def ulps_above(x, exact):
+    """How far the double x lies above the rational exact, in units of x's
+    own spacing."""
+    return (Fraction(x) - exact) / Fraction(np.spacing(x))
+
+
+# N = 1..64, then about 2,000 more spread geometrically and evenly up to
+# the CLI cap, the default N_max among them
+SPREAD = sorted(set(range(1, 65)) | {10 ** 5, 10 ** 6} | set(
+    np.r_[np.geomspace(65, 10 ** 6, 1000),
+          np.linspace(65, 10 ** 6, 1000)].astype(int).tolist()))
+
+
+class TestExactLines:
+    """Every line at or above its exact value, within the ulps
+    _pedersen_lines and _tangent state."""
+
+    def test_pedersen_lines_round_up(self):
+        assert len(SPREAD) > 1900 and SPREAD[-1] == MAX_SQRT_LINES
+        m, b = pb._pedersen_lines(np.array(SPREAD))
+        brackets = exact_brackets(SPREAD)
+        for N, mi, bi in zip(SPREAD, m.tolist(), b.tolist()):
+            lo, hi = brackets[N]
+            assert Fraction(bi) >= hi and Fraction(mi) >= N * hi, N
+            assert ulps_above(bi, lo) <= 6 and ulps_above(mi, N * lo) <= 12, N
+
+    def test_pedersen_lines_are_the_curve_lines(self):
+        env = cb.gamma0()
+        for N in (1, 2, 63, 64, 65, 99999, 100000):
+            line = env.line(N - 1)
+            want = pb._pedersen_lines(np.array([N]))
+            assert (line.slope, line.intercept) == (want[0][0], want[1][0])
+            assert line == cb.pedersen_line(N)
+
+    def test_tangents_round_up(self):
+        env = cb.gamma0()
+        a = np.r_[np.linspace(0.25, 1.0, 1024),
+                  np.random.default_rng(5).uniform(0.25, 1.0, 2000)]
+        m, b = pb._tangent(a)
+        stored = env.lines()[10 ** 5:]
+        assert [(l.slope, l.intercept) for l in stored] == \
+            list(zip(m[:1024].tolist(), b[:1024].tolist()))
+        for x, mi, bi in zip(a.tolist(), m.tolist(), b.tolist()):
+            x, mf, bf = Fraction(x), Fraction(mi), Fraction(bi)
+            # slope >= 1/(2 sqrt(a)) and intercept >= sqrt(a)/2, squared
+            assert 4 * mf * mf * x >= 1 and 4 * bf * bf >= x
+            # and each within 3 doubles of it
+            m3, b3 = (Fraction(np.nextafter(v, 0.0) - 2 * np.spacing(v))
+                      for v in (mi, bi))
+            assert 4 * m3 * m3 * x < 1 and 4 * b3 * b3 < x
+
+    def test_least_line_is_above_the_exact_envelope(self):
+        # in exact arithmetic the least of gamma0's lines is at or above
+        # gamma0 of the exact lines: min over N of b_N (N delta + 1), the
+        # tangents, and sqrt(delta) on [1/4, 1], compared by squaring
+        N_max = 2000
+        env = cb.gamma0(N_max, 256)
+        lines = env.lines()
+        m = np.array([l.slope for l in lines])
+        b = np.array([l.intercept for l in lines])
+        deltas = breakpoint_deltas(N_max, 300)
+        for d in deltas.tolist():
+            vals = m * d + b
+            # the exact least line is among those within rounding of it
+            near = np.flatnonzero(vals <= vals.min() * (1 + 1e-12))
+            D = Fraction(d)
+            least = min(Fraction(m[i]) * D + Fraction(b[i]) for i in near)
+            if d >= 0.25:
+                assert least * least >= D, d
+                continue
+            # below 1/4 the least exact tangent is the one at a = 1/4
+            n = N_max if d * N_max <= 1 else int(1 / d)
+            exact = min([exact_tail(k) * (k * D + 1)
+                         for k in range(max(n - 2, 1), min(n + 2, N_max) + 1)]
+                        + [D + Fraction(1, 4)])
+            assert least >= exact, d
+
+
 class TestPedersenEnvelope:
     def test_matches_line_minimum(self):
         env = cb.pedersen_envelope(N_max=64)
@@ -245,35 +341,44 @@ class TestGammaEnvelope:
         assert gamma_small.delta_max == 1.0
         assert {l.delta_max for l in gamma_small.lines()} == {1.0}
 
-    def test_default_envelope_memory(self):
-        # the series tables are frozen without copies and the curve holds one
-        # domain, not one per line (4.0 MB)
+    @staticmethod
+    def traced_peak(N_max):
         tracemalloc.start()
         try:
-            cb.gamma0()
-            peak = tracemalloc.get_traced_memory()[1]
+            cb.gamma0(N_max)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.3 * 10 ** 6
+
+    def test_default_envelope_memory(self):
+        # the Pedersen lines are valued from N when read, so the curve
+        # stores only its 1,024 tangents (0.12 MB; 4.0 MB when the series
+        # tables built every line)
+        assert self.traced_peak(10 ** 5) < 0.5 * 10 ** 6
+
+    def test_envelope_memory_does_not_grow_with_n_max(self):
+        assert self.traced_peak(MAX_SQRT_LINES) < 0.5 * 10 ** 6
 
 
 class BruteEnvelope:
     """Reference for gamma0 and pedersen_envelope: the brute-force minimum
     over every line, as a BoundCurve, and for gamma0 sqrt(delta) on [1/4, 1]
     where it is strictly lower (the tangent at the exact minimizer).  The
-    gamma0 reference keeps the cap 1 as its last line, so the tests against
-    it show that the cap never wins."""
+    lines are valued by the closed forms the curves use, which
+    TestExactLines checks against exact rationals; the reference checks the
+    candidate windows.  The gamma0 reference keeps the cap 1 as its last
+    line, so the tests against it show that the cap never wins."""
 
     def __init__(self, N_max, a_grid=None):
-        s = cb.sqrt_series(N_max)
-        m = [s.weighted_sums[1:]]
-        b = [np.maximum(1.0 - s.partial_sums[1:], 0.0)]
+        m, b = pb._pedersen_lines(np.arange(1, N_max + 1))
+        m, b = [m], [b]
         provs = ["pedersen N=%d" % N for N in range(1, N_max + 1)]
         self.sqrt = a_grid is not None
         if self.sqrt:
             a = np.linspace(0.25, 1.0, a_grid)
-            m += [0.5 / np.sqrt(a), [0.0]]
-            b += [0.5 * np.sqrt(a), [1.0]]
+            tm, tb = pb._tangent(a)
+            m += [tm, [0.0]]
+            b += [tb, [1.0]]
             provs += ["tangent a=%.12g" % x for x in a] + ["constant cap"]
         m, b = np.concatenate(m), np.concatenate(b)
         self.curve = cb.BoundCurve(arrays=(m, b, 1.0, provs.__getitem__),

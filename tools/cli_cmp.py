@@ -64,6 +64,9 @@ INVOCATIONS = [
     "curve sqrt --delta-min 1e-6 --n-max 1000 --steps 2000 --pedersen-only",
     "validate sqrt",
     "validate sqrt --n-max 50 --samples 500",
+    # the --n-max cap, whose peak RSS should match the default's
+    "curve sqrt --n-max 1000000 --format json",
+    "validate sqrt --n-max 1000000 --samples 200",
     "probe",
     "probe --delta 1e-6 --n-max 1000 --steps 2000",
     "probe --seed 1 --format json",

@@ -49,16 +49,17 @@ MUTANTS = [
            [CB + "TestBoundLine::test_zero_and_negative_zero_accepted",
             CB + "TestBoundCurve::test_valid_arrays_accepted"]),
     Mutant("curve-arrays-sign-check-dropped", "circle_bounds.py",
-           "_check_line(self._m.min(), self._b.min(), self.delta_max)",
-           "_check_line(0.0, 0.0, self.delta_max)",
+           "_check_line(self._m.min(initial=np.inf), "
+           "self._b.min(initial=np.inf),",
+           "_check_line(0.0, 0.0,",
            [CB + "TestBoundCurve"]),
     Mutant("curve-arrays-shape-check-dropped", "circle_bounds.py",
            "if self._m.ndim != 1 or self._m.shape != self._b.shape:",
            "if False:",
            [CB + "TestBoundCurve"]),
     Mutant("segment-rows-swap-slope-and-intercept", "circle_bounds.py",
-           "self._m[idx].tolist(), self._b[idx].tolist(),",
-           "self._b[idx].tolist(), self._m[idx].tolist(),",
+           "slopes[k].tolist(), intercepts[k].tolist(),",
+           "intercepts[k].tolist(), slopes[k].tolist(),",
            ["tests/test_segments.py"]),
     Mutant("line-0-intercept-raised-1e-9", "circle_bounds.py",
            "lines.append(BoundLine(m, b, 2.0, prov))",
@@ -96,6 +97,18 @@ MUTANTS = [
     Mutant("exact-minimizer-wins-ties", "positive_bounds.py",
            "(exact < vals)", "(exact <= vals)",
            [PB + "TestOnePath::test_ties_go_to_the_stored_line"]),
+    Mutant("pedersen-line-rounds-to-nearest", "positive_bounds.py",
+           "    b = _step_up(b, _SERIES_ULPS)\n    m = n * b\n"
+           "    m = _step_up(m, _excess(n, b, m) > 0.0)\n",
+           "    m = n * b\n",
+           [PB + "TestExactLines::test_pedersen_lines_round_up"]),
+    Mutant("tangent-rounds-to-nearest", "positive_bounds.py",
+           "    e = _excess(r, r, a)\n    b = 0.5 * _step_up(r, e < 0.0)\n"
+           "    r = np.where(e > 0.0, np.nextafter(r, 0.0), r)\n"
+           "    m = 0.5 / r\n"
+           "    return _step_up(m, _excess(m, r, 0.5) < 0.0), b\n",
+           "    return 0.5 / r, 0.5 * r\n",
+           [PB + "TestExactLines::test_tangents_round_up"]),
     Mutant("no-fourth-candidate", "positive_bounds.py",
            "return np.clip(n + [-2, -1, 0, self._n_max], 0, hi)",
            "return np.clip(n + [-2, -1, 0], 0, hi[:3])",
