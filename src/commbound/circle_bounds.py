@@ -264,6 +264,51 @@ def _corollary_tail(f, N):
     return None if tail is None else 2.0 * tail
 
 
+def _remainder_rows(f, c, grid_size):
+    """One entry per N = 0..N_max for f - g_N, g_N the partial sums of c
+    (orders -N_max..N_max), on the grid of grid_size points: for a
+    real-valued f the grid peaks (_row_peaks) of f - Re g_N, otherwise the
+    radius of the least disk of f - g_N.  The slope sum |n a_n| bounds
+    Re g_N's too, so a real f's split holds for any head c.
+
+    f is sampled once where every remainder's rule samples it, and g_N =
+    g_{N-1} + pair term N summed at the points y where g_N.sample
+    evaluates, for a real f in real parts only: a real pair as its cosine
+    term, a zero one not at all (see _cosine_pairs).  Pair terms and
+    remainder blocks are written into block-sized arrays.
+    """
+    N_max = c.size // 2
+    real = f.real_valued
+    xs = _reduce_angle(_grid(grid_size))
+    fv = f.sample(xs)
+    y = _reduce_angle(xs)
+    del xs
+    B = min(_LOWER_BLOCK, y.size)
+    work = (np.empty(B), np.empty(B, dtype=np.complex128),
+            np.empty(B, dtype=np.complex128))
+    rem = np.empty(B)
+    cos = _cosine_pairs(c)
+    g = np.full(y.size, c[N_max].real if real else c[N_max])
+    blocks = [(y[s:s + B], fv[s:s + B], g[s:s + B])
+              for s in range(0, y.size, B)]
+    rows = []
+    for N in range(N_max + 1):
+        if N and not cos[N - 1]:
+            for t, _, gb in blocks:
+                term = _pair_term(c[N_max + N], c[N_max - N], N, t,
+                                  [w[:t.size] for w in work])
+                gb += term.real if real else term
+        elif N and c[N_max + N] != 0.0:
+            for t, _, gb in blocks:
+                gb += _cosine_term(c[N_max + N].real, N, t, work[0][:t.size])
+        if real:
+            rows.append(_row_peaks(np.subtract(fb, gb, out=rem[:fb.size])
+                                   for _, fb, gb in blocks))
+        else:
+            rows.append(_smallest_disk(fv - g)[1])
+    return rows
+
+
 def truncation_envelope(f: PeriodicFunction, N_max: int,
                         grid_size: int = 2 ** 16) -> BoundCurve:
     """Envelope of the truncation bounds for N = 0..N_max.
@@ -271,7 +316,7 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     For each N the slope is sum_{|n|<=N} |n a_n|.  The intercept is the
     tighter of the remainder oscillation and the coefficient-tail bound
     2 sum_{|n|>N} (|a_n| + |a_-n|); the losing branch's value is retained
-    in the provenance string.
+    in the provenance string.  A real-valued f's remainder is f - Re g_N.
 
     Line N = 0 is the flat range bound, so no cap min(2 radius(f), 2 l1) is
     added: the radius is shift-invariant and the tail over |n| >= 1 is at
@@ -293,70 +338,23 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
     c[ns + N_max], err = _coefficients(f, ns, 1e-10)
     # err_run[k]: the errors of the orders |n| < k, added one by one
     err_run = [0.0] + np.cumsum(err)[::2].tolist()
-    # g_N's coefficients, with the reality flag a TrigPolynomial would set
-    heads = [c[N_max - N:N_max + N + 1] for N in range(N_max + 1)]
-    real_g = [bool(np.all(a[::-1] == np.conj(a))) for a in heads]
-    real = [N for N in range(N_max + 1) if f.real_valued and real_g[N]]
-    radii = {}
-
-    def real_remainders():
-        # f - g_N with g_N = g_{N-1} + pair term N, each used as it is made:
-        # a real one by the lockstep extent, block by block, a complex one
-        # by its disk.  f is sampled once where every remainder's rule
-        # samples it, and g_N summed at the points y where g_N.sample
-        # evaluates.  Pair terms and remainder blocks are written into
-        # block-sized arrays, so a yielded block is overwritten when the
-        # next one is asked for; f, y and g_N are freed when the sweep ends
-        xs = _reduce_angle(_grid(grid_size))
-        fv = f.sample(xs)
-        y = _reduce_angle(xs)
-        del xs
-        B = min(_LOWER_BLOCK, y.size)
-        work = (np.empty(B), np.empty(B, dtype=np.complex128),
-                np.empty(B, dtype=np.complex128))
-        rem = np.empty(B)
-        # when every head is conjugate-symmetric only g_N's real part is
-        # read, so only that part is summed: a real pair as its cosine
-        # term, a zero one not at all (see _cosine_pairs)
-        real_sum = real_g[-1]
-        cos = _cosine_pairs(c)
-        g = np.full(y.size, c[N_max].real if real_sum else c[N_max])
-        blocks = [(y[s:s + B], np.real(fv[s:s + B]), g[s:s + B])
-                  for s in range(0, y.size, B)]
-        for N in range(N_max + 1):
-            if N and not cos[N - 1]:
-                for t, _, gb in blocks:
-                    term = _pair_term(c[N_max + N], c[N_max - N], N, t,
-                                      [w[:t.size] for w in work])
-                    gb += term.real if real_sum else term
-            elif N and c[N_max + N] != 0.0:
-                for t, _, gb in blocks:
-                    gb += _cosine_term(c[N_max + N].real, N, t,
-                                       work[0][:t.size])
-            if N in real:
-                # the bits of np.real(fv - g.real), for a complex fv too
-                yield (np.subtract(fb, gb.real, out=rem[:fb.size])
-                       for _, fb, gb in blocks)
-            else:
-                radii[N] = _smallest_disk(fv - (g.real if real_g[N] else g))[1]
 
     def values(r, t):
         # a bracket's value is the one a lone search of its remainder
         # computes: all partial sums at once, indexed by degree
         t = _reduce_angle(t)
-        top = real[-1]
-        gv = _partial_sums(c[N_max - top:N_max + top + 1], _reduce_angle(t))
-        return np.real(f.sample(t)
-                       - gv[np.asarray(real)[r], np.arange(t.size)])
+        gv = _partial_sums(c, _reduce_angle(t))
+        return np.real(f.sample(t) - gv[r, np.arange(t.size)])
 
-    peaks = _row_peaks(real_remainders())
-    # the grid is built once the sweep has freed its arrays; the searches
-    # read only the peaks' points
-    lo, hi = _refine_peaks(_grid(grid_size), peaks, values)
-    for N, a, b in zip(real, lo, hi):
-        radii[N] = 0.5 * (float(b) - float(a))
+    radii = rows = _remainder_rows(f, c, grid_size)
+    if f.real_valued:
+        # the grid is built once the sweep has freed its arrays; the
+        # searches read only the peaks' points
+        lo, hi = _refine_peaks(_grid(grid_size), rows, values)
+        radii = (0.5 * (hi - lo)).tolist()
     lines = []
-    for N, a in enumerate(heads):
+    for N in range(N_max + 1):
+        a = c[N_max - N:N_max + N + 1]
         m = float(np.sum(np.abs(np.arange(-N, N + 1) * a)))
         b_lemma = 2.0 * radii[N]
         b_tail = _corollary_tail(f, N)

@@ -77,7 +77,8 @@ class PeriodicFunction:
     values (real or complex) of the same shape.  It must act elementwise:
     a value depends on its own angle only, never on the other angles of
     the call, because searches, sweeps and the spectral calculus batch
-    any points into one call.  real_valued promises |Im f| < 1e-12.
+    any points into one call.  real_valued promises |Im f| < 1e-12, and
+    sample returns the real part.
     coefficient_rule, if given, returns the exact Fourier coefficient a_n.
     l1_tail_rule, if given, returns sum_{|n| > N} |a_n| exactly.
     """
@@ -116,9 +117,13 @@ class PeriodicFunction:
 
     def sample(self, x):
         """f on an array of angles, reduced mod 2pi into [-pi, pi): an
-        array of x's shape, complex128 when the rule gives complex values
-        and float64 otherwise, whatever dtype the rule returns."""
+        array of x's shape, whatever dtype the rule returns.  It is float64
+        for a real-valued f, the real part of the rule's values, and
+        otherwise complex128 when the rule gives complex values and float64
+        when it does not."""
         v = np.asarray(self.rule(_reduce_angle(x)))
+        if self.real_valued:
+            v = v.real
         return v.astype(np.complex128 if np.iscomplexobj(v) else float,
                         copy=False)
 
@@ -295,7 +300,7 @@ class _TrapezoidLadder:
             v = f.sample(-np.pi + step * ((start + qs)[:, None] + offsets))
             peak = max(peak, float(np.max(np.abs(v))))
             if self.real:
-                bins = np.fft.rfft(np.real(v), axis=-1)[:, fold]
+                bins = np.fft.rfft(v, axis=-1)[:, fold]
                 bins = np.where(r > B // 2, np.conj(bins), bins)
             else:
                 bins = np.fft.fft(v, axis=-1)[:, fold]
@@ -477,28 +482,25 @@ def _grid(grid_size):
     return -np.pi + TWO_PI * np.arange(grid_size) / grid_size
 
 
-def _row_peaks(rows):
-    """[(imax, imin, vmax, vmin), ...]: the first argmax and argmin of each
-    of k >= 0 real sample rows, and the values there.
+def _row_peaks(blocks):
+    """(imax, imin, vmax, vmin): the first argmax and argmin of a real
+    sample row, and the values there.
 
-    rows yields each row as an iterable of its consecutive blocks, one at a
-    time.  Each block is read before the next one is requested, so one
-    array rewritten in place may serve every block of every row.  argmax
-    over the blocks' peaks picks the block of the row's first maximum (or
-    first NaN), so the indices are those of the whole row; likewise argmin.
+    blocks yields the row's consecutive blocks.  Each block is read before
+    the next one is requested, so one array rewritten in place may serve
+    every block.  argmax over the blocks' peaks picks the block of the
+    row's first maximum (or first NaN), so the indices are those of the
+    whole row; likewise argmin.
     """
-    peaks = []
-    for blocks in rows:
-        at, top, bot, n = [], [], [], 0
-        for v in blocks:
-            i, j = int(np.argmax(v)), int(np.argmin(v))
-            at.append((n + i, n + j))
-            top.append(v[i])
-            bot.append(v[j])
-            n += v.size
-        i, j = int(np.argmax(top)), int(np.argmin(bot))
-        peaks.append((at[i][0], at[j][1], top[i], bot[j]))
-    return peaks
+    at, top, bot, n = [], [], [], 0
+    for v in blocks:
+        i, j = int(np.argmax(v)), int(np.argmin(v))
+        at.append((n + i, n + j))
+        top.append(v[i])
+        bot.append(v[j])
+        n += v.size
+    i, j = int(np.argmax(top)), int(np.argmin(bot))
+    return at[i][0], at[j][1], top[i], bot[j]
 
 
 def _refine_peaks(x, peaks, values):
@@ -525,17 +527,9 @@ def _refine_peaks(x, peaks, values):
             np.where(refined[:k] > vmax, refined[:k], vmax))
 
 
-def _refined_extent(x, rows, values):
-    """(lo, hi) of _refine_peaks for rows that yields k >= 0 whole sample
-    rows on the grid x, one at a time.  Each row is read before the next
-    one is requested, so rows may yield one array rewritten in place for
-    every function."""
-    return _refine_peaks(x, _row_peaks([v] for v in rows), values)
-
-
 def _extent(f, x, v):
-    """(min, max) of the real f from its real samples v on the grid x."""
-    lo, hi = _refined_extent(x, [v], lambda r, t: np.real(f.sample(t)))
+    """(min, max) of the real f from its samples v on the grid x."""
+    lo, hi = _refine_peaks(x, [_row_peaks([v])], lambda r, t: f.sample(t))
     return float(lo[0]), float(hi[0])
 
 
@@ -548,7 +542,7 @@ def range_extent(f: PeriodicFunction, grid_size: int = _EXTENT_GRID):
     if not f.real_valued:
         raise ValueError("range_extent requires a real-valued function")
     x = _grid(grid_size)
-    return _extent(f, x, np.real(f.sample(x)))
+    return _extent(f, x, f.sample(x))
 
 
 def _least_disk(s):
@@ -618,7 +612,7 @@ def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> floa
     x = _grid(grid_size)
     v = f.sample(x)
     if f.real_valued:
-        lo, hi = _extent(f, x, np.real(v))
+        lo, hi = _extent(f, x, v)
         return 0.5 * (hi - lo)
     return _smallest_disk(v)[1]
 

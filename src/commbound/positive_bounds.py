@@ -185,9 +185,14 @@ def pedersen_line(N: int) -> BoundLine:
     degree-N partial sum of the series for 1 - sqrt(1-x), the slope is
     sum_{n<=N} n c_n and the intercept 1 - sum_{n<=N} c_n, the value at 1
     of the nonnegative increasing remainder, which equals its oscillation
-    on [0, 1].
+    on [0, 1].  N must be an integer, as a curve's line index must.
     """
-    return _PedersenEnvelope(N).line(int(N) - 1)
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+        raise TypeError("N must be an integer, not %r" % (N,))
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    m, b = _pedersen_lines(np.array([N]))
+    return BoundLine(float(m[0]), float(b[0]), 1.0, "pedersen N=%d" % N)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,15 @@ from commbound.periodic_fn import (
     _coefficients,
     _grid,
     _reduce_angle,
-    _refined_extent,
+    _refine_peaks,
+    _row_peaks,
     _signed_orders,
     _smallest_disk,
 )
+
+
+def _refined_extent(x, rows, values):
+    return _refine_peaks(x, [_row_peaks([v]) for v in rows], values)
 
 
 def _pair_term(a_pos, a_neg, k, x):

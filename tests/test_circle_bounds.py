@@ -327,6 +327,22 @@ class TestTruncationEnvelope:
         with pytest.raises(ValueError):
             cb.truncation_envelope(triangle, -1)
 
+    def test_real_f_with_asymmetric_head_takes_no_disk(self, monkeypatch):
+        # a_-3 breaks conjugate symmetry by 1e-17j: the remainders are
+        # scanned against Re g_N as real rows, and the curve still holds
+        coeffs = {1: 0.5, -1: 0.5, 3: 0.25, -3: 0.25 + 1e-17j}
+        f = cb.PeriodicFunction(lambda x: np.cos(x) + 0.5 * np.cos(3 * x),
+                                real_valued=True,
+                                coefficient_rule=lambda n: coeffs.get(n, 0.0))
+
+        def no_disk(pts):
+            raise AssertionError("a real-valued f's remainder took the disk")
+
+        monkeypatch.setattr(circle_bounds, "_smallest_disk", no_disk)
+        curve = cb.truncation_envelope(f, 8)
+        assert len(cb.sample_sweep(f, "unitary", 500, range(2, 9), 0,
+                                   curve)) == 500
+
     def test_bump_envelope_builds_from_estimates(self, bump):
         # even coefficients only reach 2.5e-10 certified error, which the
         # envelope absorbs rather than refusing to build
@@ -452,6 +468,14 @@ def degree60():
                                  for n in range(1, 61) for s in (1, -1)})
 
 
+# a_n = (-1)^n / n^2 for 1 <= |n| <= 500 with a_0 = 0.3; real pairs, zero
+# orders in between and at the top, and one conjugate-symmetric complex pair
+DEG500A0 = {0: 0.3, **{s * n: (-1) ** n / n ** 2
+                       for n in range(1, 501) for s in (1, -1)}}
+SPARSE = {0: 0.25, 1: 0.5, -1: 0.5, 3: 0.2 + 0.05j, -3: 0.2 - 0.05j,
+          4: -0.125, -4: -0.125, 9: 0.0625, -9: 0.0625, 12: 0.0}
+
+
 def line_bits(lines):
     return [(float(m).hex(), float(b).hex(), prov) for m, b, prov in lines]
 
@@ -495,15 +519,38 @@ class TestSweepAgainstFrozenCopy:
         assert line_bits(got) == line_bits(want)
 
 
+class TestSweepEqualsSplitLines:
+    """Each line of the batch sweep against split_line of its own
+    truncation, which samples one remainder through its own
+    PeriodicFunction: slopes always, intercepts where the oscillation wins,
+    bit for bit."""
+
+    @pytest.mark.parametrize("make, N_max", [
+        (cb.builtin_triangle, 16),
+        (cb.builtin_bump, 16),
+        (lambda: cb.from_coefficients(DEG500A0), 24),
+        (lambda: cb.from_coefficients(SPARSE), 14),
+        (lambda: cb.from_coefficients({1: 0.5, -2: 0.25j, 3: 0.125}), 6),
+    ], ids=["triangle-16", "bump-16", "deg500-24", "sparse-mixed-14",
+            "complex-6"])
+    def test_lines_equal_split_lines(self, make, N_max):
+        f = make()
+        lines = cb.truncation_envelope(f, N_max).lines()
+        assert any("(oscillation)" in l.provenance for l in lines)
+        for N, line in enumerate(lines):
+            split = cb.split_line(f, cb.truncate(f, N))
+            assert line.slope.hex() == split.slope.hex()
+            if "(oscillation)" in line.provenance:
+                assert line.intercept.hex() == split.intercept.hex()
+
+
 class TestCosineSweepAgainstFrozenCopy:
     """Real heads summed as cosine terms, zero pairs skipped: the lines
     against the frozen complex sweep, bit for bit."""
 
     @pytest.mark.parametrize("coefficients, N_max", [
-        ({0: 0.3, **{s * n: (-1) ** n / n ** 2
-                     for n in range(1, 501) for s in (1, -1)}}, 24),
-        ({0: 0.25, 1: 0.5, -1: 0.5, 3: 0.2 + 0.05j, -3: 0.2 - 0.05j,
-          4: -0.125, -4: -0.125, 9: 0.0625, -9: 0.0625, 12: 0.0}, 14),
+        (DEG500A0, 24),
+        (SPARSE, 14),
         ({0: -0.0, 1: 0.0, 2: 1.0, -2: 1.0}, 3),
         ({0: -0.0, 1: 0.0, -1: 0.0, 3: 0.5, -3: 0.5}, 4),
         ({0: 0.0, 1: 0.0, -1: 0.0, 3: 0.5, -3: 0.5}, 4),
@@ -594,15 +641,30 @@ class TestPairTermBuffers:
 class TestEtaLower:
     CLI_GRID = np.linspace(0.0, 1.99, 500)
 
-    @pytest.mark.parametrize("name", ["triangle", "bump"])
-    def test_real_samples_equal_complex_samples(self, name, request):
-        # |a - b| on a + 0j equals |a - b| on the reals, bit for bit
-        f = request.getfixturevalue(name)
-        g = cb.PeriodicFunction(lambda x: f.rule(x) + 0j, real_valued=True)
-        assert np.iscomplexobj(g.sample(np.zeros(1)))
-        assert circle_bounds._lower_table(g, 4096)[1].dtype == np.complex128
-        got = cb.eta_lower(f, self.CLI_GRID)
-        assert np.array_equal(got, cb.eta_lower(g, self.CLI_GRID))
+    @pytest.mark.parametrize("imag", [
+        lambda x: 0j, lambda x: 1e-13j * np.sin(x)], ids=["zero", "1e-13"])
+    @pytest.mark.parametrize("make", [cb.builtin_triangle, cb.builtin_bump],
+                             ids=["triangle", "bump"])
+    def test_real_samples_equal_complex_samples(self, make, imag):
+        # a real-valued f samples as the real part of its rule, so a
+        # complex rule gives the float rule's outputs bit for bit; each
+        # side has its own function, so neither reuses the other's memo
+        f = make()
+        g = cb.PeriodicFunction(lambda x: f.rule(x) + imag(x),
+                                real_valued=True,
+                                coefficient_rule=f.coefficient_rule,
+                                l1_tail_rule=f.l1_tail_rule)
+        assert g.sample(np.zeros(1)).dtype == np.float64
+        assert circle_bounds._lower_table(g, 4096)[1].dtype == np.float64
+        out = []
+        for h in (f, g):
+            lines = cb.truncation_envelope(h, 8, grid_size=4096).lines()
+            out.append((
+                cb.eta_lower(h, self.CLI_GRID).tobytes(),
+                cb.chebyshev_radius(h).hex(),
+                [(l.slope.hex(), l.intercept.hex(), l.provenance)
+                 for l in lines]))
+        assert out[0] == out[1]
 
     @pytest.mark.parametrize("name", ["triangle", "bump", "complex_poly"])
     def test_array_call_equals_scalar_calls(self, name, request):

@@ -768,7 +768,8 @@ class TestLockstepExtent:
             return np.array([np.real(fs[k].sample(t[j:j + 1]))[0]
                              for j, k in enumerate(r)])
 
-        lo, hi = periodic_fn._refined_extent(x, iter(rows), values)
+        peaks = [periodic_fn._row_peaks([v]) for v in rows]
+        lo, hi = periodic_fn._refine_peaks(x, peaks, values)
         for k, f in enumerate(fs):
             assert (float(lo[k]), float(hi[k])) == cb.range_extent(f, 4096)
 
@@ -788,8 +789,10 @@ class TestLockstepExtent:
                 buf[:] = row
                 yield buf
 
-        want = periodic_fn._refined_extent(x, iter(rows), values)
-        got = periodic_fn._refined_extent(x, reused(), values)
+        want = periodic_fn._refine_peaks(
+            x, [periodic_fn._row_peaks([v]) for v in rows], values)
+        got = periodic_fn._refine_peaks(
+            x, [periodic_fn._row_peaks([v]) for v in reused()], values)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -797,8 +800,7 @@ class TestLockstepExtent:
         def values(r, t):
             raise AssertionError("no bracket to refine")
 
-        lo, hi = periodic_fn._refined_extent(periodic_fn._grid(4096), iter(()),
-                                             values)
+        lo, hi = periodic_fn._refine_peaks(periodic_fn._grid(4096), [], values)
         assert lo.shape == hi.shape == (0,)
 
 
@@ -820,7 +822,7 @@ class TestBlockedRowPeaks:
     @pytest.mark.parametrize("block", [1, 7, 256, 999, 1000, 4096])
     def test_blocks_give_the_peaks_of_whole_rows(self, block):
         rows = self.rows()
-        want = periodic_fn._row_peaks([v] for v in rows)
+        want = [periodic_fn._row_peaks([v]) for v in rows]
         buf = np.empty(block)
 
         def blocks(v):
@@ -830,7 +832,7 @@ class TestBlockedRowPeaks:
                 part[:] = v[s:s + block]
                 yield part
 
-        got = periodic_fn._row_peaks(blocks(v) for v in rows)
+        got = [periodic_fn._row_peaks(blocks(v)) for v in rows]
         for a, b in zip(np.array(got).T, np.array(want).T):
             assert a.tobytes() == b.tobytes()
         imax, imin, _, _ = zip(*want)

@@ -140,8 +140,20 @@ class TestLines:
         assert line.intercept == 0.375
 
     def test_pedersen_order_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^N must be at least 1$"):
             cb.pedersen_line(0)
+
+    @pytest.mark.parametrize("N", [2.5, True, 3.0])
+    def test_pedersen_order_must_be_an_integer(self, N):
+        # a float or a bool must not be cut to a line number
+        with pytest.raises(TypeError):
+            cb.pedersen_line(N)
+
+    def test_pedersen_numpy_integer_order(self):
+        line = cb.pedersen_line(np.int64(3))
+        assert line == cb.pedersen_line(3)
+        assert type(line.slope) is float and type(line.intercept) is float
+        assert line.provenance == "pedersen N=3"
 
     def test_tangent_examples(self):
         line = cb.tangent_line(0.25)

@@ -66,6 +66,11 @@ MUTANTS = [
            "lines.append(BoundLine(m, b * (1.0 + 1e-9) if N == 0 else b, "
            "2.0, prov))",
            [CB + "TestLineZeroIsTheCap"]),
+    Mutant("rows-by-head-symmetry", "circle_bounds.py",
+           "    real = f.real_valued\n",
+           "    real = f.real_valued and bool(np.all(c[::-1] == np.conj(c)))\n",
+           [CB + "TestTruncationEnvelope::"
+            "test_real_f_with_asymmetric_head_takes_no_disk"]),
     Mutant("sweep-skips-small-pairs", "circle_bounds.py",
            "elif N and c[N_max + N] != 0.0:",
            "elif N and abs(c[N_max + N]) > 1e-2:",
@@ -115,10 +120,15 @@ MUTANTS = [
            [PB + "TestClosedForm", PB + "TestOnePath"]),
     # the sampling contract (periodic_fn.py)
     Mutant("sample-without-the-cast", "periodic_fn.py",
-           "return v.astype(np.complex128 if np.iscomplexobj(v) else float,\n"
+           "            v = v.real\n"
+           "        return v.astype(np.complex128 if np.iscomplexobj(v) "
+           "else float,\n"
            "                        copy=False)",
-           "return v",
+           "            v = v.real\n        return v",
            [PF + "TestSampleDtype::test_narrow_rule_error_covers_true_error"]),
+    Mutant("sample-keeps-complex-for-real-f", "periodic_fn.py",
+           "        if self.real_valued:\n            v = v.real\n", "",
+           [CB + "TestEtaLower::test_real_samples_equal_complex_samples"]),
     # real series and the bump (periodic_fn.py)
     Mutant("cosine-term-without-factor-2", "periodic_fn.py",
            "    t *= a\n    t *= 2.0\n", "    t *= a\n",
