@@ -19,13 +19,12 @@ from .periodic_fn import (
     derivative_fourier_norm,
     TWO_PI,
     _coefficients,
-    _cosine_pairs,
-    _cosine_term,
     _dyadic_l1,
     _golden_max,
     _grid,
     _pair_term,
     _partial_sums,
+    _real_pair_term,
     _reduce_angle,
     _refine_peaks,
     _row_peaks,
@@ -45,7 +44,6 @@ __all__ = [
 
 _LOWER_CHUNK = 2 ** 19   # offsets x points per block of the complex scan
 _LOWER_BLOCK = 2 ** 14   # samples or deltas per block of eta_lower's passes
-                         # and of the truncation envelope's remainder sweep
 
 
 def _check_line(slope, intercept, delta_max):
@@ -273,9 +271,8 @@ def _remainder_rows(f, c, grid_size):
 
     f is sampled once where every remainder's rule samples it, and g_N =
     g_{N-1} + pair term N summed at the points y where g_N.sample
-    evaluates, for a real f in real parts only: a real pair as its cosine
-    term, a zero one not at all (see _cosine_pairs).  Pair terms and
-    remainder blocks are written into block-sized arrays.
+    evaluates, for a real f in real arithmetic (_real_pair_term); a zero
+    pair adds nothing and is skipped.
     """
     N_max = c.size // 2
     real = f.real_valued
@@ -283,29 +280,14 @@ def _remainder_rows(f, c, grid_size):
     fv = f.sample(xs)
     y = _reduce_angle(xs)
     del xs
-    B = min(_LOWER_BLOCK, y.size)
-    work = (np.empty(B), np.empty(B, dtype=np.complex128),
-            np.empty(B, dtype=np.complex128))
-    rem = np.empty(B)
-    cos = _cosine_pairs(c)
     g = np.full(y.size, c[N_max].real if real else c[N_max])
-    blocks = [(y[s:s + B], fv[s:s + B], g[s:s + B])
-              for s in range(0, y.size, B)]
+    term = _real_pair_term if real else _pair_term
     rows = []
     for N in range(N_max + 1):
-        if N and not cos[N - 1]:
-            for t, _, gb in blocks:
-                term = _pair_term(c[N_max + N], c[N_max - N], N, t,
-                                  [w[:t.size] for w in work])
-                gb += term.real if real else term
-        elif N and c[N_max + N] != 0.0:
-            for t, _, gb in blocks:
-                gb += _cosine_term(c[N_max + N].real, N, t, work[0][:t.size])
-        if real:
-            rows.append(_row_peaks(np.subtract(fb, gb, out=rem[:fb.size])
-                                   for _, fb, gb in blocks))
-        else:
-            rows.append(_smallest_disk(fv - g)[1])
+        a, b = c[N_max + N], c[N_max - N]
+        if N and (a != 0.0 or b != 0.0):
+            g += term(a, b, N, y)
+        rows.append(_row_peaks(fv - g) if real else _smallest_disk(fv - g)[1])
     return rows
 
 
@@ -343,8 +325,8 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         # a bracket's value is the one a lone search of its remainder
         # computes: all partial sums at once, indexed by degree
         t = _reduce_angle(t)
-        gv = _partial_sums(c, _reduce_angle(t))
-        return np.real(f.sample(t) - gv[r, np.arange(t.size)])
+        gv = _partial_sums(c, _reduce_angle(t), f.real_valued)
+        return f.sample(t) - gv[r, np.arange(t.size)]
 
     radii = rows = _remainder_rows(f, c, grid_size)
     if f.real_valued:

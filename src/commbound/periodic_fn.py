@@ -134,77 +134,56 @@ class PeriodicFunction:
         return "PeriodicFunction(name=%r, real_valued=%r)" % (self.name, self.real_valued)
 
 
-def _pair_term(a_pos, a_neg, k, x, out=None):
+def _pair_term(a_pos, a_neg, k, x):
     """a_k e^{ikx} + a_{-k} e^{-ikx} for the order k, an int or an array
     that broadcasts against the angles x.  e^{-ikx} is filled from
     e^{ikx}: cos is even and sin odd, and 0 - im keeps the +0 imaginary
-    part that exp gives at x = 0.
-
-    out, if given, is a (float, complex, complex) triple of arrays of the
-    result's shape: the exponent kx, e^{ikx} and e^{-ikx} are written into
-    them in turn, and the term, returned in the last, has the bits of the
-    allocating call."""
-    kx, e, c = (None, None, None) if out is None else out
-    kx = np.multiply(k, x, out=kx)
-    e = np.multiply(1j, kx, out=e)
+    part that exp gives at x = 0."""
+    e = np.multiply(1j, np.multiply(k, x))
     np.exp(e, out=e)
-    if c is None:
-        c = np.empty_like(e)
+    c = np.empty_like(e)
     c.real = e.real
     np.subtract(0.0, e.imag, out=c.imag)
     np.multiply(a_neg, c, out=c)
     return np.add(np.multiply(a_pos, e, out=e), c, out=c)
 
 
-def _cosine_pairs(coeffs):
-    """Mask over the orders k = 1..d of coeffs (orders -d..d) whose pair
-    term a sum of real parts adds as 2 a_k cos(kx): in a real series
-    (every pair conjugate-symmetric), the pairs with a_k = a_{-k} real.
-
-    That is the real part of the complex term but for the sign of a zero:
-    np.cos(t) is the real part of np.exp(1j t) bit for bit (a test checks
-    it on the numpy in use), and with a real coefficient the other product
-    inside each complex multiply is an exact zero.  A zero term moves a sum
-    only from -0.0, which a sum is only while it is a_0 = -0.0, so then no
-    pair is in the mask.  At finite angles a zero pair in the mask, which
-    adds a zero, may be skipped."""
-    d = coeffs.size // 2
-    a0, pos = coeffs[d].real, coeffs[d + 1:]
-    real = np.all(coeffs[::-1] == np.conj(coeffs))
-    if not real or (a0 == 0.0 and np.signbit(a0)):
-        return np.zeros(d, dtype=bool)
-    return (pos == coeffs[:d][::-1]) & (pos.imag == 0.0)
-
-
-def _cosine_term(a, k, x, out=None):
-    """2 a cos(kx) for real a, with the rounding of 2 (a cos(kx)); a and k
-    broadcast against x as in _pair_term."""
+def _real_pair_term(a_pos, a_neg, k, x, out=None):
+    """Re(a_k e^{ikx} + a_{-k} e^{-ikx}) in real arithmetic: Re(a_k +
+    a_{-k}) cos kx - Im(a_k - a_{-k}) sin kx.  The orders and coefficients
+    are scalars, or columns with one order per row, against the 1-D angles
+    x; out, if given, receives the term.  The sine part is computed only on
+    the rows where Im(a_k - a_{-k}) != 0, so a real pair a_k = a_{-k} = a
+    costs one cosine and adds (2a) cos kx, which is 2 (a cos kx) bit for
+    bit, doubling being exact in the normal range."""
     t = np.multiply(k, x, out=out)
+    rows = t if t.ndim == 2 else t[None]
+    s = np.broadcast_to(np.imag(a_pos - a_neg), (len(rows), 1))
+    i = np.flatnonzero(s)
+    if i.size == len(rows):
+        i = slice(None)                # every row: views, not copies
+    sine = np.sin(rows[i])
+    sine *= s[i]
     np.cos(t, out=t)
-    t *= a
-    t *= 2.0
+    t *= np.real(a_pos + a_neg)
+    rows[i] -= sine
     return t
 
 
-def _partial_sums(coeffs, x):
+def _partial_sums(coeffs, x, real):
     """Rows N = 0..d of the partial sums of coeffs (orders -d..d) at the
     1-D angles x: row N is a_0 plus the pair terms of orders 1..N, added
     in ascending order, so each point's value depends on that point only.
-    When every pair is conjugate-symmetric the sums are real and only the
-    real parts are summed, the pairs of _cosine_pairs as cosine terms."""
+    With real set only the real parts are summed, by _real_pair_term."""
     d = coeffs.size // 2
     k = np.arange(1, d + 1)[:, None]
     pos, neg = coeffs[d + 1:, None], coeffs[:d][::-1, None]
-    real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))
     terms = np.empty((d + 1, x.size), dtype=float if real else np.complex128)
     terms[0] = coeffs[d].real if real else coeffs[d]
-    cos = _cosine_pairs(coeffs)
-    if cos.all():   # the usual real series: no temporary table
-        _cosine_term(pos.real, k, x, out=terms[1:])
+    if real:
+        _real_pair_term(pos, neg, k, x, out=terms[1:])
     else:
-        terms[1:][cos] = _cosine_term(pos[cos].real, k[cos], x)
-        t = _pair_term(pos[~cos], neg[~cos], k[~cos], x)
-        terms[1:][~cos] = t.real if real else t
+        terms[1:] = _pair_term(pos, neg, k, x)
     return np.cumsum(terms, axis=0, out=terms)
 
 
@@ -212,7 +191,7 @@ class TrigPolynomial(PeriodicFunction):
     """Finite Fourier sum of degree N, from a dict n -> a_n: at each point
     a_0 plus the pair terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed
     in that order.  Conjugate-symmetric coefficients make a real function,
-    summed in real arithmetic by _partial_sums with the same bits."""
+    summed in real arithmetic by _partial_sums."""
 
     def __init__(self, coefficients, name=""):
         items = {int(n): complex(a) for n, a in coefficients.items()}
@@ -234,7 +213,7 @@ class TrigPolynomial(PeriodicFunction):
             out = np.empty(x.size, dtype=float if _real else np.complex128)
             step = max(1, _TERMS_PER_CHUNK // (degree + 1))
             for s in range(0, x.size, step):
-                out[s:s + step] = _partial_sums(_c, flat[s:s + step])[-1]
+                out[s:s + step] = _partial_sums(_c, flat[s:s + step], _real)[-1]
             return out.reshape(x.shape)
 
         super().__init__(
@@ -262,7 +241,7 @@ class TrigPolynomial(PeriodicFunction):
 
 
 class _TrapezoidLadder:
-    """Trapezoid sums of f(x) e^{-inx} for the orders |n| <= M, and a memo.
+    """Trapezoid sums of f(x) e^{-inx} for the orders |n| <= M.
 
     Level l is the K-point rule, K = 2^14 * 2^l, on x_j = -pi + 2pi j/K;
     level 0 samples that grid and level l adds the midpoints of level l-1,
@@ -272,16 +251,14 @@ class _TrapezoidLadder:
     dropped, so a level holds O(B + M) numbers.  Bin n mod B aliases as a
     direct sum over the grid does.  A real f uses rfft and orders n >= 0
     only, and a_{-n} is conj(a_n) exactly.  M grows to the next power of
-    two when a larger order is asked for, and the levels are then rebuilt.
+    two when a larger order is asked for, and the levels are then rebuilt;
+    each order's sums do not depend on M.
     """
 
     def __init__(self, real):
         self.real, self.M, self.total = real, 64, None
         # per level: the sums of every order, and max|f| over its samples
         self.est, self.peak = [], []
-        # memo of a_n at n + M: estimate, error, level K (0 until computed)
-        self.value, self.error, self.K = (
-            np.zeros(2 * self.M + 1, t) for t in (complex, float, np.int64))
 
     def _add_level(self, f):
         L = len(self.est)
@@ -317,33 +294,31 @@ class _TrapezoidLadder:
     def coefficients(self, f, ns, tol):
         """(estimate, error, K) arrays for the integer orders ns, each from
         the first level K whose error estimate (_accelerated) is within
-        tol, else from the cap level.  A memo entry is reused when its
-        error meets tol, so a looser request keeps the finer value."""
+        tol, else from the cap level.  The kept levels are walked anew on
+        every call, so each answer depends on f, n and tol alone."""
         top = int(np.max(np.abs(ns), initial=0))
         if top > self.M:
-            pad = (1 << (top - 1).bit_length()) - self.M
-            self.value, self.error, self.K = (
-                np.pad(a, pad) for a in (self.value, self.error, self.K))
-            self.M, self.est, self.peak = self.M + pad, [], []
-        i = ns + self.M
-        todo = i[(self.K[i] == 0) | (self.error[i] > tol)]
-        level = 0
+            self.M, self.est, self.peak = 1 << (top - 1).bit_length(), [], []
+        value = np.zeros(ns.size, dtype=complex)
+        error, Ks = np.zeros(ns.size), np.zeros(ns.size, dtype=np.int64)
+        todo, level = np.arange(ns.size), 0
         while todo.size:
             level += 1
             while len(self.est) <= level:
                 self._add_level(f)
-            j = np.abs(todo - self.M) if self.real else todo
+            n = ns[todo]
+            j = np.abs(n) if self.real else n + self.M
             K = _QUAD_K_START << level
             sums = [e[j] for e in self.est[max(level - 4, 0):level + 1]]
             floor = np.log2(K) * np.finfo(float).eps * self.peak[level]
             new, err = _accelerated(np.array(sums), floor)
             done = (err <= tol) | (K >= _QUAD_K_CAP)
-            new = np.where(self.real & (todo < self.M), np.conj(new), new)
-            self.value[todo[done]] = new[done]
-            self.error[todo[done]] = err[done]
-            self.K[todo[done]] = K
+            new = np.where(self.real & (n < 0), np.conj(new), new)
+            value[todo[done]] = new[done]
+            error[todo[done]] = err[done]
+            Ks[todo[done]] = K
             todo = todo[~done]
-        return self.value[i], self.error[i], self.K[i]
+        return value, error, Ks
 
 
 def _accelerated(T, floor):
@@ -482,25 +457,11 @@ def _grid(grid_size):
     return -np.pi + TWO_PI * np.arange(grid_size) / grid_size
 
 
-def _row_peaks(blocks):
+def _row_peaks(v):
     """(imax, imin, vmax, vmin): the first argmax and argmin of a real
-    sample row, and the values there.
-
-    blocks yields the row's consecutive blocks.  Each block is read before
-    the next one is requested, so one array rewritten in place may serve
-    every block.  argmax over the blocks' peaks picks the block of the
-    row's first maximum (or first NaN), so the indices are those of the
-    whole row; likewise argmin.
-    """
-    at, top, bot, n = [], [], [], 0
-    for v in blocks:
-        i, j = int(np.argmax(v)), int(np.argmin(v))
-        at.append((n + i, n + j))
-        top.append(v[i])
-        bot.append(v[j])
-        n += v.size
-    i, j = int(np.argmax(top)), int(np.argmin(bot))
-    return at[i][0], at[j][1], top[i], bot[j]
+    sample row v, and the values there."""
+    i, j = int(np.argmax(v)), int(np.argmin(v))
+    return i, j, v[i], v[j]
 
 
 def _refine_peaks(x, peaks, values):
@@ -529,7 +490,7 @@ def _refine_peaks(x, peaks, values):
 
 def _extent(f, x, v):
     """(min, max) of the real f from its samples v on the grid x."""
-    lo, hi = _refine_peaks(x, [_row_peaks([v])], lambda r, t: f.sample(t))
+    lo, hi = _refine_peaks(x, [_row_peaks(v)], lambda r, t: f.sample(t))
     return float(lo[0]), float(hi[0])
 
 

@@ -21,7 +21,7 @@ from commbound.periodic_fn import (
 
 
 def _refined_extent(x, rows, values):
-    return _refine_peaks(x, [_row_peaks([v]) for v in rows], values)
+    return _refine_peaks(x, [_row_peaks(v) for v in rows], values)
 
 
 def _pair_term(a_pos, a_neg, k, x):

@@ -230,7 +230,7 @@ class TestErrorEstimatesCoverTrueErrors:
         true = np.abs(values - np.array([exact(n) for n in ns]))
         assert np.flatnonzero(errors > tol).tolist() == []
         assert np.flatnonzero(true > errors).tolist() == []
-        assert f._ladder.K.max() < periodic_fn._QUAD_K_CAP
+        assert f._ladder.coefficients(f, ns, tol)[2].max() < periodic_fn._QUAD_K_CAP
 
     def test_truncated_bump_returns(self):
         p = cb.truncate(cb.builtin_bump(), 16)
@@ -451,12 +451,15 @@ class TestFFTLadder:
         assert_ladder_matches_reference(f, [3, 3 - 2 ** 14, 9000], np.inf,
                                         atol=1e-12)
 
-    def test_looser_request_keeps_the_finer_value(self):
+    def test_looser_request_gets_the_fresh_value(self):
+        # a coefficient depends on f, n and tol alone, not on what the
+        # ladder was asked before
         f = cb.builtin_bump()
         fine = cb.fourier_coefficient_estimate(f, 5, 1e-10)
-        assert cb.fourier_coefficient_estimate(f, 5, 1e-6) == fine
-        fresh = cb.fourier_coefficient_estimate(cb.builtin_bump(), 5, 1e-6)
-        assert fresh[1] > 1e-10 and fresh != fine
+        loose = cb.fourier_coefficient_estimate(f, 5, 1e-6)
+        assert loose == cb.fourier_coefficient_estimate(cb.builtin_bump(), 5, 1e-6)
+        assert loose[1] > 1e-10 and loose != fine
+        assert cb.fourier_coefficient_estimate(f, 5, 1e-10) == fine
 
 
 class TestDecimatedLadder:
@@ -485,15 +488,14 @@ class TestDecimatedLadder:
         f = cb.builtin_bump()
         tracemalloc.start()
         try:
-            periodic_fn._coefficients(f, np.arange(17), 1e-10)
-            stops = f._ladder.K[f._ladder.M:f._ladder.M + 17].copy()
+            stops = f._ladder.coefficients(f, np.arange(17), 1e-10)[2]
             periodic_fn._coefficients(f, np.arange(641), 1e-6)
-            periodic_fn._coefficients(f, np.arange(1), 1e-16)
+            cap = f._ladder.coefficients(f, np.arange(1), 1e-16)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert stops.max() < periodic_fn._QUAD_K_CAP
-        assert f._ladder.K[f._ladder.M] == periodic_fn._QUAD_K_CAP
+        assert cap[0] == periodic_fn._QUAD_K_CAP
         assert peak < 4e6
 
     def test_orders_arrive_in_the_order_asked(self):
@@ -768,7 +770,7 @@ class TestLockstepExtent:
             return np.array([np.real(fs[k].sample(t[j:j + 1]))[0]
                              for j, k in enumerate(r)])
 
-        peaks = [periodic_fn._row_peaks([v]) for v in rows]
+        peaks = [periodic_fn._row_peaks(v) for v in rows]
         lo, hi = periodic_fn._refine_peaks(x, peaks, values)
         for k, f in enumerate(fs):
             assert (float(lo[k]), float(hi[k])) == cb.range_extent(f, 4096)
@@ -790,9 +792,9 @@ class TestLockstepExtent:
                 yield buf
 
         want = periodic_fn._refine_peaks(
-            x, [periodic_fn._row_peaks([v]) for v in rows], values)
+            x, [periodic_fn._row_peaks(v) for v in rows], values)
         got = periodic_fn._refine_peaks(
-            x, [periodic_fn._row_peaks([v]) for v in reused()], values)
+            x, [periodic_fn._row_peaks(v) for v in reused()], values)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -804,11 +806,11 @@ class TestLockstepExtent:
         assert lo.shape == hi.shape == (0,)
 
 
-class TestBlockedRowPeaks:
+class TestRowPeaks:
     @staticmethod
     def rows():
-        # ties across blocks (+-0.0 and repeated extremes), a NaN after a
-        # maximum, and rows of random values
+        # ties (+-0.0 and repeated extremes), a NaN after a maximum, and
+        # rows of random values
         rng = np.random.default_rng(3)
         tied = np.zeros(1000)
         tied[[5, 400, 999]] = 2.0
@@ -819,25 +821,16 @@ class TestBlockedRowPeaks:
         nan[[10, 600]] = [9.0, np.nan]
         return [tied, signed, nan] + list(rng.standard_normal((5, 1000)))
 
-    @pytest.mark.parametrize("block", [1, 7, 256, 999, 1000, 4096])
-    def test_blocks_give_the_peaks_of_whole_rows(self, block):
-        rows = self.rows()
-        want = [periodic_fn._row_peaks([v]) for v in rows]
-        buf = np.empty(block)
-
-        def blocks(v):
-            # one array rewritten for every block of every row
-            for s in range(0, v.size, block):
-                part = buf[:v[s:s + block].size]
-                part[:] = v[s:s + block]
-                yield part
-
-        got = [periodic_fn._row_peaks(blocks(v)) for v in rows]
-        for a, b in zip(np.array(got).T, np.array(want).T):
-            assert a.tobytes() == b.tobytes()
-        imax, imin, _, _ = zip(*want)
-        assert list(imax) == [int(np.argmax(v)) for v in rows]
-        assert list(imin) == [int(np.argmin(v)) for v in rows]
+    def test_first_peaks_and_their_values(self):
+        for v in self.rows():
+            imax, imin, vmax, vmin = periodic_fn._row_peaks(v)
+            assert (imax, imin) == (int(np.argmax(v)), int(np.argmin(v)))
+            assert vmax.tobytes() == v[imax].tobytes()
+            assert vmin.tobytes() == v[imin].tobytes()
+        tied, signed, nan = self.rows()[:3]
+        assert periodic_fn._row_peaks(tied)[:2] == (5, 7)
+        assert periodic_fn._row_peaks(signed)[:2] == (0, 0)
+        assert periodic_fn._row_peaks(nan)[:2] == (600, 600)
 
 
 class TestCoefficientL1:
@@ -966,6 +959,26 @@ class TestFromCoefficients:
             want = p.coeffs @ np.exp(1j * p.ns * xs[i, j])
             assert abs(got[i, j] - want) <= 1e-12
 
+    def test_real_table_holds_no_complex_rows(self):
+        # a conjugate-symmetric series is summed through one real table per
+        # chunk of 2^20 terms (8.4 MB) and the sine parts of its rows; the
+        # complex pair terms and their real parts took 48.8 MB
+        rng = np.random.default_rng(4)
+        coeffs = {0: 0.3}
+        for n in range(1, 201):
+            coeffs[n] = complex(*rng.standard_normal(2))
+            coeffs[-n] = coeffs[n].conjugate()
+        p = cb.from_coefficients(coeffs)
+        assert p.real_valued
+        x = periodic_fn._grid(2 ** 16)
+        tracemalloc.start()
+        try:
+            p.sample(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * 10 ** 6
+
     @pytest.mark.parametrize("degree", [0, 3, 16, 300])
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_one_call_equals_one_point_per_call(self, degree, real):
@@ -996,7 +1009,7 @@ class TestFromCoefficients:
         rng = np.random.default_rng(degree + 1)
         c = rng.standard_normal((2 * degree + 1, 2)) @ np.array([1.0, 1j])
         x = rng.uniform(-np.pi, np.pi, 257)
-        got = periodic_fn._partial_sums(c, x)
+        got = periodic_fn._partial_sums(c, x, False)
         s = np.full(x.size, c[degree])
         assert np.array_equal(got[0], s)
         for k in range(1, degree + 1):
@@ -1052,12 +1065,14 @@ COEFFICIENT_CASES = {
 }
 
 
-class TestCosineTerm:
-    """A real pair term 2 a cos(kx) against the complex one's real part."""
+class TestRealPairTerm:
+    """The real pair term Re(a_k + a_{-k}) cos kx - Im(a_k - a_{-k}) sin kx
+    against the cosine term and the complex term's real part."""
 
     def test_cos_is_the_real_part_of_exp(self):
-        # what the cosine term rests on, at the phases of the envelope's
-        # orders and of high-degree coefficient files
+        # what the real series' bit-for-bit agreement with the frozen
+        # complex sums rests on, at the phases of the envelope's orders and
+        # of high-degree coefficient files
         rng = np.random.default_rng(0)
         kx = np.multiply.outer(np.arange(129), pair_angles()).ravel()
         t = np.concatenate((rng.uniform(-60.0, 60.0, 2 ** 16),
@@ -1067,75 +1082,84 @@ class TestCosineTerm:
                               e.real.view(np.uint64))
 
     @pytest.mark.parametrize("a", [0.5, -3.25e-3, 4.0 / np.pi ** 2, 1e300,
-                                   1.5e308, 3e-320])
-    def test_real_pair_equals_complex_term(self, a):
-        # equal bit for bit but for the sign of a zero, which a tiny a
-        # rounds to
+                                   -1e-250, 0.0, -0.0])
+    def test_real_pair_is_twice_a_cosine(self, a):
+        # doubling is exact in the normal range, so (2a) cos kx rounds as
+        # 2 (a cos kx) does
         x = pair_angles()
         for k in range(129):
-            with np.errstate(over="ignore"):
-                got = periodic_fn._cosine_term(a, k, x)
-                want = periodic_fn._pair_term(complex(a), complex(a), k, x)
-            want = want.real
-            assert np.array_equal(got, want)
-            nz = want != 0.0
-            assert got[nz].tobytes() == want[nz].tobytes(), k
-            if k == 0 and a > 1e308:
-                assert np.all(np.isinf(got))
+            got = periodic_fn._real_pair_term(a, a, k, x)
+            want = 2.0 * (a * np.cos(k * x))
+            assert got.tobytes() == want.tobytes(), k
+            assert got.tobytes() == periodic_fn._real_pair_term(
+                complex(a), complex(a), k, x).tobytes(), k
 
-    def test_zero_pair_adds_nothing_except_to_negative_zero(self):
+    def test_zero_pair_adds_nothing(self):
         x = pair_angles()
         for k in range(129):
-            want = periodic_fn._pair_term(0j, 0j, k, x).real
-            assert np.all(want == 0.0)
+            term = periodic_fn._real_pair_term(0j, -0j, k, x)
             for g in (1.0, 0.0, -2.5, 5e-324):
-                assert np.all((g + want).view(np.uint64)
+                assert np.all((g + term).view(np.uint64)
                               == np.float64(g).view(np.uint64))
-        # -0.0 plus a zero term is +0.0 at some points, where skipping it
-        # would keep -0.0
-        for b in (0j, -0j):
-            term = periodic_fn._pair_term(0j, b, 1, x).real
-            assert not np.signbit(-0.0 + term).all()
+
+    @pytest.mark.parametrize("a, b", [
+        (0.3 - 0.1j, 0.3 + 0.1j), (0.05j, -0.05j), (1e-18j, -1e-18j),
+        (0.5 + 0.25j, -0.125 + 1j), (0.5, 0.25j), (1.0, 0.0)])
+    def test_complex_pairs_within_4_ulps_of_the_complex_term(self, a, b):
+        x = pair_angles()
+        tol = 4.0 * np.spacing(abs(a) + abs(b))
+        for k in range(129):
+            got = periodic_fn._real_pair_term(a, b, k, x)
+            want = periodic_fn._pair_term(a, b, k, x).real
+            assert np.max(np.abs(got - want)) <= tol, k
 
     def test_complex_pairs_are_not_cosine_terms(self):
-        # the products of the imaginary parts round into the real part
+        # a sine part moves the term off the cosine term's bits
         x = pair_angles()
-        for a, b in ((0.3 - 0.1j, 0.3 + 0.1j), (0.5 + 0.25j, -0.125 + 1j)):
-            got = periodic_fn._cosine_term(a.real, 5, x)
-            want = periodic_fn._pair_term(a, b, 5, x).real
-            assert not np.array_equal(got, want)
+        for a, b in ((0.3 - 0.1j, 0.3 + 0.1j), (0.5 + 0.25j, 0.5 - 0.2j)):
+            got = periodic_fn._real_pair_term(a, b, 5, x)
+            assert not np.array_equal(got, (a + b).real * np.cos(5 * x))
 
-    def test_stacked_orders_equal_one_order_at_a_time(self):
-        # as _partial_sums passes them: a column of orders and coefficients
+    @pytest.mark.parametrize("imag", ["none", "some", "all"])
+    def test_stacked_orders_equal_one_order_at_a_time(self, imag):
+        # as _partial_sums passes them: a column of orders and coefficients,
+        # with the sine part on no row, on some and on every row
         x = pair_angles()
         k = np.arange(1, 129)[:, None]
-        a = np.random.default_rng(2).standard_normal(128)[:, None]
-        got = periodic_fn._cosine_term(a, k, x)
-        want = periodic_fn._pair_term(a + 0j, a + 0j, k, x).real
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal(128) + 0j
+        b = a.copy()
+        if imag != "none":
+            im = rng.standard_normal(128) * (1.0 if imag == "all"
+                                             else rng.integers(0, 2, 128))
+            a, b = a + 1j * im, b - 1j * im
+        got = np.empty((128, x.size))
+        assert periodic_fn._real_pair_term(a[:, None], b[:, None], k, x,
+                                           out=got) is got
         for i in range(128):
-            row = periodic_fn._cosine_term(a[i, 0], i + 1, x)
+            row = periodic_fn._real_pair_term(a[i], b[i], i + 1, x)
             assert np.array_equal(got[i].view(np.uint64), row.view(np.uint64))
 
-    def test_cosine_pairs_mask(self):
-        c = coefficient_vector({0: 0.3, 1: 0.5, -1: 0.5, 3: 0.2 + 0.1j,
-                                -3: 0.2 - 0.1j, 4: -0.25, -4: -0.25,
-                                5: complex(0.5, -0.0), -5: 0.5})
-        want = [True, True, False, True, True]
-        assert periodic_fn._cosine_pairs(c).tolist() == want
-        c[5] = 0.0
-        assert periodic_fn._cosine_pairs(c).tolist() == want
-        # a_0 = -0.0, or one pair that is not conjugate-symmetric
-        for i, a in ((5, -0.0), (5, 0.1j), (1, 0.25)):
-            d = c.copy()
-            d[i] = a
-            assert periodic_fn._cosine_pairs(d).tolist() == [False] * 5
-        assert periodic_fn._cosine_pairs(np.array([-0.0 + 0j])).size == 0
+
+def assert_like_frozen(name, got, want):
+    """got against the frozen complex sum: bit for bit (NaN only where the
+    frozen sum has one), but for the conjugate-symmetric complex pairs,
+    whose sine parts round otherwise (within 4 ulps of the sum of |a_n|),
+    and the zero pairs added to a_0 = -0.0, whose zeros may differ in
+    sign."""
+    if name == "conjugate":
+        tol = 4.0 * np.spacing(sum(abs(a) for a in COEFFICIENT_CASES[name].values()))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= tol
+    elif name == "negzero-all-zero":
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        assert nan_bits(got, want)
 
 
 class TestRealSumsAgainstFrozenCopy:
     """Real series summed in real arithmetic against the frozen complex
-    direct sum, bit for bit (NaN only where the frozen sum has one)."""
+    direct sum."""
 
     @pytest.fixture(autouse=True)
     def nan_angles(self):
@@ -1153,11 +1177,11 @@ class TestRealSumsAgainstFrozenCopy:
     def test_partial_sums(self, name):
         c = coefficient_vector(COEFFICIENT_CASES[name])
         x = pair_angles()[::3]
-        got = periodic_fn._partial_sums(c, x)
-        want = frozen_envelope._partial_sums(c, x)
         real = bool(np.all(c[::-1] == np.conj(c)))
+        got = periodic_fn._partial_sums(c, x, real)
+        want = frozen_envelope._partial_sums(c, x)
         assert got.dtype == (float if real else np.complex128)
-        assert nan_bits(got, want.real if real else want)
+        assert_like_frozen(name, got, want.real if real else want)
 
     @pytest.mark.parametrize("name", list(COEFFICIENT_CASES))
     def test_rule(self, name):
@@ -1166,9 +1190,9 @@ class TestRealSumsAgainstFrozenCopy:
         rule = frozen_periodic.trig_rule(coefficients)
         x = self.angles()
         assert x.size > periodic_fn._TERMS_PER_CHUNK // 501 * 2
-        assert nan_bits(p.sample(x), rule(periodic_fn._reduce_angle(x)))
-        assert nan_bits(p.rule(x.reshape(2, -1)), rule(x.reshape(2, -1)))
-        assert nan_bits(p.rule(0.5), rule(0.5))
+        assert_like_frozen(name, p.sample(x), rule(periodic_fn._reduce_angle(x)))
+        assert_like_frozen(name, p.rule(x.reshape(2, -1)), rule(x.reshape(2, -1)))
+        assert_like_frozen(name, p.rule(0.5), rule(0.5))
 
     def test_triangle_truncations(self, triangle):
         x = self.angles()
@@ -1177,17 +1201,6 @@ class TestRealSumsAgainstFrozenCopy:
             rule = frozen_periodic.trig_rule(dict(zip(p.ns.tolist(),
                                                       p.coeffs)))
             assert nan_bits(p.rule(x), rule(x))
-
-    def test_negative_zero_keeps_its_sign_where_the_complex_sum_does(self):
-        # a_0 = -0.0 alone stays -0.0; a zero pair turns it into +0.0,
-        # where skipping the pair would keep -0.0
-        x = pair_angles()
-        assert np.signbit(cb.from_coefficients({0: -0.0}).rule(x)).all()
-        coefficients = COEFFICIENT_CASES["negzero-all-zero"]
-        got = cb.from_coefficients(coefficients).rule(x)
-        assert np.all(got == 0.0) and not np.signbit(got).all()
-        want = frozen_periodic.trig_rule(coefficients)(x)
-        assert nan_bits(got, want)
 
 
 class TestMaskFreeBump:

@@ -85,6 +85,8 @@ INVOCATIONS = [
     "validate circle --samples 100 --function negzero.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
+    # the real refinement table with sine parts, in CSV
+    "curve circle --function bump --n-max 128 --steps 50",
     "curve circle --n-max 128 --format json",
     "curve sqrt --steps 100000 --out -",
     "lower circle",

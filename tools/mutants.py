@@ -72,9 +72,9 @@ MUTANTS = [
            [CB + "TestTruncationEnvelope::"
             "test_real_f_with_asymmetric_head_takes_no_disk"]),
     Mutant("sweep-skips-small-pairs", "circle_bounds.py",
-           "elif N and c[N_max + N] != 0.0:",
-           "elif N and abs(c[N_max + N]) > 1e-2:",
-           [CB + "TestCosineSweepAgainstFrozenCopy"]),
+           "if N and (a != 0.0 or b != 0.0):",
+           "if N and (abs(a) > 1e-2 or abs(b) > 1e-2):",
+           [CB + "TestRealSweepAgainstFrozenCopy"]),
     # the command line (experiments_cli.py)
     Mutant("json-segments-swap-m-and-b", "experiments_cli.py",
            '"delta_end", "m", "b",', '"delta_end", "b", "m",',
@@ -130,24 +130,27 @@ MUTANTS = [
            "        if self.real_valued:\n            v = v.real\n", "",
            [CB + "TestEtaLower::test_real_samples_equal_complex_samples"]),
     # real series and the bump (periodic_fn.py)
-    Mutant("cosine-term-without-factor-2", "periodic_fn.py",
-           "    t *= a\n    t *= 2.0\n", "    t *= a\n",
-           [PF + "TestCosineTerm"]),
-    Mutant("cosine-table-zeroes-negative-rows", "periodic_fn.py",
-           "_cosine_term(pos.real, k, x, out=terms[1:])",
-           "_cosine_term(np.maximum(pos.real, 0.0), k, x, out=terms[1:])",
+    Mutant("real-term-drops-a-neg", "periodic_fn.py",
+           "t *= np.real(a_pos + a_neg)", "t *= np.real(a_pos)",
+           [PF + "TestRealPairTerm"]),
+    Mutant("real-table-zeroes-negative-rows", "periodic_fn.py",
+           "t *= np.real(a_pos + a_neg)",
+           "t *= np.maximum(np.real(a_pos + a_neg), 0.0)",
            [PF + "TestRealSumsAgainstFrozenCopy"]),
-    Mutant("no-negative-zero-guard", "periodic_fn.py",
-           "if not real or (a0 == 0.0 and np.signbit(a0)):", "if not real:",
-           [PF + "TestRealSumsAgainstFrozenCopy",
-            CB + "TestCosineSweepAgainstFrozenCopy"]),
+    Mutant("real-term-drops-sine", "periodic_fn.py",
+           "    rows[i] -= sine\n", "",
+           [CB + "TestSweepAgainstFrozenCopy::"
+            "test_lines_equal_frozen_copy[bump-16]",
+            PF + "TestRealSumsAgainstFrozenCopy::test_partial_sums[conjugate]"]),
+    Mutant("real-term-sine-sign-flipped", "periodic_fn.py",
+           "    rows[i] -= sine\n", "    rows[i] += sine\n",
+           [CB + "TestSweepAgainstFrozenCopy::"
+            "test_lines_equal_frozen_copy[bump-16]",
+            PF + "TestRealSumsAgainstFrozenCopy::test_partial_sums[conjugate]"]),
     Mutant("no-real-series-check", "periodic_fn.py",
-           "real = np.all(coeffs[::-1] == np.conj(coeffs))", "real = True",
-           [PF + "TestCosineTerm", PF + "TestRealSumsAgainstFrozenCopy"]),
-    Mutant("complex-pairs-in-the-mask", "periodic_fn.py",
-           "return (pos == coeffs[:d][::-1]) & (pos.imag == 0.0)",
-           "return pos.real == coeffs[:d][::-1].real",
-           [PF + "TestCosineTerm", PF + "TestRealSumsAgainstFrozenCopy"]),
+           "real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))",
+           "real = True",
+           [PF + "TestRealSumsAgainstFrozenCopy"]),
     Mutant("maximum-for-fmax-in-the-bump", "periodic_fn.py",
            "np.fmax(v, 0.0, out=v)", "np.maximum(v, 0.0, out=v)",
            [PF + "TestMaskFreeBump"]),
@@ -168,6 +171,16 @@ MUTANTS = [
            "floor)",
            "spread = np.maximum(np.abs(X[-1] - X[-2]), floor)",
            [PF + "TestErrorEstimatesCoverTrueErrors"]),
+    Mutant("ladder-keeps-finer-memo", "periodic_fn.py",
+           "        return value, error, Ks\n",
+           "        memo = self.__dict__.setdefault('memo', {})\n"
+           "        for r, m in enumerate(ns.tolist()):\n"
+           "            if m in memo and memo[m][1] <= error[r]:\n"
+           "                value[r], error[r], Ks[r] = memo[m]\n"
+           "            memo[m] = value[r], error[r], Ks[r]\n"
+           "        return value, error, Ks\n",
+           [CB + "TestTruncationEnvelope::"
+            "test_lines_do_not_depend_on_earlier_requests"]),
     Mutant("no-rounding-floor", "periodic_fn.py",
            "floor = np.log2(K) * np.finfo(float).eps * self.peak[level]",
            "floor = 0.0",
