@@ -251,15 +251,19 @@ def split_line(f: PeriodicFunction, g: TrigPolynomial) -> BoundLine:
                      2.0, "split")
 
 
-def _corollary_tail(f, N):
-    """2 * sum_{|n|>N} |a_n|, by closed form when the function carries one,
-    else by cutoff summation with a geometric remainder estimate over dyadic
-    blocks; None when the tail cannot be estimated."""
+def _corollary_tails(f, N_max):
+    """[2 * sum_{|n|>N} |a_n| for N = 0..N_max], by closed form when the
+    function carries one, else by cutoff summation with a geometric
+    remainder estimate over dyadic blocks; None where the tail cannot be
+    estimated.  The blocks of every N are summed from one fetch of the
+    orders they span."""
     if f.l1_tail_rule is not None:
-        return 2.0 * float(f.l1_tail_rule(N))
-    cutoff = max(10 * max(N, 1), N + 8)
-    tail = _dyadic_l1(f, N + 1, cutoff, 2 * cutoff, 4 * cutoff, 1e-6)
-    return None if tail is None else 2.0 * tail
+        return [2.0 * float(f.l1_tail_rule(N)) for N in range(N_max + 1)]
+    cut = [max(10 * max(N, 1), N + 8) for N in range(N_max + 1)]
+    table = _coefficients(f, _signed_orders(0, 4 * cut[-1]), 1e-6)
+    tails = [_dyadic_l1(table, N + 1, c, 2 * c, 4 * c, 1e-6)
+             for N, c in enumerate(cut)]
+    return [None if t is None else 2.0 * t for t in tails]
 
 
 def _remainder_rows(f, c, grid_size):
@@ -334,12 +338,13 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
         # searches read only the peaks' points
         lo, hi = _refine_peaks(_grid(grid_size), rows, values)
         radii = (0.5 * (hi - lo)).tolist()
+    tails = _corollary_tails(f, N_max)
     lines = []
     for N in range(N_max + 1):
         a = c[N_max - N:N_max + N + 1]
         m = float(np.sum(np.abs(np.arange(-N, N + 1) * a)))
         b_lemma = 2.0 * radii[N]
-        b_tail = _corollary_tail(f, N)
+        b_tail = tails[N]
         if b_tail is not None:
             # the tail certificate speaks about the exact truncation; shifting
             # it to the estimated polynomial costs the accumulated head error

@@ -542,15 +542,16 @@ def _smallest_disk(pts):
     parts = np.asarray(pts, dtype=np.complex128).ravel().view(float)
     if parts.size == 0:
         return 0j, 0.0
-    top = np.max(np.abs(parts))
+    top = max(np.max(parts), -np.min(parts))
     if not np.isfinite(top):
         return complex(np.nan, np.nan), np.nan
     e = int(np.frexp(top)[1])
     q = np.ldexp(parts, -e).view(np.complex128)
     support, best, last = [complex(q[0])], (0j, np.inf), -1.0
+    diff, d = np.empty_like(q), np.empty(q.size)
     while True:
         center, r, support = _least_disk(support)
-        d = np.abs(q - center)
+        np.abs(np.subtract(q, center, out=diff), out=d)
         k = int(np.argmax(d))
         if d[k] < best[1]:
             best = center, float(d[k])
@@ -578,19 +579,22 @@ def chebyshev_radius(f: PeriodicFunction, grid_size: int = _EXTENT_GRID) -> floa
     return _smallest_disk(v)[1]
 
 
-def _dyadic_l1(f, lo, hi, end0, end1, tol):
-    """Estimate of sum_{|n| >= lo} |a_n| (each term inflated by tol): the
-    orders up to hi summed, then the blocks hi < |n| <= end0 and
-    end0 < |n| <= end1, then the geometric remainder b1 r / (1 - r) with
-    r = b1 / b0 the block ratio.  None when the blocks do not decay
-    (r >= 0.75, or b0 = 0 < b1) or an order misses tol."""
+def _dyadic_l1(table, lo, hi, end0, end1, tol):
+    """Estimate of sum_{|n| >= lo} |a_n| (each term inflated by tol) from
+    table, the (values, errors) of _coefficients for the orders
+    _signed_orders(0, m), m >= end1: the orders up to hi summed, then the
+    blocks hi < |n| <= end0 and end0 < |n| <= end1, then the geometric
+    remainder b1 r / (1 - r) with r = b1 / b0 the block ratio.  None when
+    the blocks do not decay (r >= 0.75, or b0 = 0 < b1) or an order misses
+    tol."""
+    values, errors = table
     sums = []
     for a, b in ((lo, hi), (hi + 1, end0), (end0 + 1, end1)):
-        values, errors = _coefficients(f, _signed_orders(a, b), tol)
-        if not np.all(errors <= tol):
+        i = slice(max(2 * a - 1, 0), 2 * b + 1)    # the orders a, -a, .., -b
+        if not np.all(errors[i] <= tol):
             return None
         # cumsum adds the terms one by one in the order n, -n, n + 1, ...
-        sums.append(float(np.cumsum(np.r_[0.0, np.abs(values) + tol])[-1]))
+        sums.append(float(np.cumsum(np.r_[0.0, np.abs(values[i]) + tol])[-1]))
     s, b0, b1 = sums
     if b0 <= 0.0:
         return None if b1 > 0.0 else s
@@ -616,7 +620,9 @@ def coefficient_l1(f: PeriodicFunction, head: int = 64, tol: float = 1e-6):
         # |a_0|, then |a_n| + |a_-n| added one pair at a time
         total = np.cumsum(np.r_[a[0], a[1::2] + a[2::2]])[-1]
         return float(total + f.l1_tail_rule(head))
-    return _dyadic_l1(f, 0, head, 2 * head + 1, 4 * head + 3, tol)
+    end = 4 * head + 3
+    return _dyadic_l1(_coefficients(f, _signed_orders(0, end), tol),
+                      0, head, 2 * head + 1, end, tol)
 
 
 def builtin_triangle() -> PeriodicFunction:

@@ -8,7 +8,7 @@ do not edit it to follow changes in circle_bounds or periodic_fn.
 
 import numpy as np
 
-from commbound.circle_bounds import _corollary_tail
+from commbound.circle_bounds import _corollary_tails
 from commbound.periodic_fn import (
     _coefficients,
     _grid,
@@ -79,11 +79,12 @@ def truncation_lines(f, N_max, grid_size=2 ** 16):
     lo, hi = _refined_extent(x, real_remainders(), values)
     for N, a, b in zip(real, lo, hi):
         radii[N] = 0.5 * (float(b) - float(a))
+    tails = _corollary_tails(f, N_max)
     lines = []
     for N, a in enumerate(heads):
         m = float(np.sum(np.abs(np.arange(-N, N + 1) * a)))
         b_lemma = 2.0 * radii[N]
-        b_tail = _corollary_tail(f, N)
+        b_tail = tails[N]
         if b_tail is not None:
             b_tail += 2.0 * err_run[N + 1]
         if b_tail is not None and b_tail < b_lemma:

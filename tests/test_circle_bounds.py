@@ -360,9 +360,39 @@ class TestTruncationEnvelope:
         assert got == cb.truncation_envelope(cb.builtin_bump(), 8,
                                              grid_size=4096).lines()
 
+    @pytest.mark.parametrize("make", [
+        cb.builtin_bump,
+        lambda: cb.PeriodicFunction(cb.builtin_triangle().rule,
+                                    real_valued=True),
+        lambda: cb.PeriodicFunction(lambda x: np.exp(np.exp(1j * x))),
+    ], ids=["bump", "raw-triangle", "exp-exp"])
+    def test_tails_equal_one_fetch_per_block(self, make):
+        # the tails of every N come from slices of one fetch; each equals
+        # the tail summed from its own three block fetches
+        def tail(f, N):
+            cut = max(10 * max(N, 1), N + 8)
+            sums = []
+            for a, b in ((N + 1, cut), (cut + 1, 2 * cut),
+                         (2 * cut + 1, 4 * cut)):
+                values, errors = periodic_fn._coefficients(
+                    f, periodic_fn._signed_orders(a, b), 1e-6)
+                if not np.all(errors <= 1e-6):
+                    return None
+                sums.append(float(np.cumsum(
+                    np.r_[0.0, np.abs(values) + 1e-6])[-1]))
+            s, b0, b1 = sums
+            if b0 <= 0.0:
+                return None if b1 > 0.0 else 2.0 * s
+            r = b1 / b0
+            return None if r >= 0.75 else 2.0 * (s + b0 + b1
+                                                 + b1 * r / (1.0 - r))
+
+        want = [tail(make(), N) for N in range(13)]
+        assert circle_bounds._corollary_tails(make(), 12) == want
+
     def test_tail_branch_bounds_true_tail(self, bump):
         special = pytest.importorskip("scipy.special")
-        got = circle_bounds._corollary_tail(bump, 2)
+        got = circle_bounds._corollary_tails(bump, 2)[2]
         assert got is not None
         true_tail = 2.0 * sum(
             2.0 * abs(special.j1(n * math.pi / 2.0) / (2.0 * n))
@@ -381,12 +411,13 @@ def per_degree_lines(f, N_max, grid_size=2 ** 16):
             coeffs[n], err = cb.fourier_coefficient_estimate(f, n)
             step += err
         err_run.append(step)
+    tails = circle_bounds._corollary_tails(f, N_max)
     lines = []
     for N in range(N_max + 1):
         g = cb.TrigPolynomial({n: coeffs[n] for n in range(-N, N + 1)})
         b_lemma = 2.0 * cb.chebyshev_radius(circle_bounds._remainder(f, g),
                                             grid_size)
-        b_tail = circle_bounds._corollary_tail(f, N) + 2.0 * err_run[N + 1]
+        b_tail = tails[N] + 2.0 * err_run[N + 1]
         if b_tail < b_lemma:
             b, prov = b_tail, "truncation N=%d (tail) [oscillation b=%.6g]" % (
                 N, b_lemma)

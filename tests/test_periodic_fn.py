@@ -134,7 +134,9 @@ class TestFourierCoefficient:
 
     def test_tail_estimate_is_none_when_an_order_misses_its_target(self):
         f = cb.PeriodicFunction(raw_triangle_rule, real_valued=True, name="raw")
-        assert periodic_fn._dyadic_l1(f, 1, 1, 2, 3, 1e-16) is None
+        table = periodic_fn._coefficients(
+            f, periodic_fn._signed_orders(0, 3), 1e-16)
+        assert periodic_fn._dyadic_l1(table, 1, 1, 2, 3, 1e-16) is None
 
     def test_range_extent_refusals(self, triangle):
         with pytest.raises(ValueError, match="^grid_size must be at least 1024$"):

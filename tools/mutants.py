@@ -181,6 +181,14 @@ MUTANTS = [
            "        return value, error, Ks\n",
            [CB + "TestTruncationEnvelope::"
             "test_lines_do_not_depend_on_earlier_requests"]),
+    Mutant("tail-block-drops-its-first-order", "periodic_fn.py",
+           "i = slice(max(2 * a - 1, 0), 2 * b + 1)",
+           "i = slice(2 * a, 2 * b + 1)",
+           [CB + "TestTruncationEnvelope::test_tails_equal_one_fetch_per_block",
+            PF + "TestDyadicTail::test_coefficient_l1_equals_the_old_code"]),
+    Mutant("tail-fetch-one-order-short", "circle_bounds.py",
+           "_signed_orders(0, 4 * cut[-1])", "_signed_orders(0, 4 * cut[-1])[:-1]",
+           [CB + "TestTruncationEnvelope::test_tails_equal_one_fetch_per_block"]),
     Mutant("no-rounding-floor", "periodic_fn.py",
            "floor = np.log2(K) * np.finfo(float).eps * self.peak[level]",
            "floor = 0.0",
