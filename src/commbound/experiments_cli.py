@@ -27,14 +27,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import circle_bounds, matrix_lab, positive_bounds
-from .periodic_fn import (
-    QuadratureError,
-    builtin_bump,
-    builtin_triangle,
-    from_coefficients,
-)
-
 _SCHEMA_VERSION = 1
 _FORMATS = ("csv", "json")
 
@@ -154,14 +146,25 @@ class _JsonObject(dict):
         self.pairs = pairs
 
 
+def _load_json(path, **kwargs):
+    """json.load of the file at path; a file nested too deeply for the
+    decoder's recursion is refused with a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh, **kwargs)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+
+
 def _select_function(name):
+    from . import periodic_fn
+
     if name == "triangle":
-        return builtin_triangle()
+        return periodic_fn.builtin_triangle()
     if name == "bump":
-        return builtin_bump()
+        return periodic_fn.builtin_bump()
     # anything else is a path to a JSON coefficient map {"n": [re, im] or re}
-    with open(name) as fh:
-        raw = json.load(fh, object_pairs_hook=_JsonObject)
+    raw = _load_json(name, object_pairs_hook=_JsonObject)
     if not isinstance(raw, dict):
         raise ValueError("%s: coefficient file must hold a JSON object" % name)
     mapping = {}
@@ -195,10 +198,12 @@ def _select_function(name):
     if not np.isfinite(reach):
         raise ValueError("%s: coefficients too large: 2 (%d + 1) sum |a_n| "
                          "overflows a float" % (name, MAX_ORDER))
-    return from_coefficients(mapping)
+    return periodic_fn.from_coefficients(mapping)
 
 
 def _parse_dims(text):
+    from . import matrix_lab
+
     dims = []
     for part in str(text).split(","):
         part = part.strip()
@@ -234,6 +239,8 @@ def _grid_rows(grid, columns):
 
 
 def cmd_curve_sqrt(cfg) -> int:
+    from . import positive_bounds
+
     grid = _grid(cfg, "sqrt curve", unit=True)
     curve = (positive_bounds.pedersen_envelope(cfg.n_max) if cfg.pedersen_only
              else positive_bounds.gamma0(cfg.n_max, cfg.a_grid))
@@ -253,6 +260,8 @@ def cmd_curve_sqrt(cfg) -> int:
 
 
 def cmd_curve_circle(cfg) -> int:
+    from . import circle_bounds
+
     grid = _grid(cfg, "circle curve", unit=False)
     f = _select_function(cfg.function)
     curve = circle_bounds.truncation_envelope(f, cfg.n_max)
@@ -273,6 +282,8 @@ def cmd_curve_circle(cfg) -> int:
 
 
 def cmd_lower_circle(cfg) -> int:
+    from . import circle_bounds
+
     grid = _grid(cfg, "lower-bound", unit=False)
     f = _select_function(cfg.function)
     lowers = circle_bounds.eta_lower(f, grid)
@@ -290,14 +301,20 @@ def cmd_lower_circle(cfg) -> int:
 
 
 def cmd_validate(cfg) -> int:
+    from . import matrix_lab
+
     if cfg.samples < 1:
         raise ValueError("samples must be at least 1")
     if not cfg.dims:
         raise ValueError("dims must be nonempty")
     if cfg.target == "sqrt":
+        from . import positive_bounds
+
         curve = positive_bounds.gamma0(cfg.n_max)
         f, fname, role, mode = np.sqrt, "sqrt", "positive", cfg.spectrum_mode
     else:
+        from . import circle_bounds
+
         f = _select_function(cfg.function)
         curve = circle_bounds.truncation_envelope(f, cfg.n_max)
         fname, role, mode = cfg.function, "unitary", None
@@ -339,6 +356,8 @@ def cmd_validate(cfg) -> int:
 
 
 def cmd_probe(cfg) -> int:
+    from . import matrix_lab, positive_bounds
+
     if not 0.0 < cfg.delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     matrix_lab._check_dim(cfg.dim)
@@ -485,8 +504,7 @@ def _resolve(args) -> argparse.Namespace:
     spec = _COMMANDS[key]
     from_file = {}
     if args.config:
-        with open(args.config) as fh:
-            from_file = json.load(fh)
+        from_file = _load_json(args.config)
         if not isinstance(from_file, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(from_file) - set(spec.defaults))
@@ -518,11 +536,22 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[cfg.command, cfg.target].handler(cfg)
-    except (ValueError, OSError, QuadratureError) as err:
-        # stderr may be the closed pipe that err came from
-        with contextlib.suppress(OSError, ValueError):
-            print("commbound: %s" % err, file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as err:
+        error = err
+    # an except clause's classes are looked up only when an exception
+    # reaches it, so a command that never loads periodic_fn stays without it
+    except _quadrature_error() as err:
+        error = err
+    # stderr may be the closed pipe that error came from
+    with contextlib.suppress(OSError, ValueError):
+        print("commbound: %s" % error, file=sys.stderr)
+    return 2
+
+
+def _quadrature_error():
+    from .periodic_fn import QuadratureError
+
+    return QuadratureError
 
 
 def run(argv=None):

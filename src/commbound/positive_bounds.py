@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_bounds import BoundCurve, BoundLine
+from .bound_curve import BoundCurve, BoundLine
 
 __all__ = [
     "PowerSeries",

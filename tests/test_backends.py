@@ -1,6 +1,7 @@
 """The package runs on numpy alone: a fresh interpreter never loads numba
 or scipy and computes the same curves as this process.  Its public surface
-is the union of its layer modules' __all__ lists."""
+is the union of its layer modules' __all__ lists, and each command loads
+only the layer modules it runs."""
 
 import os
 import subprocess
@@ -26,6 +27,7 @@ class TestSelection:
     def test_forced_numpy_backend(self):
         out = run_snippet(
             "import sys, commbound\n"
+            "commbound.__all__\n"
             "print(sorted(m for m in ('numba', 'scipy') if m in sys.modules))"
         )
         assert out.returncode == 0, out.stderr
@@ -84,7 +86,58 @@ class TestNumpyRandomUnloaded:
         assert out.stdout.strip() == "False"
 
 
-LAYERS = (cb.periodic_fn, cb.circle_bounds, cb.positive_bounds, cb.matrix_lab)
+SQRT = ["commbound.bound_curve", "commbound.positive_bounds"]
+CIRCLE = ["commbound.bound_curve", "commbound.circle_bounds",
+          "commbound.periodic_fn"]
+LAB = ["commbound.matrix_lab"]
+
+
+class TestLayersLoaded:
+    """Importing the package or the CLI loads no layer module, and each
+    command of the benchmark's workloads, at its defaults, loads exactly
+    the layers it runs; so does a refused sqrt command, although main
+    reports a circle layer's QuadratureError too."""
+
+    LOADED = ("sorted(m for m in sys.modules if m.startswith('commbound.')"
+              " and m != 'commbound.experiments_cli')")
+
+    @pytest.mark.parametrize("module", ["commbound", "commbound.experiments_cli"])
+    def test_import_loads_no_layer(self, module):
+        out = run_snippet("import sys, %s\nprint(%s)" % (module, self.LOADED))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv, code, layers", [
+        ("curve sqrt --steps 1", 2, SQRT),
+        ("curve sqrt", 0, SQRT),
+        ("curve sqrt --format json", 0, SQRT),
+        ("validate sqrt", 0, SQRT + LAB),
+        ("probe", 0, SQRT + LAB),
+        ("curve circle", 0, CIRCLE),
+        ("lower circle --function triangle", 0, CIRCLE),
+        ("validate circle", 0, CIRCLE + LAB),
+        ("curve circle --function bump", 0, CIRCLE),
+        ("lower circle", 0, CIRCLE),
+    ])
+    def test_command_loads_its_layers(self, argv, code, layers, tmp_path):
+        out = run_snippet(
+            "import sys\n"
+            "from commbound.experiments_cli import main\n"
+            "assert main(%r) == %d\n"
+            "print(%s)" % (argv.split() + ["--out", str(tmp_path / "out")],
+                           code, self.LOADED))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == str(sorted(layers))
+
+    def test_star_import_binds_the_surface(self):
+        out = run_snippet("from commbound import *\n"
+                          "print(sorted(n for n in dir() if n[0] != '_'))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == str([n for n in PUBLIC if n[0] != "_"])
+
+
+LAYERS = (cb.periodic_fn, cb.bound_curve, cb.circle_bounds, cb.positive_bounds,
+          cb.matrix_lab)
 
 PUBLIC = """
     BoundCurve BoundLine DecompositionError InstancePair PeriodicFunction

@@ -346,7 +346,7 @@ class TestValidate:
         def boom(*args, **kwargs):
             raise cb.ViolationError("bound violated", payload)
 
-        monkeypatch.setattr(experiments_cli.matrix_lab, "sample_sweep", boom)
+        monkeypatch.setattr(cb.matrix_lab, "sample_sweep", boom)
         out = tmp_path / "report.json"
         rc = main([
             "validate", "sqrt", "--samples", "5", "--dims", "2-3",
@@ -903,7 +903,7 @@ class TestJsonBlocks:
     def test_violation_report_equals_dumps(self, tmp_path, monkeypatch,
                                            capsys):
         absurd = cb.BoundCurve(lines=[cb.BoundLine(0.0, 1e-9, 1.0, "absurd")])
-        monkeypatch.setattr(experiments_cli.positive_bounds, "gamma0",
+        monkeypatch.setattr(cb.positive_bounds, "gamma0",
                             lambda *args: absurd)
         out = tmp_path / "report.json"
         rc = main(["validate", "sqrt", "--samples", "10", "--dims", "3",
@@ -920,7 +920,7 @@ class TestJsonBlocks:
         # 10^5 rows: 45.5 MB when the rows list and its json.dumps text
         # were built whole, 6.9 MB in blocks.  A stand-in eta_lower keeps
         # the measurement on the writer and the test quick.
-        monkeypatch.setattr(experiments_cli.circle_bounds, "eta_lower",
+        monkeypatch.setattr(cb.circle_bounds, "eta_lower",
                             lambda f, grid: np.sqrt(grid))
         out = tmp_path / "long.json"
         tracemalloc.start()
@@ -1064,6 +1064,17 @@ class TestExitPath:
         no_traceback(proc.stderr)
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("args", [["curve", "sqrt", "--config"],
+                                      ["curve", "circle", "--function"]])
+    def test_deeply_nested_json_exits_two_with_one_line(self, args, tmp_path):
+        # json.load raised RecursionError, a traceback and exit 1
+        (tmp_path / "deep.json").write_text("[" * 3000)
+        proc = cli_process(args + ["deep.json", "--out", "x.csv"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"commbound: deep.json: JSON nested too deeply\n"
+        assert os.listdir(tmp_path) == ["deep.json"]
+
     def test_large_stdout_output_arrives_whole(self, tmp_path):
         args = ["curve", "sqrt", "--steps", "100000", *SMALL_SQRT]
         to_file = cli_process(args + ["--out", "c.csv"], tmp_path)
@@ -1143,7 +1154,7 @@ def fake_violation(monkeypatch):
     def boom(*args, **kwargs):
         raise cb.ViolationError("bound violated", {"seed": 0})
 
-    monkeypatch.setattr(experiments_cli.matrix_lab, "sample_sweep", boom)
+    monkeypatch.setattr(cb.matrix_lab, "sample_sweep", boom)
 
 
 class TestRefusedValues:

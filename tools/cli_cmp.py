@@ -4,7 +4,7 @@
 
 Runs a fixed list of `commbound` invocations in fresh interpreters, once
 with this checkout's src/ on the import path and once with OTHER's, both in
-one scratch directory that holds the coefficient files they read.  For each
+one scratch directory that holds the JSON files they read.  For each
 invocation it compares stdout, the file written by --out and stderr, by
 their SHA-256 digests, and the exit code, and prints one line: `same` or
 `DIFF` with the parts that differ, and the peak RSS and minor page faults
@@ -49,6 +49,8 @@ COEFFICIENT_FILES = {
     # a_0 = -0.0, the one start from which a zero term moves a real sum
     "negzero.json": {"0": -0.0, "1": 0.0, "2": 1.0},
 }
+# JSON nested deeper than the decoder's recursion reaches, as text
+DEEP_JSON = "[" * 3000
 
 INVOCATIONS = [
     "curve sqrt",
@@ -94,6 +96,9 @@ INVOCATIONS = [
     "validate circle",
     "validate circle --function bump --seed 1 --samples 200",
     "validate circle --samples 200 --function complex.json",
+    # refused where the JSON is read: exit 2 and one line
+    "curve sqrt --config deep.json",
+    "curve circle --function deep.json",
 ]
 VIOLATIONS = [
     "validate sqrt --samples 40 --dims 2-5 --seed 7",
@@ -168,6 +173,7 @@ def main(argv):
         workdir = Path(tmp)
         for name, coeffs in COEFFICIENT_FILES.items():
             (workdir / name).write_text(json.dumps(coeffs))
+        (workdir / "deep.json").write_text(DEEP_JSON)
         for args, tiny in ([(a, False) for a in INVOCATIONS]
                            + [(a, True) for a in VIOLATIONS]):
             mine, rss, faults = run(HERE, args, tiny, workdir)

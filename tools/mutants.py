@@ -37,30 +37,32 @@ PB = "tests/test_positive_bounds.py::"
 PF = "tests/test_periodic_fn.py::"
 CLI = "tests/test_experiments_cli.py::"
 ML = "tests/test_matrix_lab.py::"
+BK = "tests/test_backends.py::"
 
 MUTANTS = [
-    # bound lines and curves (circle_bounds.py)
-    Mutant("check-line-slope-strict", "circle_bounds.py",
+    # bound lines and curves (bound_curve.py)
+    Mutant("check-line-slope-strict", "bound_curve.py",
            "if not slope >= 0.0:", "if not slope > 0.0:",
            [CB + "TestBoundLine::test_zero_and_negative_zero_accepted",
             CB + "TestBoundCurve::test_valid_arrays_accepted"]),
-    Mutant("check-line-intercept-strict", "circle_bounds.py",
+    Mutant("check-line-intercept-strict", "bound_curve.py",
            "if not intercept >= 0.0:", "if not intercept > 0.0:",
            [CB + "TestBoundLine::test_zero_and_negative_zero_accepted",
             CB + "TestBoundCurve::test_valid_arrays_accepted"]),
-    Mutant("curve-arrays-sign-check-dropped", "circle_bounds.py",
+    Mutant("curve-arrays-sign-check-dropped", "bound_curve.py",
            "_check_line(self._m.min(initial=np.inf), "
            "self._b.min(initial=np.inf),",
            "_check_line(0.0, 0.0,",
            [CB + "TestBoundCurve"]),
-    Mutant("curve-arrays-shape-check-dropped", "circle_bounds.py",
+    Mutant("curve-arrays-shape-check-dropped", "bound_curve.py",
            "if self._m.ndim != 1 or self._m.shape != self._b.shape:",
            "if False:",
            [CB + "TestBoundCurve"]),
-    Mutant("segment-rows-swap-slope-and-intercept", "circle_bounds.py",
+    Mutant("segment-rows-swap-slope-and-intercept", "bound_curve.py",
            "slopes[k].tolist(), intercepts[k].tolist(),",
            "intercepts[k].tolist(), slopes[k].tolist(),",
            ["tests/test_segments.py"]),
+    # the circle envelope (circle_bounds.py)
     Mutant("line-0-intercept-raised-1e-9", "circle_bounds.py",
            "lines.append(BoundLine(m, b, 2.0, prov))",
            "lines.append(BoundLine(m, b * (1.0 + 1e-9) if N == 0 else b, "
@@ -75,6 +77,24 @@ MUTANTS = [
            "if N and (a != 0.0 or b != 0.0):",
            "if N and (abs(a) > 1e-2 or abs(b) > 1e-2):",
            [CB + "TestRealSweepAgainstFrozenCopy"]),
+    # lazy layer imports (__init__.py, experiments_cli.py)
+    Mutant("package-star-imports-a-layer", "__init__.py",
+           '__version__ = "0.1.0"\n',
+           'from .circle_bounds import *\n\n__version__ = "0.1.0"\n',
+           [BK + "TestLayersLoaded::test_import_loads_no_layer"]),
+    Mutant("submodule-lookup-loads-every-layer", "__init__.py",
+           "    if name in _SUBMODULES:\n",
+           "    if name in _SUBMODULES:\n        _surface()\n",
+           [BK + "TestLayersLoaded::test_command_loads_its_layers"]),
+    Mutant("cli-imports-the-layers-eagerly", "experiments_cli.py",
+           "import numpy as np\n",
+           "import numpy as np\n\n"
+           "from . import circle_bounds, matrix_lab, positive_bounds\n",
+           [BK + "TestLayersLoaded"]),
+    Mutant("quadrature-error-looked-up-eagerly", "experiments_cli.py",
+           "    except (ValueError, OSError) as err:\n",
+           "    except (ValueError, OSError, _quadrature_error()) as err:\n",
+           [BK + "TestLayersLoaded::test_command_loads_its_layers"]),
     # the command line (experiments_cli.py)
     Mutant("json-segments-swap-m-and-b", "experiments_cli.py",
            '"delta_end", "m", "b",', '"delta_end", "b", "m",',
