@@ -21,12 +21,10 @@ from .periodic_fn import (
     _dyadic_l1,
     _golden_max,
     _grid,
-    _pair_term,
-    _partial_sums,
-    _real_pair_term,
     _reduce_angle,
     _refine_peaks,
     _row_peaks,
+    _running_sums,
     _signed_orders,
     _smallest_disk,
 )
@@ -89,26 +87,17 @@ def _remainder_rows(f, c, grid_size):
     radius of the least disk of f - g_N.  The slope sum |n a_n| bounds
     Re g_N's too, so a real f's split holds for any head c.
 
-    f is sampled once where every remainder's rule samples it, and g_N =
-    g_{N-1} + pair term N summed at the points y where g_N.sample
-    evaluates, for a real f in real arithmetic (_real_pair_term); a zero
-    pair adds nothing and is skipped.
+    f is sampled once where every remainder's rule samples it, and g_N
+    is read from _running_sums at the points y where g_N.sample
+    evaluates, for a real f in real arithmetic.
     """
-    N_max = c.size // 2
     real = f.real_valued
     xs = _reduce_angle(_grid(grid_size))
     fv = f.sample(xs)
     y = _reduce_angle(xs)
     del xs
-    g = np.full(y.size, c[N_max].real if real else c[N_max])
-    term = _real_pair_term if real else _pair_term
-    rows = []
-    for N in range(N_max + 1):
-        a, b = c[N_max + N], c[N_max - N]
-        if N and (a != 0.0 or b != 0.0):
-            g += term(a, b, N, y)
-        rows.append(_row_peaks(fv - g) if real else _smallest_disk(fv - g)[1])
-    return rows
+    return [_row_peaks(fv - g) if real else _smallest_disk(fv - g)[1]
+            for g in _running_sums(c, y, real)]
 
 
 def truncation_envelope(f: PeriodicFunction, N_max: int,
@@ -143,10 +132,10 @@ def truncation_envelope(f: PeriodicFunction, N_max: int,
 
     def values(r, t):
         # a bracket's value is the one a lone search of its remainder
-        # computes: all partial sums at once, indexed by degree
+        # computes: copies of every running sum, indexed by degree
         t = _reduce_angle(t)
-        gv = _partial_sums(c, _reduce_angle(t), f.real_valued)
-        return f.sample(t) - gv[r, np.arange(t.size)]
+        gv = [g.copy() for g in _running_sums(c, _reduce_angle(t), True)]
+        return f.sample(t) - np.array(gv)[r, np.arange(t.size)]
 
     radii = rows = _remainder_rows(f, c, grid_size)
     if f.real_valued:

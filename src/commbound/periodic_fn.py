@@ -46,7 +46,6 @@ TWO_PI = 2.0 * np.pi
 _QUAD_K_START = 2 ** 14
 _QUAD_K_CAP = 2 ** 22
 _EXTENT_GRID = 2 ** 16
-_TERMS_PER_CHUNK = 2 ** 20
 _LADDER_ROWS = 4      # subgrids of a ladder level sampled per call
 
 
@@ -138,60 +137,62 @@ def _pair_term(a_pos, a_neg, k, x):
     """a_k e^{ikx} + a_{-k} e^{-ikx} for the order k, an int or an array
     that broadcasts against the angles x.  e^{-ikx} is filled from
     e^{ikx}: cos is even and sin odd, and 0 - im keeps the +0 imaginary
-    part that exp gives at x = 0."""
+    part that exp gives at x = 0.  The products are taken out of place:
+    numpy may round an in-place complex product of a short array
+    otherwise than of a long one, and a point's value must not depend on
+    the length of its call."""
     e = np.multiply(1j, np.multiply(k, x))
     np.exp(e, out=e)
     c = np.empty_like(e)
     c.real = e.real
     np.subtract(0.0, e.imag, out=c.imag)
-    np.multiply(a_neg, c, out=c)
-    return np.add(np.multiply(a_pos, e, out=e), c, out=c)
+    return a_pos * e + a_neg * c
 
 
-def _real_pair_term(a_pos, a_neg, k, x, out=None):
-    """Re(a_k e^{ikx} + a_{-k} e^{-ikx}) in real arithmetic: Re(a_k +
-    a_{-k}) cos kx - Im(a_k - a_{-k}) sin kx.  The orders and coefficients
-    are scalars, or columns with one order per row, against the 1-D angles
-    x; out, if given, receives the term.  The sine part is computed only on
-    the rows where Im(a_k - a_{-k}) != 0, so a real pair a_k = a_{-k} = a
-    costs one cosine and adds (2a) cos kx, which is 2 (a cos kx) bit for
-    bit, doubling being exact in the normal range."""
-    t = np.multiply(k, x, out=out)
-    rows = t if t.ndim == 2 else t[None]
-    s = np.broadcast_to(np.imag(a_pos - a_neg), (len(rows), 1))
-    i = np.flatnonzero(s)
-    if i.size == len(rows):
-        i = slice(None)                # every row: views, not copies
-    sine = np.sin(rows[i])
-    sine *= s[i]
+def _real_pair_term(a_pos, a_neg, k, x):
+    """Re(a_k e^{ikx} + a_{-k} e^{-ikx}) in real arithmetic for the order
+    k: Re(a_k + a_{-k}) cos kx - Im(a_k - a_{-k}) sin kx.  The sine part is
+    computed only when Im(a_k - a_{-k}) != 0, so a real pair a_k = a_{-k}
+    = a costs one cosine and adds (2a) cos kx, which is 2 (a cos kx) bit
+    for bit, doubling being exact in the normal range."""
+    t = np.multiply(k, x)
+    s = (a_pos - a_neg).imag
+    if s:
+        sine = np.sin(t)
+        sine *= s
     np.cos(t, out=t)
-    t *= np.real(a_pos + a_neg)
-    rows[i] -= sine
+    t *= (a_pos + a_neg).real
+    if s:
+        t -= sine
     return t
 
 
-def _partial_sums(coeffs, x, real):
-    """Rows N = 0..d of the partial sums of coeffs (orders -d..d) at the
-    1-D angles x: row N is a_0 plus the pair terms of orders 1..N, added
-    in ascending order, so each point's value depends on that point only.
-    With real set only the real parts are summed, by _real_pair_term."""
+def _running_sums(coeffs, x, real):
+    """Yield the partial sums g_0..g_d of coeffs (orders -d..d) at the 1-D
+    angles x, in one buffer: g_0 = a_0, and g_N = g_{N-1} + the pair term
+    of order N, added in place in ascending order, so each point's value
+    depends on that point only.  With real set only the real parts are
+    summed, by _real_pair_term.  A zero pair adds a signed zero at a
+    finite angle N x and NaN at any other, so it is skipped only when every
+    N x is finite; a sum of -0.0 then keeps its sign."""
     d = coeffs.size // 2
-    k = np.arange(1, d + 1)[:, None]
-    pos, neg = coeffs[d + 1:, None], coeffs[:d][::-1, None]
-    terms = np.empty((d + 1, x.size), dtype=float if real else np.complex128)
-    terms[0] = coeffs[d].real if real else coeffs[d]
-    if real:
-        _real_pair_term(pos, neg, k, x, out=terms[1:])
-    else:
-        terms[1:] = _pair_term(pos, neg, k, x)
-    return np.cumsum(terms, axis=0, out=terms)
+    finite = bool(np.isfinite(d * x).all())
+    term = _real_pair_term if real else _pair_term
+    g = np.full(x.size, coeffs[d].real if real else coeffs[d])
+    yield g
+    pairs = zip(coeffs[d + 1:].tolist(), coeffs[:d][::-1].tolist())
+    for N, (a, b) in enumerate(pairs, 1):
+        if a != 0.0 or b != 0.0 or not finite:
+            g += term(a, b, N, x)
+        yield g
 
 
 class TrigPolynomial(PeriodicFunction):
     """Finite Fourier sum of degree N, from a dict n -> a_n: at each point
     a_0 plus the pair terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed
-    in that order.  Conjugate-symmetric coefficients make a real function,
-    summed in real arithmetic by _partial_sums."""
+    in that order, by _running_sums, in O(points) memory.
+    Conjugate-symmetric coefficients make a real function, summed in real
+    arithmetic."""
 
     def __init__(self, coefficients, name=""):
         items = {int(n): complex(a) for n, a in coefficients.items()}
@@ -206,15 +207,9 @@ class TrigPolynomial(PeriodicFunction):
         real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))
 
         def rule(x, _c=coeffs, _real=real):
-            # each point's value is its own running sum, so chunks of at
-            # most _TERMS_PER_CHUNK terms give the bits of one call
             x = np.asarray(x, dtype=float)
-            flat = x.ravel()
-            out = np.empty(x.size, dtype=float if _real else np.complex128)
-            step = max(1, _TERMS_PER_CHUNK // (degree + 1))
-            for s in range(0, x.size, step):
-                out[s:s + step] = _partial_sums(_c, flat[s:s + step], _real)[-1]
-            return out.reshape(x.shape)
+            *_, g = _running_sums(_c, x.ravel(), _real)    # g_N, the last
+            return g.reshape(x.shape)
 
         super().__init__(
             rule,

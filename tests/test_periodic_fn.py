@@ -947,13 +947,32 @@ class TestFromCoefficients:
             want = sum(a * np.exp(1j * n * x) for n, a in coeffs.items())
             assert abs(p(x) - want) <= 1e-14
 
-    def test_high_degree_evaluates_in_bounded_chunks(self):
-        # 601 orders x 2^14 angles exceeds one chunk of 2^22 terms
+    def test_complex_series_samples_in_a_few_grid_arrays(self):
+        # a_n = ((-1)^n + 0.5i)/n^2 and a_{-n} = 0.3/n^2 for n <= 200: the
+        # running sum holds g_N and one order's complex term (1 MB each on
+        # 2^16 points); a (201 x chunk) table of its terms traced 51.7 MB
+        n = np.arange(1, 201)
+        coeffs = {**dict(zip(n.tolist(), ((-1.0) ** n + 0.5j) / n ** 2)),
+                  **dict(zip((-n).tolist(), 0.3 / n ** 2))}
+        p = cb.from_coefficients(coeffs)
+        assert not p.real_valued
+        x = periodic_fn._grid(2 ** 16)
+        tracemalloc.start()
+        try:
+            got = p.sample(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 10 ** 6
+        want = frozen_periodic.trig_rule(coeffs)(periodic_fn._reduce_angle(x))
+        assert got.tobytes() == want.tobytes()
+
+    def test_high_degree_evaluates_on_a_2d_grid(self):
+        # 601 orders at 2^14 angles, given as a 2 x 2^13 array
         rng = np.random.default_rng(3)
         coeffs = {n: complex(*rng.standard_normal(2)) / (1 + n * n)
                   for n in range(-300, 301)}
         p = cb.from_coefficients(coeffs)
-        assert p.ns.size * 2 ** 14 > periodic_fn._TERMS_PER_CHUNK
         xs = np.linspace(-math.pi, math.pi, 2 ** 14).reshape(2, -1)
         got = p.sample(xs)
         assert got.shape == xs.shape
@@ -962,9 +981,8 @@ class TestFromCoefficients:
             assert abs(got[i, j] - want) <= 1e-12
 
     def test_real_table_holds_no_complex_rows(self):
-        # a conjugate-symmetric series is summed through one real table per
-        # chunk of 2^20 terms (8.4 MB) and the sine parts of its rows; the
-        # complex pair terms and their real parts took 48.8 MB
+        # a conjugate-symmetric series is summed as one real running sum;
+        # the complex pair terms and their real parts took 48.8 MB
         rng = np.random.default_rng(4)
         coeffs = {0: 0.3}
         for n in range(1, 201):
@@ -985,7 +1003,7 @@ class TestFromCoefficients:
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_one_call_equals_one_point_per_call(self, degree, real):
         # each point's value is its own running sum over orders, so a call
-        # on many points, split into chunks, gives the bits of lone points
+        # on many points gives the bits of lone points
         rng = np.random.default_rng(degree)
         n = np.arange(1, degree + 1)
         pos, neg = rng.standard_normal((2, degree, 2)) @ np.array([1.0, 1j])
@@ -994,9 +1012,7 @@ class TestFromCoefficients:
                   **dict(zip(-n, (np.conj(pos) if real else neg) / n ** 2))}
         p = cb.from_coefficients(coeffs)
         assert p.real_valued == real
-        # at degree 300 the 2-D input spans two chunks and part of a third
-        step = periodic_fn._TERMS_PER_CHUNK // (degree + 1)
-        xs = rng.uniform(-4.0, 4.0, (2, (step if degree == 300 else 4) + 3))
+        xs = rng.uniform(-4.0, 4.0, (2, 7))
         xs[0, 0] = 0.0
         got = p.sample(xs)
         assert got.shape == xs.shape
@@ -1007,16 +1023,17 @@ class TestFromCoefficients:
             assert lone.shape == () and lone == p.sample(np.array([t]))[0]
 
     @pytest.mark.parametrize("degree", [3, 16, 300])
-    def test_partial_sums_equal_a_loop_over_orders(self, degree):
+    def test_running_sums_equal_a_loop_over_orders(self, degree):
         rng = np.random.default_rng(degree + 1)
         c = rng.standard_normal((2 * degree + 1, 2)) @ np.array([1.0, 1j])
         x = rng.uniform(-np.pi, np.pi, 257)
-        got = periodic_fn._partial_sums(c, x, False)
+        got = periodic_fn._running_sums(c, x, False)
         s = np.full(x.size, c[degree])
-        assert np.array_equal(got[0], s)
+        assert np.array_equal(next(got), s)
         for k in range(1, degree + 1):
             s = s + periodic_fn._pair_term(c[degree + k], c[degree - k], k, x)
-            assert np.array_equal(got[k].view(np.uint64), s.view(np.uint64))
+            assert np.array_equal(next(got).view(np.uint64), s.view(np.uint64))
+        assert next(got, None) is None
 
     def test_nonsymmetric_coefficients_give_complex_function(self):
         p = cb.from_coefficients({1: 1.0})
@@ -1123,24 +1140,28 @@ class TestRealPairTerm:
             assert not np.array_equal(got, (a + b).real * np.cos(5 * x))
 
     @pytest.mark.parametrize("imag", ["none", "some", "all"])
-    def test_stacked_orders_equal_one_order_at_a_time(self, imag):
-        # as _partial_sums passes them: a column of orders and coefficients,
-        # with the sine part on no row, on some and on every row
+    def test_real_running_sums_add_one_order_at_a_time(self, imag):
+        # a conjugate-symmetric series of 128 orders, with the sine part on
+        # no order, on some and on every order: each yield of the real
+        # running sum is the last one plus that order's real pair term
         x = pair_angles()
-        k = np.arange(1, 129)[:, None]
         rng = np.random.default_rng(2)
         a = rng.standard_normal(128) + 0j
-        b = a.copy()
         if imag != "none":
-            im = rng.standard_normal(128) * (1.0 if imag == "all"
-                                             else rng.integers(0, 2, 128))
-            a, b = a + 1j * im, b - 1j * im
-        got = np.empty((128, x.size))
-        assert periodic_fn._real_pair_term(a[:, None], b[:, None], k, x,
-                                           out=got) is got
+            a = a + 1j * rng.standard_normal(128) * (
+                1.0 if imag == "all" else rng.integers(0, 2, 128))
+        b = np.conj(a)
+        c = np.concatenate((b[::-1], [0.75], a))
+        assert np.all(c[::-1] == np.conj(c))
+        sums = periodic_fn._running_sums(c, x, True)
+        s = np.full(x.size, 0.75)
+        assert np.array_equal(next(sums), s)
         for i in range(128):
-            row = periodic_fn._real_pair_term(a[i], b[i], i + 1, x)
-            assert np.array_equal(got[i].view(np.uint64), row.view(np.uint64))
+            s = s + periodic_fn._real_pair_term(a[i], b[i], i + 1, x)
+            g = next(sums)
+            assert g.dtype == float
+            assert np.array_equal(g.view(np.uint64), s.view(np.uint64)), i
+        assert next(sums, None) is None
 
 
 def assert_like_frozen(name, got, want):
@@ -1165,24 +1186,30 @@ class TestRealSumsAgainstFrozenCopy:
 
     @pytest.fixture(autouse=True)
     def nan_angles(self):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             yield
 
     @staticmethod
     def angles():
-        # three chunks of the degree-500 rule, NaN, the infinities and
-        # angles that the rule reduces
+        # the pair angles, NaN, the infinities and angles that the rule
+        # reduces
         return np.concatenate((pair_angles(), [np.nan, np.inf, -np.inf,
                                                1e3, -7.5, 40.0]))
 
     @pytest.mark.parametrize("name", list(COEFFICIENT_CASES))
-    def test_partial_sums(self, name):
+    def test_running_sums(self, name):
         c = coefficient_vector(COEFFICIENT_CASES[name])
         x = pair_angles()[::3]
         real = bool(np.all(c[::-1] == np.conj(c)))
-        got = periodic_fn._partial_sums(c, x, real)
+        got = np.array([g.copy()
+                        for g in periodic_fn._running_sums(c, x, real)])
         want = frozen_envelope._partial_sums(c, x)
         assert got.dtype == (float if real else np.complex128)
+        if name == "negzero":
+            # order 1 is a zero pair, which the running sum skips: row 1
+            # keeps a_0 = -0.0 where the frozen sum added +0.0 to it
+            assert np.array_equal(got[1], want[1])
+            got, want = got[[0, 2]], want[[0, 2]]
         assert_like_frozen(name, got, want.real if real else want)
 
     @pytest.mark.parametrize("name", list(COEFFICIENT_CASES))
@@ -1191,10 +1218,12 @@ class TestRealSumsAgainstFrozenCopy:
         p = cb.from_coefficients(coefficients)
         rule = frozen_periodic.trig_rule(coefficients)
         x = self.angles()
-        assert x.size > periodic_fn._TERMS_PER_CHUNK // 501 * 2
         assert_like_frozen(name, p.sample(x), rule(periodic_fn._reduce_angle(x)))
         assert_like_frozen(name, p.rule(x.reshape(2, -1)), rule(x.reshape(2, -1)))
         assert_like_frozen(name, p.rule(0.5), rule(0.5))
+        # finite angles x at which 4x is finite and 12x is not
+        big = np.array([1.6e307, -1.6e307])
+        assert_like_frozen(name, p.rule(big), rule(big))
 
     def test_triangle_truncations(self, triangle):
         x = self.angles()

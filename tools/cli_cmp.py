@@ -48,6 +48,10 @@ COEFFICIENT_FILES = {
                     "9": 0.0625, "-9": 0.0625, "12": 0.0},
     # a_0 = -0.0, the one start from which a zero term moves a real sum
     "negzero.json": {"0": -0.0, "1": 0.0, "2": 1.0},
+    # a_n = ((-1)^n + 0.5i) / n^2 and a_{-n} = 0.3 / n^2 for 1 <= n <= 200
+    "complex200.json": {**{str(n): [(-1) ** n / n ** 2, 0.5 / n ** 2]
+                           for n in range(1, 201)},
+                        **{str(-n): 0.3 / n ** 2 for n in range(1, 201)}},
 }
 # JSON nested deeper than the decoder's recursion reaches, as text
 DEEP_JSON = "[" * 3000
@@ -85,6 +89,9 @@ INVOCATIONS = [
     "lower circle --function sparse.json",
     "curve circle --steps 50 --function negzero.json",
     "validate circle --samples 100 --function negzero.json",
+    # a complex degree-200 series, sampled on every grid of the circle side
+    "curve circle --steps 10 --function complex200.json",
+    "validate circle --samples 100 --function complex200.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
     # the real refinement table with sine parts, in CSV

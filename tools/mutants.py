@@ -73,10 +73,6 @@ MUTANTS = [
            "    real = f.real_valued and bool(np.all(c[::-1] == np.conj(c)))\n",
            [CB + "TestTruncationEnvelope::"
             "test_real_f_with_asymmetric_head_takes_no_disk"]),
-    Mutant("sweep-skips-small-pairs", "circle_bounds.py",
-           "if N and (a != 0.0 or b != 0.0):",
-           "if N and (abs(a) > 1e-2 or abs(b) > 1e-2):",
-           [CB + "TestRealSweepAgainstFrozenCopy"]),
     # lazy layer imports (__init__.py, experiments_cli.py)
     Mutant("package-star-imports-a-layer", "__init__.py",
            '__version__ = "0.1.0"\n',
@@ -151,22 +147,50 @@ MUTANTS = [
            [CB + "TestEtaLower::test_real_samples_equal_complex_samples"]),
     # real series and the bump (periodic_fn.py)
     Mutant("real-term-drops-a-neg", "periodic_fn.py",
-           "t *= np.real(a_pos + a_neg)", "t *= np.real(a_pos)",
+           "t *= (a_pos + a_neg).real", "t *= a_pos.real",
            [PF + "TestRealPairTerm"]),
-    Mutant("real-table-zeroes-negative-rows", "periodic_fn.py",
-           "t *= np.real(a_pos + a_neg)",
-           "t *= np.maximum(np.real(a_pos + a_neg), 0.0)",
+    Mutant("real-term-zeroes-negative-pairs", "periodic_fn.py",
+           "t *= (a_pos + a_neg).real",
+           "t *= max((a_pos + a_neg).real, 0.0)",
            [PF + "TestRealSumsAgainstFrozenCopy"]),
     Mutant("real-term-drops-sine", "periodic_fn.py",
-           "    rows[i] -= sine\n", "",
+           "        t -= sine\n", "        pass\n",
            [CB + "TestSweepAgainstFrozenCopy::"
             "test_lines_equal_frozen_copy[bump-16]",
-            PF + "TestRealSumsAgainstFrozenCopy::test_partial_sums[conjugate]"]),
+            PF + "TestRealSumsAgainstFrozenCopy::"
+            "test_running_sums[conjugate]"]),
     Mutant("real-term-sine-sign-flipped", "periodic_fn.py",
-           "    rows[i] -= sine\n", "    rows[i] += sine\n",
+           "        t -= sine\n", "        t += sine\n",
            [CB + "TestSweepAgainstFrozenCopy::"
             "test_lines_equal_frozen_copy[bump-16]",
-            PF + "TestRealSumsAgainstFrozenCopy::test_partial_sums[conjugate]"]),
+            PF + "TestRealSumsAgainstFrozenCopy::"
+            "test_running_sums[conjugate]"]),
+    # the running sums (periodic_fn.py), which the rule, the sweep and the
+    # refinement share
+    Mutant("sums-skip-small-pairs", "periodic_fn.py",
+           "if a != 0.0 or b != 0.0 or not finite:",
+           "if abs(a) > 1e-2 or abs(b) > 1e-2 or not finite:",
+           [CB + "TestRealSweepAgainstFrozenCopy"]),
+    Mutant("zero-pair-test-reads-a-only", "periodic_fn.py",
+           "if a != 0.0 or b != 0.0 or not finite:",
+           "if a != 0.0 or not finite:",
+           [CB + "TestSweepAgainstFrozenCopy::"
+            "test_lines_equal_frozen_copy[complex-4]",
+            PF + "TestRealSumsAgainstFrozenCopy::test_rule[complex]"]),
+    Mutant("zero-pairs-skipped-at-any-angle", "periodic_fn.py",
+           "if a != 0.0 or b != 0.0 or not finite:",
+           "if a != 0.0 or b != 0.0:",
+           [PF + "TestRealSumsAgainstFrozenCopy::"
+            "test_rule[negzero-all-zero]"]),
+    Mutant("finite-check-ignores-the-order", "periodic_fn.py",
+           "np.isfinite(d * x)", "np.isfinite(x)",
+           [PF + "TestRealSumsAgainstFrozenCopy::test_rule[zero-pairs]"]),
+    Mutant("pair-term-products-in-place", "periodic_fn.py",
+           "    return a_pos * e + a_neg * c\n",
+           "    np.multiply(a_neg, c, out=c)\n"
+           "    return np.add(np.multiply(a_pos, e, out=e), c, out=c)\n",
+           [PF + "TestFromCoefficients::"
+            "test_one_call_equals_one_point_per_call[complex-3]"]),
     Mutant("no-real-series-check", "periodic_fn.py",
            "real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))",
            "real = True",
