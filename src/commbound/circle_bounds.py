@@ -226,19 +226,15 @@ def _lower_table(f: PeriodicFunction, grid_size: int):
     """(x, vals, ranges) for the grid of grid_size points: ranges maps
     offsets d <= grid_size // 2 to the largest sample difference over grid
     pairs at most d apart."""
-    table = f._pair_cache.get(grid_size)
-    if table is None:
-        x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
-        vals = f.sample(x)
-        if np.iscomplexobj(vals):
-            # a complex window's diameter does not split into two halves
-            ranges = np.maximum.accumulate(
-                _best_by_offset(vals, grid_size // 2)).__getitem__
-        else:
-            ranges = _window_ranges(vals)
-        table = (x, vals, ranges)
-        f._pair_cache[grid_size] = table
-    return table
+    x = -np.pi + TWO_PI * np.arange(grid_size) / grid_size
+    vals = f.sample(x)
+    if np.iscomplexobj(vals):
+        # a complex window's diameter does not split into two halves
+        ranges = np.maximum.accumulate(
+            _best_by_offset(vals, grid_size // 2)).__getitem__
+    else:
+        ranges = _window_ranges(vals)
+    return x, vals, ranges
 
 
 def eta_lower(f: PeriodicFunction, delta, grid_size: int = 4096):

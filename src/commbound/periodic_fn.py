@@ -90,7 +90,6 @@ class PeriodicFunction:
         self.coefficient_rule = coefficient_rule
         self.l1_tail_rule = l1_tail_rule
         self._ladder = _TrapezoidLadder(self.real_valued)
-        self._pair_cache = {}
         self._check_seam()
         if self.real_valued:
             self._check_real()
@@ -133,57 +132,49 @@ class PeriodicFunction:
         return "PeriodicFunction(name=%r, real_valued=%r)" % (self.name, self.real_valued)
 
 
-def _pair_term(a_pos, a_neg, k, x):
-    """a_k e^{ikx} + a_{-k} e^{-ikx} for the order k, an int or an array
-    that broadcasts against the angles x.  e^{-ikx} is filled from
-    e^{ikx}: cos is even and sin odd, and 0 - im keeps the +0 imaginary
-    part that exp gives at x = 0.  The products are taken out of place:
-    numpy may round an in-place complex product of a short array
-    otherwise than of a long one, and a point's value must not depend on
-    the length of its call."""
-    e = np.multiply(1j, np.multiply(k, x))
-    np.exp(e, out=e)
-    c = np.empty_like(e)
-    c.real = e.real
-    np.subtract(0.0, e.imag, out=c.imag)
-    return a_pos * e + a_neg * c
-
-
-def _real_pair_term(a_pos, a_neg, k, x):
-    """Re(a_k e^{ikx} + a_{-k} e^{-ikx}) in real arithmetic for the order
-    k: Re(a_k + a_{-k}) cos kx - Im(a_k - a_{-k}) sin kx.  The sine part is
-    computed only when Im(a_k - a_{-k}) != 0, so a real pair a_k = a_{-k}
-    = a costs one cosine and adds (2a) cos kx, which is 2 (a cos kx) bit
-    for bit, doubling being exact in the normal range."""
+def _add_pair(g, a_pos, a_neg, k, x):
+    """Add the pair term a_k e^{ikx} + a_{-k} e^{-ikx} of order k at the
+    angles x into g, in place and in real arithmetic, as c cos kx + i s
+    sin kx with c = a_k + a_{-k} and s = a_k - a_{-k}.  The real part,
+    Re c cos kx - Im s sin kx, computes the sine only when Im s != 0, so
+    a real pair a_k = a_{-k} = a adds (2a) cos kx, which is 2 (a cos kx)
+    bit for bit, doubling being exact in the normal range.  Only a complex
+    g takes Im c cos kx + Re s sin kx; its real part takes the real sum's
+    operations, and so its bits.  Each step is a real ufunc, so no point's
+    value depends on the others of the call."""
+    c, s = a_pos + a_neg, a_pos - a_neg
     t = np.multiply(k, x)
-    s = (a_pos - a_neg).imag
-    if s:
+    complex_g = g.dtype.kind == "c"
+    if s.imag or complex_g:
         sine = np.sin(t)
-        sine *= s
     np.cos(t, out=t)
-    t *= (a_pos + a_neg).real
-    if s:
+    if complex_g:
+        im = g.imag
+        im += c.imag * t + s.real * sine
+        g = g.real
+    t *= c.real
+    if s.imag:
+        sine *= s.imag
         t -= sine
-    return t
+    g += t
 
 
 def _running_sums(coeffs, x, real):
     """Yield the partial sums g_0..g_d of coeffs (orders -d..d) at the 1-D
     angles x, in one buffer: g_0 = a_0, and g_N = g_{N-1} + the pair term
     of order N, added in place in ascending order, so each point's value
-    depends on that point only.  With real set only the real parts are
-    summed, by _real_pair_term.  A zero pair adds a signed zero at a
+    depends on that point only, by _add_pair.  With real set only the
+    real parts are summed.  A zero pair adds a signed zero at a
     finite angle N x and NaN at any other, so it is skipped only when every
     N x is finite; a sum of -0.0 then keeps its sign."""
     d = coeffs.size // 2
     finite = bool(np.isfinite(d * x).all())
-    term = _real_pair_term if real else _pair_term
     g = np.full(x.size, coeffs[d].real if real else coeffs[d])
     yield g
     pairs = zip(coeffs[d + 1:].tolist(), coeffs[:d][::-1].tolist())
     for N, (a, b) in enumerate(pairs, 1):
         if a != 0.0 or b != 0.0 or not finite:
-            g += term(a, b, N, x)
+            _add_pair(g, a, b, N, x)
         yield g
 
 
@@ -191,8 +182,8 @@ class TrigPolynomial(PeriodicFunction):
     """Finite Fourier sum of degree N, from a dict n -> a_n: at each point
     a_0 plus the pair terms a_k e^{ikx} + a_{-k} e^{-ikx}, k = 1..N, summed
     in that order, by _running_sums, in O(points) memory.
-    Conjugate-symmetric coefficients make a real function, summed in real
-    arithmetic."""
+    Conjugate-symmetric coefficients make a real function, of which only
+    the real part is summed."""
 
     def __init__(self, coefficients, name=""):
         items = {int(n): complex(a) for n, a in coefficients.items()}

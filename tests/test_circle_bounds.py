@@ -472,40 +472,6 @@ class TestSharedRemainderTable:
 
 
 class TestExpTable:
-    @pytest.mark.parametrize("N_max", [0, 1, 16])
-    def test_symmetric_fill_equals_direct_exp_bit_for_bit(self, N_max):
-        # the pair term fills e^{-ikx} as the conjugate of e^{ikx}; with +0
-        # kept at x = 0 it matches exp of the negated angle bit for bit
-        x = periodic_fn._grid(2 ** 12)
-        xr = periodic_fn._reduce_angle(periodic_fn._reduce_angle(x))
-        assert np.any(xr == 0.0)
-        k = np.arange(N_max + 1)[:, None]
-        rng = np.random.default_rng(N_max)
-        a, b = rng.standard_normal((2, N_max + 1, 2)) @ np.array([1.0, 1j])
-        want = (a[:, None] * np.exp(1j * np.multiply.outer(k[:, 0], xr))
-                + b[:, None] * np.exp(1j * np.multiply.outer(-k[:, 0], xr)))
-        got = periodic_fn._pair_term(a[:, None], b[:, None], k, xr)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        for n in range(N_max + 1):
-            row = periodic_fn._pair_term(a[n], b[n], n, xr)
-            assert np.array_equal(row.view(np.uint64), want[n].view(np.uint64))
-
-    @pytest.mark.parametrize("conjugate", [False, True])
-    def test_pair_term_equals_frozen_copy(self, conjugate):
-        # the reduced grid holds +0.0; -0.0 and the seam are added
-        x = periodic_fn._reduce_angle(periodic_fn._grid(2 ** 12))
-        x = np.concatenate((x, [-0.0, 0.0, -np.pi, np.pi]))
-        rng = np.random.default_rng(int(conjugate))
-        a = rng.standard_normal((129, 2)) @ np.array([1.0, 1j])
-        b = (np.conj(a) if conjugate
-             else rng.standard_normal((129, 2)) @ np.array([1.0, 1j]))
-        for k in range(129):
-            assert same_bits(periodic_fn._pair_term(a[k], b[k], k, x),
-                             frozen_envelope._pair_term(a[k], b[k], k, x))
-        k = np.arange(129)[:, None]
-        assert same_bits(periodic_fn._pair_term(a[:, None], b[:, None], k, x),
-                         frozen_envelope._pair_term(a[:, None], b[:, None], k, x))
-
     def test_envelope_memory(self):
         # remainders are built one degree at a time on the 2^16 grid (1 MB
         # per complex row); a (33, 2^16) table of e^{inx} would be 34.6 MB
@@ -820,14 +786,12 @@ class TestEtaLowerPasses:
         f = cb.builtin_triangle()
         with pytest.raises(ValueError, match="grid_size must be an integer"):
             cb.eta_lower(f, 0.5, grid_size=bad)
-        assert not f._pair_cache
 
     @pytest.mark.parametrize("grid_size", [1, 2, 3, np.int64(5)])
     def test_tiny_grids(self, grid_size):
         f = cb.builtin_triangle()
         got = cb.eta_lower(f, np.array([0.0, 0.5, 1.5]), grid_size=grid_size)
         assert got[0] == 0.0 and 0.0 < got[1] <= got[2] <= 2.0
-        assert list(f._pair_cache) == [grid_size]
 
 
 class TestWindowRanges:

@@ -948,12 +948,11 @@ class TestFromCoefficients:
             assert abs(p(x) - want) <= 1e-14
 
     def test_complex_series_samples_in_a_few_grid_arrays(self):
-        # a_n = ((-1)^n + 0.5i)/n^2 and a_{-n} = 0.3/n^2 for n <= 200: the
-        # running sum holds g_N and one order's complex term (1 MB each on
-        # 2^16 points); a (201 x chunk) table of its terms traced 51.7 MB
-        n = np.arange(1, 201)
-        coeffs = {**dict(zip(n.tolist(), ((-1.0) ** n + 0.5j) / n ** 2)),
-                  **dict(zip((-n).tolist(), 0.3 / n ** 2))}
+        # the running sum holds g_N (1 MB on 2^16 points) and one order's
+        # real work arrays: 3.7 MB traced, where the complex pair term's
+        # out-of-place products took 5.8 MB and a (201 x chunk) table of
+        # its terms 51.7 MB
+        coeffs = complex200()
         p = cb.from_coefficients(coeffs)
         assert not p.real_valued
         x = periodic_fn._grid(2 ** 16)
@@ -963,9 +962,34 @@ class TestFromCoefficients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 10 ** 6
-        want = frozen_periodic.trig_rule(coeffs)(periodic_fn._reduce_angle(x))
-        assert got.tobytes() == want.tobytes()
+        assert peak < 5 * 10 ** 6
+        y = periodic_fn._reduce_angle(x)
+        want = frozen_periodic.trig_rule(coeffs)(y)
+        ulp = np.spacing(np.max(np.abs(want)))
+        assert np.max(np.abs(got.real - want.real)) <= 4 * ulp
+        assert np.max(np.abs(got.imag - want.imag)) <= 4 * ulp
+        # against the exact sum, z^-200 times a polynomial in z = e^{ix}:
+        # recursive summation of d + 1 pair terms, each rounded within a
+        # few eps of its size
+        mpmath = pytest.importorskip("mpmath")
+        tol = 202 * np.finfo(float).eps * sum(abs(a) for a in coeffs.values())
+        a = [coeffs.get(n, 0) for n in range(200, -201, -1)]
+        with mpmath.workdps(40):
+            for j in range(0, y.size, 199):
+                z = mpmath.expj(y[j])
+                exact = complex(mpmath.polyval(a, z) / z ** 200)
+                assert abs(exact - got[j]) <= tol, j
+
+    def test_real_part_of_complex_sums_is_the_real_sum(self):
+        # the real part of each complex running sum takes the real sum's
+        # operations, so it keeps its bits at every order
+        c = coefficient_vector(complex200())
+        x = periodic_fn._reduce_angle(periodic_fn._grid(2 ** 12))
+        sums = zip(periodic_fn._running_sums(c, x, False),
+                   periodic_fn._running_sums(c, x, True))
+        for N, (g, r) in enumerate(sums):
+            assert g.dtype == np.complex128 and r.dtype == float
+            assert np.array_equal(g.real.view(np.uint64), r.view(np.uint64)), N
 
     def test_high_degree_evaluates_on_a_2d_grid(self):
         # 601 orders at 2^14 angles, given as a 2 x 2^13 array
@@ -1031,7 +1055,7 @@ class TestFromCoefficients:
         s = np.full(x.size, c[degree])
         assert np.array_equal(next(got), s)
         for k in range(1, degree + 1):
-            s = s + periodic_fn._pair_term(c[degree + k], c[degree - k], k, x)
+            periodic_fn._add_pair(s, c[degree + k], c[degree - k], k, x)
             assert np.array_equal(next(got).view(np.uint64), s.view(np.uint64))
         assert next(got, None) is None
 
@@ -1066,6 +1090,21 @@ def coefficient_vector(coefficients):
     return c
 
 
+def complex200():
+    """a_n = ((-1)^n + 0.5i)/n^2 and a_{-n} = 0.3/n^2 for 1 <= n <= 200."""
+    n = np.arange(1, 201)
+    return {**dict(zip(n.tolist(), ((-1.0) ** n + 0.5j) / n ** 2)),
+            **dict(zip((-n).tolist(), 0.3 / n ** 2))}
+
+
+def added_pair(a_pos, a_neg, k, x, dtype=float):
+    """The pair term of order k that _add_pair adds into a buffer of -0.0
+    in each part, the additive identity, so the term keeps every bit."""
+    g = -np.zeros(x.size, dtype=dtype)
+    periodic_fn._add_pair(g, a_pos, a_neg, k, x)
+    return g
+
+
 DEG500 = {s * n: (-1) ** n / n ** 2 for n in range(1, 501) for s in (1, -1)}
 
 # real, sparse, signed-zero, conjugate-symmetric complex and complex series
@@ -1085,8 +1124,9 @@ COEFFICIENT_CASES = {
 
 
 class TestRealPairTerm:
-    """The real pair term Re(a_k + a_{-k}) cos kx - Im(a_k - a_{-k}) sin kx
-    against the cosine term and the complex term's real part."""
+    """The pair term that _add_pair adds, Re(a_k + a_{-k}) cos kx -
+    Im(a_k - a_{-k}) sin kx in a real buffer, against the cosine term and
+    the complex exponential term."""
 
     def test_cos_is_the_real_part_of_exp(self):
         # what the real series' bit-for-bit agreement with the frozen
@@ -1107,43 +1147,48 @@ class TestRealPairTerm:
         # 2 (a cos kx) does
         x = pair_angles()
         for k in range(129):
-            got = periodic_fn._real_pair_term(a, a, k, x)
+            got = added_pair(a, a, k, x)
             want = 2.0 * (a * np.cos(k * x))
             assert got.tobytes() == want.tobytes(), k
-            assert got.tobytes() == periodic_fn._real_pair_term(
+            assert got.tobytes() == added_pair(
                 complex(a), complex(a), k, x).tobytes(), k
 
     def test_zero_pair_adds_nothing(self):
         x = pair_angles()
         for k in range(129):
-            term = periodic_fn._real_pair_term(0j, -0j, k, x)
             for g in (1.0, 0.0, -2.5, 5e-324):
-                assert np.all((g + term).view(np.uint64)
+                s = np.full(x.size, g)
+                periodic_fn._add_pair(s, 0j, -0j, k, x)
+                assert np.all(s.view(np.uint64)
                               == np.float64(g).view(np.uint64))
 
     @pytest.mark.parametrize("a, b", [
         (0.3 - 0.1j, 0.3 + 0.1j), (0.05j, -0.05j), (1e-18j, -1e-18j),
         (0.5 + 0.25j, -0.125 + 1j), (0.5, 0.25j), (1.0, 0.0)])
     def test_complex_pairs_within_4_ulps_of_the_complex_term(self, a, b):
+        # a complex buffer takes the same real part and the imaginary part
+        # Im(a_k + a_{-k}) cos kx + Re(a_k - a_{-k}) sin kx
         x = pair_angles()
         tol = 4.0 * np.spacing(abs(a) + abs(b))
         for k in range(129):
-            got = periodic_fn._real_pair_term(a, b, k, x)
-            want = periodic_fn._pair_term(a, b, k, x).real
-            assert np.max(np.abs(got - want)) <= tol, k
+            got = added_pair(a, b, k, x, np.complex128)
+            want = a * np.exp(1j * (k * x)) + b * np.exp(-1j * (k * x))
+            assert np.max(np.abs(got.real - want.real)) <= tol, k
+            assert np.max(np.abs(got.imag - want.imag)) <= tol, k
+            assert got.real.tobytes() == added_pair(a, b, k, x).tobytes(), k
 
     def test_complex_pairs_are_not_cosine_terms(self):
         # a sine part moves the term off the cosine term's bits
         x = pair_angles()
         for a, b in ((0.3 - 0.1j, 0.3 + 0.1j), (0.5 + 0.25j, 0.5 - 0.2j)):
-            got = periodic_fn._real_pair_term(a, b, 5, x)
+            got = added_pair(a, b, 5, x)
             assert not np.array_equal(got, (a + b).real * np.cos(5 * x))
 
     @pytest.mark.parametrize("imag", ["none", "some", "all"])
     def test_real_running_sums_add_one_order_at_a_time(self, imag):
         # a conjugate-symmetric series of 128 orders, with the sine part on
         # no order, on some and on every order: each yield of the real
-        # running sum is the last one plus that order's real pair term
+        # running sum is the last one with that order's pair term added
         x = pair_angles()
         rng = np.random.default_rng(2)
         a = rng.standard_normal(128) + 0j
@@ -1157,7 +1202,7 @@ class TestRealPairTerm:
         s = np.full(x.size, 0.75)
         assert np.array_equal(next(sums), s)
         for i in range(128):
-            s = s + periodic_fn._real_pair_term(a[i], b[i], i + 1, x)
+            periodic_fn._add_pair(s, a[i], b[i], i + 1, x)
             g = next(sums)
             assert g.dtype == float
             assert np.array_equal(g.view(np.uint64), s.view(np.uint64)), i

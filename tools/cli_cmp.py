@@ -92,6 +92,8 @@ INVOCATIONS = [
     # a complex degree-200 series, sampled on every grid of the circle side
     "curve circle --steps 10 --function complex200.json",
     "validate circle --samples 100 --function complex200.json",
+    # eta_lower's offset scans of a complex series
+    "lower circle --steps 50 --function complex200.json",
     "curve circle --n-max 128 --steps 50",
     "curve circle --function bump --n-max 128 --format json",
     # the real refinement table with sine parts, in CSV

@@ -145,13 +145,13 @@ MUTANTS = [
     Mutant("sample-keeps-complex-for-real-f", "periodic_fn.py",
            "        if self.real_valued:\n            v = v.real\n", "",
            [CB + "TestEtaLower::test_real_samples_equal_complex_samples"]),
-    # real series and the bump (periodic_fn.py)
+    # the pair term (periodic_fn.py): the real part, all that real series
+    # and the bump take, and a complex series' imaginary part
     Mutant("real-term-drops-a-neg", "periodic_fn.py",
-           "t *= (a_pos + a_neg).real", "t *= a_pos.real",
+           "t *= c.real", "t *= a_pos.real",
            [PF + "TestRealPairTerm"]),
     Mutant("real-term-zeroes-negative-pairs", "periodic_fn.py",
-           "t *= (a_pos + a_neg).real",
-           "t *= max((a_pos + a_neg).real, 0.0)",
+           "t *= c.real", "t *= max(c.real, 0.0)",
            [PF + "TestRealSumsAgainstFrozenCopy"]),
     Mutant("real-term-drops-sine", "periodic_fn.py",
            "        t -= sine\n", "        pass\n",
@@ -165,6 +165,17 @@ MUTANTS = [
             "test_lines_equal_frozen_copy[bump-16]",
             PF + "TestRealSumsAgainstFrozenCopy::"
             "test_running_sums[conjugate]"]),
+    Mutant("imaginary-sine-sign-flipped", "periodic_fn.py",
+           "c.imag * t + s.real * sine", "c.imag * t - s.real * sine",
+           [PF + "TestRealPairTerm::"
+            "test_complex_pairs_within_4_ulps_of_the_complex_term",
+            PF + "TestRealSumsAgainstFrozenCopy::test_rule[complex]"]),
+    Mutant("imaginary-sine-dropped", "periodic_fn.py",
+           "c.imag * t + s.real * sine", "c.imag * t",
+           [PF + "TestFromCoefficients::"
+            "test_complex_series_samples_in_a_few_grid_arrays",
+            CB + "TestSweepAgainstFrozenCopy::"
+            "test_lines_equal_frozen_copy[complex-4]"]),
     # the running sums (periodic_fn.py), which the rule, the sweep and the
     # refinement share
     Mutant("sums-skip-small-pairs", "periodic_fn.py",
@@ -185,12 +196,6 @@ MUTANTS = [
     Mutant("finite-check-ignores-the-order", "periodic_fn.py",
            "np.isfinite(d * x)", "np.isfinite(x)",
            [PF + "TestRealSumsAgainstFrozenCopy::test_rule[zero-pairs]"]),
-    Mutant("pair-term-products-in-place", "periodic_fn.py",
-           "    return a_pos * e + a_neg * c\n",
-           "    np.multiply(a_neg, c, out=c)\n"
-           "    return np.add(np.multiply(a_pos, e, out=e), c, out=c)\n",
-           [PF + "TestFromCoefficients::"
-            "test_one_call_equals_one_point_per_call[complex-3]"]),
     Mutant("no-real-series-check", "periodic_fn.py",
            "real = bool(np.all(coeffs[::-1] == np.conj(coeffs)))",
            "real = True",
