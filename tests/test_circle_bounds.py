@@ -472,6 +472,46 @@ class TestSharedRemainderTable:
 
 
 class TestExpTable:
+    @pytest.mark.parametrize("degree", [0, 1, 16])
+    def test_reflected_series_sums_at_negated_angles(self, degree):
+        # f(-x) = sum a_{-n} e^{inx}: the running sums of the series at -x
+        # equal those of the reflected series at x bit for bit at every
+        # order, since k (-x) = -(k x), cos is even and sin is odd; the
+        # reduced grid holds +0.0, and -0.0 and the seam are added
+        x = periodic_fn._reduce_angle(periodic_fn._grid(2 ** 12))
+        x = np.concatenate((x, [-0.0, 0.0, -np.pi, np.pi]))
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal((2 * degree + 1, 2)) @ np.array([1.0, 1j])
+        got = periodic_fn._running_sums(c, -x, False)
+        want = periodic_fn._running_sums(c[::-1].copy(), x, False)
+        for N in range(degree + 1):
+            assert same_bits(next(got), next(want)), N
+        assert next(got, None) is None and next(want, None) is None
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_pair_term_within_4_ulps_of_frozen_copy(self, conjugate):
+        # the pair term added into a complex buffer of -0.0 against the
+        # frozen complex-exp term; its real part is the real buffer's bit
+        # for bit, and a conjugate pair adds a zero imaginary part
+        x = periodic_fn._reduce_angle(periodic_fn._grid(2 ** 12))
+        x = np.concatenate((x, [-0.0, 0.0, -np.pi, np.pi]))
+        rng = np.random.default_rng(int(conjugate))
+        a = rng.standard_normal((129, 2)) @ np.array([1.0, 1j])
+        b = (np.conj(a) if conjugate
+             else rng.standard_normal((129, 2)) @ np.array([1.0, 1j]))
+        for k in range(129):
+            got = -np.zeros(x.size, dtype=np.complex128)
+            periodic_fn._add_pair(got, a[k], b[k], k, x)
+            want = frozen_envelope._pair_term(a[k], b[k], k, x)
+            tol = 4.0 * np.spacing(abs(a[k]) + abs(b[k]))
+            assert np.max(np.abs(got.real - want.real)) <= tol, k
+            assert np.max(np.abs(got.imag - want.imag)) <= tol, k
+            real = -np.zeros(x.size)
+            periodic_fn._add_pair(real, a[k], b[k], k, x)
+            assert same_bits(got.real.copy(), real), k
+            if conjugate:
+                assert np.all(got.imag == 0.0), k
+
     def test_envelope_memory(self):
         # remainders are built one degree at a time on the 2^16 grid (1 MB
         # per complex row); a (33, 2^16) table of e^{inx} would be 34.6 MB
